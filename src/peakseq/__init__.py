@@ -5,7 +5,6 @@ from .core import (
     Envelope,
     EnvelopeFn,
     EnvelopeViolation,
-    InvalidTailBound,
     Monotonicity,
     NoUsefulIndex,
     PeakSolution,
@@ -16,10 +15,7 @@ from .core import (
     UpperBoundValue,
     argmax_bound,
     brute_force_peak,
-    is_useful_at,
-    prefix_index_sets,
     solve,
-    stopping_index,
     truncation_from,
     validate_envelope,
 )

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .core import (
     DEFAULT_SCAN_LIMIT,
@@ -31,8 +32,6 @@ from .sequences import (
     FibonacciRatioAdapter,
     LogisticAdapter,
     collatz_envelope_check,
-    fibonacci_solve,
-    logistic_solve,
     syracuse_excursion,
 )
 from . import linsys
@@ -50,6 +49,60 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _factorial(args):
+    adapter = FactorialRatioAdapter(args.a)
+    env = adapter.const_env if args.envelope == "constant" else adapter.seq_env
+    return adapter.source, env, {"a": args.a, "envelope": args.envelope}
+
+
+def _fibonacci(args):
+    adapter = FibonacciRatioAdapter(args.u0, args.u1)
+    return adapter.source, adapter.env, {"u0": args.u0, "u1": args.u1}
+
+
+def _logistic(args):
+    adapter = LogisticAdapter(args.r, args.y0)
+    return adapter.source, adapter.env, {"r": args.r, "y0": args.y0}
+
+
+def _linsys(args):
+    matrix = linsys.a_lambda(args.lam, args.d)
+    env = linsys.envelope_from_certificate(matrix, linsys.p_q(args.lam, args.d, args.q))
+    source = linsys.a_lambda_source(args.lam, args.d, generic=args.generic)
+    return source, env, {"lambda": args.lam, "d": args.d, "q": args.q, "generic": args.generic}
+
+
+class _Adapter(NamedTuple):
+    params: list[tuple[tuple[str, ...], dict]]  # add_argument(*flags, **kwargs) pairs
+    horizon: int  # default validation horizon
+    build: Callable  # args -> (source, envelope, report parameters)
+
+
+# Every adapter with a certified envelope; both `solve` and `validate` are
+# wired from this table.  Syracuse has no envelope and is wired by hand.
+_ADAPTERS = {
+    "factorial": _Adapter(
+        [(("--a",), {"type": int, "required": True}),
+         (("--envelope",), {"choices": ["sequence", "constant"], "default": "sequence"})],
+        100, _factorial),
+    "fibonacci": _Adapter(
+        [(("--u0",), {"type": int, "required": True}),
+         (("--u1",), {"type": int, "required": True})],
+        40, _fibonacci),
+    "logistic": _Adapter(
+        [(("--r",), {"type": float, "required": True}),
+         (("--y0",), {"type": float, "required": True})],
+        100, _logistic),
+    "linsys": _Adapter(
+        [(("--lam", "--lambda"), {"dest": "lam", "type": float, "required": True}),
+         (("--d",), {"type": int, "default": 2}),
+         (("--q",), {"type": float, "default": None}),
+         (("--generic",), {"action": "store_true",
+                           "help": "use the generic matrix-power kernel instead of the closed form"})],
+        50, _linsys),
+}
 
 
 def _dumps(value) -> str:
@@ -133,31 +186,7 @@ def _run_solve(args, argv: list[str]) -> int:
     on_step = _trace_recorder(trace) if args.trace else None
     started = time.perf_counter()
 
-    if args.adapter == "factorial":
-        adapter = FactorialRatioAdapter(args.a)
-        env = adapter.const_env if args.envelope == "constant" else adapter.seq_env
-        sol = solve(adapter.source, env, tie=tie, scan_limit=scan_limit, on_step=on_step)
-        params = {"a": args.a, "envelope": args.envelope}
-    elif args.adapter == "fibonacci":
-        if args.u0 > 0:
-            sol = fibonacci_solve(args.u0, args.u1, tie=tie)
-            if trace is not None:
-                trace.append(
-                    {"k": 0, "u_k": FibonacciRatioAdapter(args.u0, args.u1).ratio(0),
-                     "bound": None, "K": 0}
-                )
-        else:
-            adapter = FibonacciRatioAdapter(args.u0, args.u1)
-            sol = solve(adapter.source, adapter.env, tie=tie, scan_limit=scan_limit, on_step=on_step)
-        params = {"u0": args.u0, "u1": args.u1}
-    elif args.adapter == "logistic":
-        sol = logistic_solve(args.r, args.y0, tie=tie)
-        if trace is not None:
-            adapter = LogisticAdapter(args.r, args.y0)
-            for k in range(sol.terms_evaluated):
-                trace.append({"k": k, "u_k": adapter.term(k), "bound": None, "K": 0})
-        params = {"r": args.r, "y0": args.y0}
-    elif args.adapter == "syracuse":
+    if args.adapter == "syracuse":
         mx, arg, cycled = syracuse_excursion(args.n0, args.max_steps)
         report = {
             "command": " ".join(argv),
@@ -168,15 +197,9 @@ def _run_solve(args, argv: list[str]) -> int:
         }
         _print_report(report, args.format)
         return EXIT_OK
-    elif args.adapter == "linsys":
-        matrix = linsys.a_lambda(args.lam, args.d)
-        env = linsys.envelope_from_certificate(matrix, linsys.p_q(args.lam, args.d, args.q))
-        source = linsys.a_lambda_source(args.lam, args.d, generic=args.generic)
-        sol = solve(source, env, tie=tie, scan_limit=scan_limit, on_step=on_step)
-        params = {"lambda": args.lam, "d": args.d, "q": args.q, "generic": args.generic}
-    else:  # pragma: no cover - argparse restricts choices
-        raise PeakseqError(f"unknown adapter {args.adapter!r}")
 
+    source, env, params = _ADAPTERS[args.adapter].build(args)
+    sol = solve(source, env, tie=tie, scan_limit=scan_limit, on_step=on_step)
     report = {
         "command": " ".join(argv),
         "adapter": args.adapter,
@@ -221,23 +244,7 @@ def _run_validate(args, argv: list[str]) -> int:
         _print_report(report, args.format)
         return EXIT_OK if outcome.consistent else EXIT_VIOLATION
 
-    if args.adapter == "factorial":
-        adapter = FactorialRatioAdapter(args.a)
-        env = adapter.const_env if args.envelope == "constant" else adapter.seq_env
-        source = adapter.source
-    elif args.adapter == "fibonacci":
-        adapter = FibonacciRatioAdapter(args.u0, args.u1)
-        source, env = adapter.source, adapter.env
-    elif args.adapter == "logistic":
-        adapter = LogisticAdapter(args.r, args.y0)
-        source, env = adapter.source, adapter.env
-    elif args.adapter == "linsys":
-        matrix = linsys.a_lambda(args.lam, args.d)
-        env = linsys.envelope_from_certificate(matrix, linsys.p_q(args.lam, args.d, args.q))
-        source = linsys.a_lambda_source(args.lam, args.d, generic=args.generic)
-    else:  # pragma: no cover
-        raise PeakseqError(f"unknown adapter {args.adapter!r}")
-
+    source, env, _ = _ADAPTERS[args.adapter].build(args)
     findings = validate_envelope(source, env, args.horizon)
     report = {
         "command": " ".join(argv),
@@ -268,34 +275,6 @@ def build_parser() -> _Parser:
     p_solve = sub.add_parser("solve", help="compute the peak of a bundled sequence")
     solve_sub = p_solve.add_subparsers(dest="adapter", required=True, parser_class=_Parser)
 
-    p = solve_sub.add_parser("factorial")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--envelope", choices=["sequence", "constant"], default="sequence")
-    _add_common(p)
-
-    p = solve_sub.add_parser("fibonacci")
-    p.add_argument("--u0", type=int, required=True)
-    p.add_argument("--u1", type=int, required=True)
-    _add_common(p)
-
-    p = solve_sub.add_parser("logistic")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
-    _add_common(p)
-
-    p = solve_sub.add_parser("syracuse")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    _add_common(p)
-
-    p = solve_sub.add_parser("linsys")
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--generic", action="store_true",
-                   help="use the generic matrix-power kernel instead of the closed form")
-    _add_common(p)
-
     p = sub.add_parser("table", help="benchmark rows for the lambda*Id + U family")
     p.add_argument("--lambdas", "--lambda", dest="lambdas", type=str, default=None,
                    help="comma-separated lambda values (default: the 8 benchmark values)")
@@ -307,31 +286,19 @@ def build_parser() -> _Parser:
     p_val = sub.add_parser("validate", help="check an envelope against its sequence on a horizon")
     val_sub = p_val.add_subparsers(dest="adapter", required=True, parser_class=_Parser)
 
-    p = val_sub.add_parser("factorial")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--envelope", choices=["sequence", "constant"], default="sequence")
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    for name, adapter in _ADAPTERS.items():
+        p_s, p_v = solve_sub.add_parser(name), val_sub.add_parser(name)
+        for flags, kwargs in adapter.params:
+            p_s.add_argument(*flags, **kwargs)
+            p_v.add_argument(*flags, **kwargs)
+        _add_common(p_s)
+        p_v.add_argument("--horizon", type=int, default=adapter.horizon)
+        p_v.add_argument("--format", choices=["json", "text"], default="json")
 
-    p = val_sub.add_parser("fibonacci")
-    p.add_argument("--u0", type=int, required=True)
-    p.add_argument("--u1", type=int, required=True)
-    p.add_argument("--horizon", type=int, default=40)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = val_sub.add_parser("logistic")
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--y0", type=float, required=True)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = val_sub.add_parser("linsys")
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--generic", action="store_true")
-    p.add_argument("--horizon", type=int, default=50)
-    p.add_argument("--format", choices=["json", "text"], default="json")
+    p = solve_sub.add_parser("syracuse")
+    p.add_argument("--n0", type=int, required=True)
+    p.add_argument("--max-steps", type=int, default=1_000_000)
+    _add_common(p)
 
     p = val_sub.add_parser("syracuse", help="finite-horizon geometric-bound check")
     p.add_argument("--n0", type=int, required=True)
@@ -346,23 +313,16 @@ def build_parser() -> _Parser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run = {"solve": _run_solve, "table": _run_table, "validate": _run_validate}[args.command]
     try:
-        if args.command == "solve":
-            return _run_solve(args, argv)
-        if args.command == "table":
-            return _run_table(args, argv)
-        if args.command == "validate":
-            return _run_validate(args, argv)
-        parser.error(f"unknown command {args.command!r}")
+        return run(args, argv)
     except EnvelopeViolation as exc:
         print(f"peakseq: envelope violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     except (PeakseqError, OverflowError) as exc:
         print(f"peakseq: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    return EXIT_USAGE  # pragma: no cover
 
 
 if __name__ == "__main__":

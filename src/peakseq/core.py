@@ -60,10 +60,6 @@ class NoUsefulIndex(PeakseqError):
     """
 
 
-class InvalidTailBound(PeakseqError):
-    """The certified tail bound exceeds every prefix term: inconclusive."""
-
-
 class PreconditionViolated(PeakseqError):
     """An operation was called outside its documented domain."""
 
@@ -73,13 +69,11 @@ class TermSource:
     """A deterministic map k -> u_k for the analyzed real sequence.
 
     ``eval`` must be pure: repeated calls with the same k return the
-    identical value, and it must be defined for every k >= 0.  ``exact``
-    optionally exposes integer-valued terms without float conversion.
+    identical value, and it must be defined for every k >= 0.
     """
 
     eval: Callable[[int], float]
     description: str = ""
-    exact: Callable[[int], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -192,11 +186,6 @@ class PeakSolution:
     argmax_max_requested: bool = False
 
 
-def is_useful_at(source: TermSource, env: Envelope, k: int) -> bool:
-    """True when u_k > h_k(0), i.e. index k carries bound information."""
-    return source.eval(k) > env.h(k).lo
-
-
 def argmax_bound(k: int, source: TermSource, env: Envelope) -> UpperBoundValue:
     """Convert the term u_k into an index bound through the envelope at k.
 
@@ -214,13 +203,11 @@ def argmax_bound(k: int, source: TermSource, env: Envelope) -> UpperBoundValue:
     if u_k <= fn.lo:
         return UpperBoundValue.infinite()
     x = fn.inverse(min(u_k, fn.hi))
-    # Clamp into (0, 1]: roundoff just past either end would otherwise feed
-    # log a nonpositive value or produce a slightly negative bound.
-    if x > 1.0:
-        x = 1.0
+    # Roundoff can put x just past either end of (0, 1]: a nonpositive x has
+    # no log, and any x >= 1 is a bound of 0 (+0.0, never -0.0 from log(1)).
     if x <= 0.0:
         return UpperBoundValue.infinite()
-    return UpperBoundValue.finite(math.log(x) / math.log(b))
+    return UpperBoundValue.finite(max(0.0, math.log(x) / math.log(b)))
 
 
 def truncation_from(k: int, source: TermSource, env: Envelope) -> int | None:
@@ -229,27 +216,6 @@ def truncation_from(k: int, source: TermSource, env: Envelope) -> int | None:
     if not ub.is_finite:
         return None
     return math.floor(ub.value + FLOOR_GUARD)
-
-
-def stopping_index(
-    k: int, source: TermSource, env: Envelope, limit: int = 100_000
-) -> int | None:
-    """Smallest j <= limit with h_k(beta_k^j) < u_k, by direct search.
-
-    Independent oracle for the identity floor(bound) + 1 == stopping index.
-    The comparison carries a 1e-12 relative slack so that points where the
-    envelope holds with equality resolve the way exact arithmetic would.
-    """
-    u_k = source.eval(k)
-    fn = env.h(k)
-    b = env.beta(k)
-    # Slack proportional to the term itself: equality points must not read
-    # as drops, while terms far below 1 keep a usable comparison scale.
-    margin = MEMBERSHIP_RTOL * abs(u_k)
-    for j in range(limit + 1):
-        if fn.eval(b**j) < u_k - margin:
-            return j
-    return None
 
 
 def brute_force_peak(source: TermSource, n: int) -> tuple[float, int, int]:
@@ -265,43 +231,6 @@ def brute_force_peak(source: TermSource, n: int) -> tuple[float, int, int]:
         elif u == best:
             last = k
     return best, first, last
-
-
-def prefix_index_sets(
-    source: TermSource, n: int, tail_bound: float
-) -> tuple[list[int], list[int], int | None, int | None]:
-    """Dominance index sets of the prefix u_0..u_n under a certified tail bound.
-
-    The caller certifies sup_{j>n} u_j <= tail_bound (e.g. h_{n+1}(beta^{n+1})
-    for a decreasing envelope).  Returns the indices k <= n whose prefix max
-    dominates everything after k (weakly, then strictly), together with the
-    minima of the two sets: the first maximizer and the last maximizer of u.
-    Raises :class:`InvalidTailBound` when even k = n fails the weak test,
-    which means the scan was inconclusive.
-    """
-    if n < 0:
-        raise PreconditionViolated("prefix length must be >= 0")
-    terms = [source.eval(k) for k in range(n + 1)]
-    suffix_max = [tail_bound] * (n + 2)
-    for k in range(n, -1, -1):
-        suffix_max[k] = max(terms[k], suffix_max[k + 1])
-    weak: list[int] = []
-    strict: list[int] = []
-    prefix_max = -math.inf
-    for k in range(n + 1):
-        prefix_max = max(prefix_max, terms[k])
-        if prefix_max >= suffix_max[k + 1]:
-            weak.append(k)
-        if prefix_max > suffix_max[k + 1]:
-            strict.append(k)
-    if not weak:
-        raise InvalidTailBound(
-            f"tail bound {tail_bound!r} exceeds the whole prefix max "
-            f"{prefix_max!r}; scanning to n={n} was inconclusive"
-        )
-    first_argmax = weak[0]
-    last_argmax = strict[0] if strict else None
-    return weak, strict, first_argmax, last_argmax
 
 
 def solve(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     Envelope,
@@ -22,7 +23,6 @@ from .core import (
     PreconditionViolated,
     TermSource,
     Tie,
-    brute_force_peak,
     solve,
 )
 
@@ -58,14 +58,18 @@ class FactorialRatioAdapter:
             beta=lambda n: self.beta,
             mono=Monotonicity.eventually_decreasing(a),
         )
-        const = float((a + 1) ** a)
+
+    @cached_property
+    def const_env(self) -> Envelope:
+        """Built on first use: (a+1)^a overflows a float from a = 143 on."""
+        const = float((self.a + 1) ** self.a)
         const_fn = EnvelopeFn(
-            eval=lambda t, s=const: t * s,
-            inverse=lambda y, s=const: y / s,
+            eval=lambda t: t * const,
+            inverse=lambda y: y / const,
             lo=0.0,
             hi=const,
         )
-        self.const_env = Envelope(
+        return Envelope(
             h=lambda n: const_fn,
             beta=lambda n: self.beta,
             mono=Monotonicity.constant(),
@@ -152,27 +156,8 @@ class FibonacciRatioAdapter:
 
 
 def fibonacci_solve(u0: int, u1: int, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:
-    """Peak of the Fibonacci ratio sequence.
-
-    For u0 > 0 the envelope attains the first term at its right endpoint,
-    w_0 = h(1), so every later term is strictly smaller and the answer is
-    immediate.  For u0 = 0 the solver runs with the constant envelope.
-    """
+    """Peak of the Fibonacci ratio sequence under its constant envelope."""
     adapter = FibonacciRatioAdapter(u0, u1)
-    if u0 > 0:
-        w0 = adapter.ratio(0)
-        h1 = adapter._h(1.0)
-        if abs(w0 - h1) > 1e-12 * max(1.0, abs(w0)):
-            raise PeakseqError(
-                f"right-endpoint equality w_0 = h(1) failed: {w0!r} vs {h1!r}"
-            )
-        return PeakSolution(
-            sup_value=w0,
-            argmax_min=0,
-            truncation_index=0,
-            terms_evaluated=1,
-            argmax_max_requested=(tie is Tie.MAX_ARGMAX),
-        )
     return solve(adapter.source, adapter.env, tie=tie)
 
 
@@ -225,23 +210,9 @@ class LogisticAdapter:
 
 
 def logistic_solve(r: float, y0: float, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:
-    """Peak of the logistic iteration: (y0, 0), cross-checked by brute force."""
+    """Peak of the logistic iteration: (y0, 0), certified after one term."""
     adapter = LogisticAdapter(r, y0)
-    h0_right = adapter._fn(0).hi
-    if abs(adapter.y0 - h0_right) > 1e-12:
-        raise PeakseqError("right-endpoint equality y0 = h_0(1) failed")
-    mx, first, _last = brute_force_peak(adapter.source, 100)
-    if mx != adapter.y0 or first != 0:
-        raise PeakseqError(
-            f"brute-force cross-check disagreed: ({mx!r}, {first}) vs ({adapter.y0!r}, 0)"
-        )
-    return PeakSolution(
-        sup_value=adapter.y0,
-        argmax_min=0,
-        truncation_index=0,
-        terms_evaluated=101,
-        argmax_max_requested=(tie is Tie.MAX_ARGMAX),
-    )
+    return solve(adapter.source, adapter.env, tie=tie)
 
 
 class SyracuseAdapter:
@@ -259,7 +230,6 @@ class SyracuseAdapter:
         self.source = TermSource(
             eval=lambda k: float(self.term(k)),
             description=f"syracuse N0={n0}",
-            exact=self.term,
         )
 
     @staticmethod

@@ -1,25 +1,91 @@
-"""Shared case generation for the property suite and the acceptance gate.
+"""Shared oracles and case generation for the property suite and the acceptance gate.
 
-Cases pair a term source with a certified envelope and a scan horizon; the
-oracle last-maximizer comes from the dominance-set scan under the
+The oracles search terms directly instead of inverting envelopes.  Cases
+pair a term source with a certified envelope and a scan horizon; the oracle
+last-maximizer comes from the dominance-set scan under the
 envelope-certified tail bound, never from the index-bound formula itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from peakseq import (
     Envelope,
+    PeakseqError,
+    PreconditionViolated,
     TermSource,
-    prefix_index_sets,
 )
+from peakseq.core import MEMBERSHIP_RTOL
 from peakseq.sequences import (
     FactorialRatioAdapter,
     FibonacciRatioAdapter,
     LogisticAdapter,
 )
 from peakseq import linsys
+
+
+class InvalidTailBound(PeakseqError):
+    """The certified tail bound exceeds every prefix term: inconclusive."""
+
+
+def stopping_index(
+    k: int, source: TermSource, env: Envelope, limit: int = 100_000
+) -> int | None:
+    """Smallest j <= limit with h_k(beta_k^j) < u_k, by direct search.
+
+    Independent oracle for the identity floor(bound) + 1 == stopping index.
+    The comparison carries a 1e-12 relative slack so that points where the
+    envelope holds with equality resolve the way exact arithmetic would.
+    """
+    u_k = source.eval(k)
+    fn = env.h(k)
+    b = env.beta(k)
+    # Slack proportional to the term itself: equality points must not read
+    # as drops, while terms far below 1 keep a usable comparison scale.
+    margin = MEMBERSHIP_RTOL * abs(u_k)
+    for j in range(limit + 1):
+        if fn.eval(b**j) < u_k - margin:
+            return j
+    return None
+
+
+def prefix_index_sets(
+    source: TermSource, n: int, tail_bound: float
+) -> tuple[list[int], list[int], int | None, int | None]:
+    """Dominance index sets of the prefix u_0..u_n under a certified tail bound.
+
+    The caller certifies sup_{j>n} u_j <= tail_bound (e.g. h_{n+1}(beta^{n+1})
+    for a decreasing envelope).  Returns the indices k <= n whose prefix max
+    dominates everything after k (weakly, then strictly), together with the
+    minima of the two sets: the first maximizer and the last maximizer of u.
+    Raises :class:`InvalidTailBound` when even k = n fails the weak test,
+    which means the scan was inconclusive.
+    """
+    if n < 0:
+        raise PreconditionViolated("prefix length must be >= 0")
+    terms = [source.eval(k) for k in range(n + 1)]
+    suffix_max = [tail_bound] * (n + 2)
+    for k in range(n, -1, -1):
+        suffix_max[k] = max(terms[k], suffix_max[k + 1])
+    weak: list[int] = []
+    strict: list[int] = []
+    prefix_max = -math.inf
+    for k in range(n + 1):
+        prefix_max = max(prefix_max, terms[k])
+        if prefix_max >= suffix_max[k + 1]:
+            weak.append(k)
+        if prefix_max > suffix_max[k + 1]:
+            strict.append(k)
+    if not weak:
+        raise InvalidTailBound(
+            f"tail bound {tail_bound!r} exceeds the whole prefix max "
+            f"{prefix_max!r}; scanning to n={n} was inconclusive"
+        )
+    first_argmax = weak[0]
+    last_argmax = strict[0] if strict else None
+    return weak, strict, first_argmax, last_argmax
 
 
 @dataclass(frozen=True)

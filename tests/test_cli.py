@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from peakseq.cli import main, scan_limit_from_env, SCAN_LIMIT_ENV
+from peakseq import linsys, solve
+from peakseq.cli import _ADAPTERS, _solution_dict, main, scan_limit_from_env, SCAN_LIMIT_ENV
+from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
 
 
 def run(capsys, *argv):
@@ -35,6 +37,18 @@ class TestSolveCommand:
         assert out == ""
         assert "UnsupportedParameter" in err
 
+    def test_factorial_past_constant_envelope_overflow(self, capsys):
+        # (a+1)^a overflows a float from a = 143 on; only the constant
+        # envelope needs it.
+        code, out, _ = run(capsys, "solve", "factorial", "--a", "143")
+        assert code == 0
+        sol = json.loads(out)["solution"]
+        assert (sol["argmax_min"], sol["truncation_index"]) == (142, 143)
+        code, out, err = run(capsys, "solve", "factorial", "--a", "143", "--envelope", "constant")
+        assert code == 2
+        assert out == ""
+        assert "OverflowError" in err
+
     def test_syracuse(self, capsys):
         code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27")
         assert code == 0
@@ -61,6 +75,12 @@ class TestSolveCommand:
             assert code == 0
             report = json.loads(out)
             assert len(report["trace"]) == report["solution"]["terms_evaluated"]
+        # Logistic is certified by its first term: h_0(1) = y0 bounds the index at 0.
+        code, out, _ = run(capsys, "solve", "logistic", "--r", "0.5", "--y0", "0.5", "--trace")
+        report = json.loads(out)
+        assert report["solution"]["terms_evaluated"] == 1
+        assert report["trace"] == [{"k": 0, "u_k": 0.5, "bound": 0, "K": 0}]
+        assert '"bound": 0,' in out
 
     def test_json_round_trips(self, capsys):
         from peakseq.cli import _dumps
@@ -89,6 +109,42 @@ class TestSolveCommand:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "nope", "--a", "1"])
         assert exc.value.code == 1
+
+
+ADAPTER_ARGV = {
+    "factorial": ["--a", "6"],
+    "fibonacci": ["--u0", "0", "--u1", "7"],
+    "logistic": ["--r", "0.7", "--y0", "0.3"],
+    "linsys": ["--lam", "0.8", "--d", "3"],
+}
+
+
+def library_pair(name):
+    """(source, envelope) for ADAPTER_ARGV[name], built without the CLI."""
+    if name == "factorial":
+        ad = FactorialRatioAdapter(6)
+        return ad.source, ad.seq_env
+    if name == "fibonacci":
+        ad = FibonacciRatioAdapter(0, 7)
+        return ad.source, ad.env
+    if name == "logistic":
+        ad = LogisticAdapter(0.7, 0.3)
+        return ad.source, ad.env
+    if name == "linsys":
+        env = linsys.envelope_from_certificate(linsys.a_lambda(0.8, 3), linsys.p_q(0.8, 3))
+        return linsys.a_lambda_source(0.8, 3), env
+    raise KeyError(name)
+
+
+class TestAdapterTable:
+    @pytest.mark.parametrize("name", sorted(_ADAPTERS))
+    def test_cli_matches_library(self, capsys, name):
+        code, out, _ = run(capsys, "solve", name, *ADAPTER_ARGV[name])
+        assert code == 0
+        assert json.loads(out)["solution"] == _solution_dict(solve(*library_pair(name)))
+        code, out, _ = run(capsys, "validate", name, *ADAPTER_ARGV[name])
+        assert code == 0
+        assert json.loads(out)["clean"] is True
 
 
 class TestTableCommand:

@@ -7,7 +7,6 @@ import pytest
 from peakseq import (
     Envelope,
     EnvelopeViolation,
-    InvalidTailBound,
     Monotonicity,
     NoUsefulIndex,
     PreconditionViolated,
@@ -16,15 +15,15 @@ from peakseq import (
     UpperBoundValue,
     argmax_bound,
     brute_force_peak,
-    prefix_index_sets,
     solve,
-    stopping_index,
     truncation_from,
     validate_envelope,
 )
 from peakseq.algebra import affine_fn
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
 from peakseq import linsys
+
+from helpers import InvalidTailBound, prefix_index_sets, stopping_index
 
 
 def constant_env(fn, beta):

@@ -20,8 +20,6 @@ from peakseq import (
     brute_force_peak,
     env_min,
     optimal_affine_certificate,
-    prefix_index_sets,
-    stopping_index,
     truncation_from,
 )
 from peakseq.sequences import (
@@ -39,6 +37,8 @@ from helpers import (
     all_cases,
     certified_tail_bound,
     oracle_last_argmax,
+    prefix_index_sets,
+    stopping_index,
     useful_indices,
 )
 
