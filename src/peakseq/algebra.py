@@ -19,6 +19,7 @@ from .core import (
     PeakseqError,
     PreconditionViolated,
     TermSource,
+    exceeds_certificate,
 )
 
 BISECTION_MAX_ITER = 200
@@ -228,7 +229,7 @@ def optimal_affine_certificate(
     params = AffineParams(a=a, b=b, c=c)
     for k in range(n_c + 1):
         u_k = source.eval(k)
-        if u_k > params.bound_at(k) + 1e-12 * max(1.0, abs(u_k)):
+        if exceeds_certificate(u_k, params.bound_at(k)):
             raise InvalidBracket(
                 f"certificate fails the direct check at k={k}: "
                 f"u_k={u_k!r} > {params.bound_at(k)!r}"

@@ -186,19 +186,23 @@ class PeakSolution:
     argmax_max_requested: bool = False
 
 
-def argmax_bound(k: int, source: TermSource, env: Envelope) -> UpperBoundValue:
-    """Convert the term u_k into an index bound through the envelope at k.
+def exceeds_certificate(u: float, cert: float) -> bool:
+    """True when u lies above cert beyond the MEMBERSHIP_RTOL roundoff slack."""
+    return u > cert + MEMBERSHIP_RTOL * max(1.0, abs(u))
+
+
+def argmax_bound(k: int, u_k: float, env: Envelope) -> UpperBoundValue:
+    """Convert the term value u_k into an index bound through the envelope at k.
 
     Returns the infinite branch when u_k <= h_k(0) (the strict inequality
     is exact, no epsilon).  Raises :class:`EnvelopeViolation` when u_k
     exceeds h_k(beta_k^k) beyond a 1e-12 relative slack; membership is
     assumed, not trusted.
     """
-    u_k = source.eval(k)
     fn = env.h(k)
     b = env.beta(k)
     cert = fn.eval(b**k)
-    if u_k > cert + MEMBERSHIP_RTOL * max(1.0, abs(u_k)):
+    if exceeds_certificate(u_k, cert):
         raise EnvelopeViolation(k, u_k, cert)
     if u_k <= fn.lo:
         return UpperBoundValue.infinite()
@@ -212,10 +216,8 @@ def argmax_bound(k: int, source: TermSource, env: Envelope) -> UpperBoundValue:
 
 def truncation_from(k: int, source: TermSource, env: Envelope) -> int | None:
     """Floor of the index bound at k, or None on the infinite branch."""
-    ub = argmax_bound(k, source, env)
-    if not ub.is_finite:
-        return None
-    return math.floor(ub.value + FLOOR_GUARD)
+    ub = argmax_bound(k, source.eval(k), env)
+    return math.floor(ub.value + FLOOR_GUARD) if ub.is_finite else None
 
 
 def brute_force_peak(source: TermSource, n: int) -> tuple[float, int, int]:
@@ -242,68 +244,59 @@ def solve(
 ) -> PeakSolution:
     """Compute sup u and a maximizer in finite time from a certified envelope.
 
-    Dispatches on the envelope's monotonicity class.  With a constant-from
-    index the truncation bound is recomputed only when the running maximum
-    improves (it can only shrink along new maxima there); otherwise it is
-    intersected at every index k >= decreasing_from with u_k > h_k(0).  The
-    scan below decreasing_from performs plain comparisons without bounds.
+    One pass in O(1) state: each term is evaluated once.  With a
+    constant-from index the truncation bound is recomputed only when the
+    running maximum improves (it can only shrink along new maxima there);
+    otherwise it is intersected at every index k >= decreasing_from with
+    u_k > h_k(0).  The scan below decreasing_from only compares terms.
 
-    The reported supremum is the max over the whole scanned prefix
-    u_0..u_K.  ``on_step`` receives (k, u_k, bound, running K) once per
-    evaluated term; the bound argument is None when it was not needed at
-    that index and the infinite variant when u_k <= h_k(0).
+    The reported supremum and maximizer cover the whole scanned prefix
+    u_0..u_K; a non-finite term raises :class:`PreconditionViolated`.
+    ``on_step`` receives (k, u_k, bound, running K) once per evaluated term;
+    the bound argument is None when it was not needed at that index and the
+    infinite variant when u_k <= h_k(0).
     """
     m = env.mono.decreasing_from
     constant_mode = env.mono.constant_from is not None
+    max_tie = tie is Tie.MAX_ARGMAX
 
-    terms: list[float] = []
     trunc: int | None = None
     vmax = -math.inf
+    first = last = 0
     k = 0
-    while True:
-        if trunc is not None and k > trunc:
-            break
+    while trunc is None or k <= trunc:
         if trunc is None and k > m + scan_limit:
             raise NoUsefulIndex(
                 f"no index in [{m}, {m + scan_limit}] has u_k > h_k(0); "
                 "increase the scan limit only if the envelope is known useful"
             )
         u_k = source.eval(k)
-        terms.append(u_k)
-        improved = u_k > vmax or (tie is Tie.MAX_ARGMAX and u_k == vmax)
+        if not math.isfinite(u_k):
+            raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
+        improved = u_k > vmax or (max_tie and u_k == vmax)
         bound: UpperBoundValue | None = None
-        if k >= m:
-            if u_k > env.h(k).lo:
-                # In constant mode a fresh bound is needed when the running
-                # max improves, and also while no bound exists yet (the
-                # pre-m prefix may dominate forever).
-                if not constant_mode or trunc is None or improved:
-                    bound = argmax_bound(k, source, env)
-                    if bound.is_finite:
-                        step = math.floor(bound.value + FLOOR_GUARD)
-                        trunc = step if trunc is None else min(trunc, step)
-            else:
-                bound = UpperBoundValue.infinite()
-        if improved:
-            vmax = u_k
+        # In constant mode a fresh bound is needed when the running max
+        # improves, and also while no bound exists yet (the pre-m prefix may
+        # dominate forever); an uninformative term still reports infinite.
+        if k >= m and (not constant_mode or trunc is None or improved or u_k <= env.h(k).lo):
+            bound = argmax_bound(k, u_k, env)
+            if bound.is_finite:
+                step = math.floor(bound.value + FLOOR_GUARD)
+                trunc = step if trunc is None else min(trunc, step)
+        if u_k > vmax:
+            vmax, first, last = u_k, k, k
+        elif u_k == vmax:
+            last = k
         if on_step is not None:
             on_step(k, u_k, bound, trunc)
         k += 1
 
-    # Final rescan: the reported maximizer must honor the tie rule over the
-    # whole prefix, including ties below decreasing_from that the running
-    # comparison does not cover.
-    sup = max(terms)
-    if tie is Tie.MAX_ARGMAX:
-        arg = len(terms) - 1 - terms[::-1].index(sup)
-    else:
-        arg = terms.index(sup)
     return PeakSolution(
-        sup_value=sup,
-        argmax_min=arg,
+        sup_value=vmax,
+        argmax_min=last if max_tie else first,
         truncation_index=trunc,
-        terms_evaluated=len(terms),
-        argmax_max_requested=(tie is Tie.MAX_ARGMAX),
+        terms_evaluated=k,
+        argmax_max_requested=max_tie,
     )
 
 
@@ -345,7 +338,7 @@ def validate_envelope(
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
             continue
         cert = fn.eval(b**k)
-        if u_k > cert + MEMBERSHIP_RTOL * max(1.0, abs(u_k)):
+        if exceeds_certificate(u_k, cert):
             findings.append(
                 EnvelopeFinding(k, "membership", f"u_k={u_k!r} > h_k(beta_k^k)={cert!r}")
             )

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .core import (
+    DEFAULT_SCAN_LIMIT,
     Envelope,
     Monotonicity,
     PeakSolution,
@@ -355,7 +356,7 @@ def table_run(
     d: int = 2,
     q: float | None = None,
     generic: bool = False,
-    scan_limit: int | None = None,
+    scan_limit: int = DEFAULT_SCAN_LIMIT,
 ) -> list[TableRow]:
     """Benchmark rows (lambda, last maximizer, peak value, floored bound).
 
@@ -371,8 +372,7 @@ def table_run(
         matrix = a_lambda(lam, d)
         env = envelope_from_certificate(matrix, p_q(lam, d, q))
         source = a_lambda_source(lam, d, generic)
-        kwargs = {} if scan_limit is None else {"scan_limit": scan_limit}
-        sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX, **kwargs)
+        sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX, scan_limit=scan_limit)
         f_floor = truncation_from(sol.argmax_min, source, env)
         rows.append(TableRow(lam=lam, k_s=sol.argmax_min, max_norm_sq=sol.sup_value, f_floor=f_floor))
     return rows

@@ -76,7 +76,8 @@ class FactorialRatioAdapter:
         )
 
     def _seq_fn(self, n: int) -> EnvelopeFn:
-        slope = ((self.a + 1) ** n) / math.factorial(n)
+        # Clamped where the exact slope underflows, so lo < hi still holds.
+        slope = max(((self.a + 1) ** n) / math.factorial(n), math.ulp(0.0))
         return EnvelopeFn(
             eval=lambda t: t * slope,
             inverse=lambda y: y / slope,

@@ -160,9 +160,9 @@ class TestEnvMin:
             for k in range(0, 3 * a + 1):
                 if ad.source.eval(k) <= merged.h(k).lo:
                     continue
-                merged_ub = argmax_bound(k, ad.source, merged)
+                merged_ub = argmax_bound(k, ad.source.eval(k), merged)
                 for env in (ad.seq_env, ad.const_env):
-                    ub = argmax_bound(k, ad.source, env)
+                    ub = argmax_bound(k, ad.source.eval(k), env)
                     if ub.is_finite:
                         assert merged_ub.value <= ub.value + 1e-9
 
@@ -198,8 +198,8 @@ class TestPromoteToDecreasing:
         ad = FactorialRatioAdapter(5)
         promoted = promote_to_decreasing(ad.seq_env)
         for k in range(0, 6):
-            orig = argmax_bound(k, ad.source, ad.seq_env)
-            prom = argmax_bound(k, ad.source, promoted)
+            orig = argmax_bound(k, ad.source.eval(k), ad.seq_env)
+            prom = argmax_bound(k, ad.source.eval(k), promoted)
             if orig.is_finite and prom.is_finite:
                 assert prom.value >= orig.value - 1e-9
 
@@ -226,7 +226,7 @@ class TestOptimalAffineCertificate:
         c = (PHI + 2.0) / 2.0
         params = optimal_affine_certificate(ad.source, 2, c, 6)
         env = params.constant_envelope()
-        ub = argmax_bound(2, ad.source, env)
+        ub = argmax_bound(2, ad.source.eval(2), env)
         assert ub.value == pytest.approx(2.0, abs=1e-6)
 
     def test_rejects_offset_at_or_above_peak(self):

@@ -191,6 +191,13 @@ class TestValidateCommand:
         assert code == 0
         assert json.loads(out)["clean"] is True
 
+    def test_factorial_tight_envelope_past_underflow(self, capsys):
+        # (a+1)^n/n! underflows to 0.0 near n = 380 at a = 20; the clamped
+        # slope keeps every member a valid envelope function.
+        code, out, _ = run(capsys, "validate", "factorial", "--a", "20", "--horizon", "400")
+        assert code == 0
+        assert json.loads(out)["clean"] is True
+
     def test_collatz_consistent(self, capsys):
         code, out, _ = run(
             capsys, "validate", "syracuse",

@@ -1,6 +1,7 @@
 """Core solver, index-bound, and oracle operations."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -45,7 +46,7 @@ class TestUpperBoundValue:
 class TestArgmaxBound:
     def test_factorial_sequence_envelope_is_tight_at_a(self):
         ad = FactorialRatioAdapter(5)
-        ub = argmax_bound(5, ad.source, ad.seq_env)
+        ub = argmax_bound(5, ad.source.eval(5), ad.seq_env)
         assert ub.is_finite
         assert ub.value == pytest.approx(5.0, abs=1e-12)
 
@@ -53,11 +54,11 @@ class TestArgmaxBound:
         # u_0 = h_0(0): the strict inequality fails at equality, no epsilon.
         src = TermSource(eval=lambda k: 1.0, description="ones")
         env = constant_env(affine_fn(1.0, 1.0), 0.5)
-        assert not argmax_bound(0, src, env).is_finite
+        assert not argmax_bound(0, src.eval(0), env).is_finite
 
     def test_constant_envelope_factorial_a2(self):
         ad = FactorialRatioAdapter(2)
-        ub = argmax_bound(2, ad.source, ad.const_env)
+        ub = argmax_bound(2, ad.source.eval(2), ad.const_env)
         expected = -math.log(2.0) / math.log(2.0 / 3.0) + 2.0
         assert ub.value == pytest.approx(expected, rel=1e-14)
         assert math.floor(ub.value) == 3
@@ -66,7 +67,7 @@ class TestArgmaxBound:
         src = TermSource(eval=lambda k: 10.0, description="tens")
         env = constant_env(affine_fn(1.0, 0.0), 0.5)  # h(beta^k) <= 1 < 10
         with pytest.raises(EnvelopeViolation) as err:
-            argmax_bound(3, src, env)
+            argmax_bound(3, src.eval(3), env)
         assert err.value.k == 3
 
     def test_roundoff_above_certificate_is_tolerated(self):
@@ -74,7 +75,7 @@ class TestArgmaxBound:
         bound = fn.eval(0.5**2)
         src = TermSource(eval=lambda k: bound * (1.0 + 1e-14), description="edge")
         env = constant_env(fn, 0.5)
-        ub = argmax_bound(2, src, env)
+        ub = argmax_bound(2, src.eval(2), env)
         assert ub.is_finite and ub.value == pytest.approx(2.0, abs=1e-9)
 
 
@@ -191,6 +192,79 @@ class TestSolve:
         )
         assert solve(src, env).argmax_min == 0
         assert solve(src, env, tie=Tie.MAX_ARGMAX).argmax_min == 2
+
+    @pytest.mark.parametrize(
+        "k_bad, bad",
+        [(0, math.nan), (3, math.nan), (2, math.inf)],
+        ids=["nan-at-0", "nan-mid-scan", "inf"],
+    )
+    def test_non_finite_term_raises(self, k_bad, bad):
+        # Without the term the scan would run to K = 6 (bound at k=0 is 6.58).
+        src = TermSource(eval=lambda k: bad if k == k_bad else 0.5 * 0.9**k, description="bad term")
+        env = constant_env(affine_fn(1.0, 0.0), 0.9)
+        with pytest.raises(PreconditionViolated) as err:
+            solve(src, env)
+        assert f"k={k_bad}" in str(err.value)
+        assert repr(bad) in str(err.value)
+
+    def test_constant_mode_bound_kinds_per_index(self):
+        # New max -> finite bound; non-improving informative term -> None
+        # (not recomputed); non-improving u_k <= h_k(0) -> infinite.
+        values = {0: 1.0, 1: 0.9, 2: 0.1}
+        src = TermSource(eval=lambda k: values.get(k, 0.2), description="kinds")
+        env = constant_env(affine_fn(1.0, 0.5), 0.9)
+        kinds = []
+
+        def record(k, u, bound, K):
+            kinds.append(None if bound is None else bound.is_finite)
+
+        sol = solve(src, env, on_step=record)
+        assert sol.truncation_index == 6  # log(0.5)/log(0.9) = 6.58
+        assert kinds == [True, None, False, False, False, False, False]
+
+
+def counting(source):
+    """``source`` wrapped so that every call of ``eval`` is counted."""
+    calls = [0]
+
+    def eval(k):
+        calls[0] += 1
+        return source.eval(k)
+
+    return TermSource(eval=eval, description=source.description), calls
+
+
+def long_row():
+    """(source, envelope) of the 44,618-term lambda = 0.99995 benchmark row."""
+    lam = 0.99995
+    env = linsys.envelope_from_certificate(linsys.a_lambda(lam), linsys.p_q(lam))
+    return linsys.a_lambda_source(lam), env
+
+
+class TestOnePass:
+    def test_long_row_evaluates_each_term_once(self):
+        source, env = long_row()
+        src, calls = counting(source)
+        sol = solve(src, env, tie=Tie.MAX_ARGMAX)
+        assert sol.terms_evaluated == 44_618
+        assert calls[0] == sol.terms_evaluated
+
+    def test_factorial_evaluates_each_term_once(self):
+        ad = FactorialRatioAdapter(30)
+        src, calls = counting(ad.source)
+        sol = solve(src, ad.seq_env, tie=Tie.MAX_ARGMAX)
+        assert calls[0] == sol.terms_evaluated
+
+    def test_long_row_memory_is_constant(self):
+        src, env = long_row()
+        tracemalloc.start()
+        try:
+            sol = solve(src, env, tie=Tie.MAX_ARGMAX)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.terms_evaluated == 44_618
+        assert peak < 256 * 1024
 
 
 class TestBruteForce:

@@ -197,7 +197,7 @@ class TestBenchmarkFamily:
         from peakseq import argmax_bound
 
         for k in range(1, 8):
-            ub = argmax_bound(k, src, env)
+            ub = argmax_bound(k, src.eval(k), env)
             assert ub.value == pytest.approx(float(k), abs=1e-9)
 
     def test_envelope_soundness(self):

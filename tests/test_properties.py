@@ -57,7 +57,7 @@ def run_property_suite() -> Counter:
         oracle_ks = oracle_last_argmax(case)
         for k in ks:
             u_k = case.source.eval(k)
-            ub = argmax_bound(k, case.source, case.env)
+            ub = argmax_bound(k, case.source.eval(k), case.env)
             assert ub.is_finite, f"{case.name}: bound infinite at useful k={k}"
 
             # Bound dominates the index itself.
@@ -101,7 +101,7 @@ def run_property_suite() -> Counter:
         # Monotone along dominated pairs: m <= j <= k, u_j <= u_k pushes the
         # bound down; checked on a thinned pair grid to stay fast.
         values = {k: case.source.eval(k) for k in ks}
-        bounds = {k: argmax_bound(k, case.source, case.env).value for k in ks}
+        bounds = {k: argmax_bound(k, case.source.eval(k), case.env).value for k in ks}
         thin = ks[:: max(1, len(ks) // 12)]
         for j in thin:
             for k in thin:
@@ -128,9 +128,9 @@ def check_env_min_never_increases_bound():
         for k in range(0, 3 * a + 1):
             if ad.source.eval(k) <= merged.h(k).lo:
                 continue
-            merged_ub = argmax_bound(k, ad.source, merged)
+            merged_ub = argmax_bound(k, ad.source.eval(k), merged)
             for env in (ad.seq_env, ad.const_env):
-                ub = argmax_bound(k, ad.source, env)
+                ub = argmax_bound(k, ad.source.eval(k), env)
                 if ub.is_finite:
                     assert merged_ub.value <= ub.value + 1e-9
                     checked += 1
@@ -155,8 +155,8 @@ def test_bound_monotone_in_beta():
         for k in range(0, 3 * a + 1):
             if ad.source.eval(k) <= ad.const_env.h(k).lo:
                 continue
-            tight = argmax_bound(k, ad.source, shrunk)
-            loose = argmax_bound(k, ad.source, ad.const_env)
+            tight = argmax_bound(k, ad.source.eval(k), shrunk)
+            loose = argmax_bound(k, ad.source.eval(k), ad.const_env)
             assert tight.value <= loose.value + 1e-9
 
 
@@ -171,7 +171,7 @@ def test_constant_envelope_bound_minimized_at_last_argmax():
         oracle_ks = oracle_last_argmax(case)
         if oracle_ks < case.env.mono.constant_from:
             continue
-        bounds = {k: argmax_bound(k, case.source, case.env).value for k in ks}
+        bounds = {k: argmax_bound(k, case.source.eval(k), case.env).value for k in ks}
         best = min(bounds.values())
         assert bounds[oracle_ks] <= best + 1e-9, case.name
         checked += 1
@@ -212,7 +212,7 @@ def check_certificate_tight_at_last_argmax():
         ))
         params = optimal_affine_certificate(source, k_s, c, n_c)
         env = params.constant_envelope()
-        ub = argmax_bound(k_s, source, env)
+        ub = argmax_bound(k_s, source.eval(k_s), env)
         assert ub.is_finite
         assert abs(ub.value - k_s) <= 1e-6, f"{name}: bound {ub.value} vs k_s {k_s}"
 
@@ -222,7 +222,7 @@ def check_certificate_tight_at_last_argmax():
 def test_bound_dominates_any_useful_index_hypothesis(a, data):
     ad = FactorialRatioAdapter(a)
     k = data.draw(st.integers(min_value=a, max_value=3 * a))
-    ub = argmax_bound(k, ad.source, ad.seq_env)
+    ub = argmax_bound(k, ad.source.eval(k), ad.seq_env)
     assert ub.is_finite
     assert ub.value >= k - 1e-9
     assert truncation_from(k, ad.source, ad.seq_env) >= a - 1  # first maximizer
