@@ -220,7 +220,13 @@ def _run_table(args, argv: list[str]) -> int:
         if not parts:
             print("peakseq table: error: empty lambda list", file=sys.stderr)
             return EXIT_USAGE
-        lambdas = [float(p) for p in parts]
+        lambdas = []
+        for p in parts:
+            try:
+                lambdas.append(float(p))
+            except ValueError:
+                print(f"peakseq table: error: invalid lambda {p.strip()!r}", file=sys.stderr)
+                return EXIT_USAGE
     rows = linsys.table_run(
         lambdas, d=args.d, q=args.q, generic=args.generic, scan_limit=scan_limit_from_env()
     )

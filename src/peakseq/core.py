@@ -312,15 +312,12 @@ class EnvelopeFinding:
 _SAMPLE_GRID = tuple(i / 16.0 for i in range(17))
 
 
-def validate_envelope(
-    source: TermSource,
-    env: Envelope,
-    horizon: int,
-    samples: tuple[float, ...] = _SAMPLE_GRID,
-) -> list[EnvelopeFinding]:
+def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[EnvelopeFinding]:
     """Check envelope membership and monotonicity metadata on [0, horizon].
 
-    Returns every finding (empty list when clean).  A clean result proves
+    One in-order pass: u_k, h_k and beta_k are evaluated once per index and
+    h_k is sampled once on the grid (from decreasing_from on).  Returns every
+    finding in index order (empty list when clean).  A clean result proves
     nothing beyond the horizon.
     """
     if horizon < 1:
@@ -328,12 +325,28 @@ def validate_envelope(
     findings: list[EnvelopeFinding] = []
     m = env.mono.decreasing_from
     c = env.mono.constant_from
-    base_fn = env.h(c) if c is not None else None
-    base_beta = env.beta(c) if c is not None else None
+    # (beta, samples) of index k-1 when it is due a decrease check, and of c.
+    prev = base = None
     for k in range(horizon + 1):
         u_k = source.eval(k)
         fn = env.h(k)
         b = env.beta(k)
+        # A list: CPython parks up to 2000 freed 17-tuples built by
+        # tuple(genexpr) on its free list, which tracemalloc counts as held.
+        ys = [fn.eval(x) for x in _SAMPLE_GRID] if k >= m else []
+        if k == c:
+            base = (b, ys)
+        if prev is not None:
+            prev_b, prev_ys = prev
+            if b > prev_b + 1e-12:
+                findings.append(EnvelopeFinding(k, "beta-decrease", f"beta rises {prev_b!r} -> {b!r}"))
+            for x, lhs, rhs in zip(_SAMPLE_GRID, ys, prev_ys):
+                if lhs > rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs)):
+                    findings.append(
+                        EnvelopeFinding(k, "h-decrease", f"h_{k}({x}) = {lhs!r} > h_{k-1}({x}) = {rhs!r}")
+                    )
+                    break
+        prev = None
         if not 0.0 < b < 1.0:
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
             continue
@@ -342,29 +355,15 @@ def validate_envelope(
             findings.append(
                 EnvelopeFinding(k, "membership", f"u_k={u_k!r} > h_k(beta_k^k)={cert!r}")
             )
-        if k >= m and k < horizon:
-            nxt_fn = env.h(k + 1)
-            nxt_b = env.beta(k + 1)
-            if nxt_b > b + 1e-12:
+        if k >= m:
+            prev = (b, ys)
+        if base is not None:
+            base_b, base_ys = base
+            if abs(b - base_b) > 1e-12:
                 findings.append(
-                    EnvelopeFinding(k + 1, "beta-decrease", f"beta rises {b!r} -> {nxt_b!r}")
+                    EnvelopeFinding(k, "beta-constant", f"beta_k={b!r} != beta_c={base_b!r}")
                 )
-            for x in samples:
-                lhs, rhs = nxt_fn.eval(x), fn.eval(x)
-                if lhs > rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs)):
-                    findings.append(
-                        EnvelopeFinding(
-                            k + 1, "h-decrease", f"h_{k+1}({x}) = {lhs!r} > h_{k}({x}) = {rhs!r}"
-                        )
-                    )
-                    break
-        if c is not None and k >= c:
-            if abs(b - base_beta) > 1e-12:
-                findings.append(
-                    EnvelopeFinding(k, "beta-constant", f"beta_k={b!r} != beta_c={base_beta!r}")
-                )
-            for x in samples:
-                lhs, rhs = fn.eval(x), base_fn.eval(x)
+            for x, lhs, rhs in zip(_SAMPLE_GRID, ys, base_ys):
                 if not (lhs == rhs or abs(lhs - rhs) <= MEMBERSHIP_RTOL * max(1.0, abs(rhs))):
                     findings.append(
                         EnvelopeFinding(k, "h-constant", f"h_{k}({x}) = {lhs!r} != h_c({x}) = {rhs!r}")

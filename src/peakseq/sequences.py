@@ -35,6 +35,16 @@ class UnsupportedParameter(PeakseqError):
     """The parameter regime has no useful envelope in this library."""
 
 
+def _pow_over_factorial(base: int, n: int) -> float:
+    """base^n / n! correctly rounded, without the exact integers once it underflows."""
+    # The value stays far above underflow for n <= 2*base, so short scans pay
+    # one integer compare; -760 sits below ln(2^-1075) ~ -745.1 by a margin
+    # covering the float error of the log estimate.
+    if n > 2 * base and n * math.log(base) - math.lgamma(n + 1) < -760.0:
+        return 0.0
+    return base**n / math.factorial(n)
+
+
 class FactorialRatioAdapter:
     """The sequence u_n = a^n / n! for a positive integer a.
 
@@ -50,7 +60,7 @@ class FactorialRatioAdapter:
         self.a = a
         self.beta = a / (a + 1)
         self.source = TermSource(
-            eval=lambda n: (a**n) / math.factorial(n),
+            eval=lambda n: _pow_over_factorial(a, n),
             description=f"a^n/n!, a={a}",
         )
         self.seq_env = Envelope(
@@ -77,7 +87,7 @@ class FactorialRatioAdapter:
 
     def _seq_fn(self, n: int) -> EnvelopeFn:
         # Clamped where the exact slope underflows, so lo < hi still holds.
-        slope = max(((self.a + 1) ** n) / math.factorial(n), math.ulp(0.0))
+        slope = max(_pow_over_factorial(self.a + 1, n), math.ulp(0.0))
         return EnvelopeFn(
             eval=lambda t: t * slope,
             inverse=lambda y: y / slope,
@@ -120,8 +130,9 @@ class FibonacciRatioAdapter:
         # Cancellation-free form of -(B*phi^-2 + B); positive when B < 0.
         self.C = (u1 - u0 * PHI) / PHI
         hi = u1 / u0 if u0 > 0 else math.inf
+        fn = EnvelopeFn(eval=self._h, inverse=self._h_inv, lo=PHI, hi=hi)
         self.env = Envelope(
-            h=lambda n: EnvelopeFn(eval=self._h, inverse=self._h_inv, lo=PHI, hi=hi),
+            h=lambda n: fn,
             beta=lambda n: PHI**-2,
             mono=Monotonicity.constant(),
         )
@@ -254,6 +265,8 @@ def syracuse_excursion(n0: int, max_steps: int = 1_000_000) -> tuple[int, int, b
     fixed {1, 2} cycle, accounted for in the maximum) or max_steps runs out.
     Returns (max, first argmax, reached_cycle).
     """
+    if max_steps < 0:
+        raise PreconditionViolated("max_steps must be >= 0")
     adapter = SyracuseAdapter(n0)
     y = adapter.n0
     best, arg = y, 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from peakseq import linsys, solve
+from peakseq import Envelope, linsys, solve
 from peakseq.cli import _ADAPTERS, _solution_dict, main, scan_limit_from_env, SCAN_LIMIT_ENV
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
 
@@ -55,6 +55,25 @@ class TestSolveCommand:
         exc = json.loads(out)["excursion"]
         assert exc["max"] == 4616
         assert exc["reached_cycle"] is True
+
+    def test_syracuse_negative_max_steps_exit_2(self, capsys):
+        code, out, err = run(capsys, "solve", "syracuse", "--n0", "27", "--max-steps", "-1")
+        assert code == 2
+        assert out == ""
+        assert "max_steps" in err
+
+    def test_envelope_violation_exit_3(self, capsys, monkeypatch):
+        # The tight factorial family with its ratio halved undercuts u_3 = 4.5.
+        def broken(args):
+            ad = FactorialRatioAdapter(args.a)
+            bad = Envelope(h=ad.seq_env.h, beta=lambda n: ad.beta / 2.0, mono=ad.seq_env.mono)
+            return ad.source, bad, {"a": args.a}
+
+        monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=broken))
+        code, out, err = run(capsys, "solve", "factorial", "--a", "3")
+        assert code == 3
+        assert out == ""
+        assert "envelope violation" in err
 
     def test_linsys_max_tie(self, capsys):
         code, out, _ = run(capsys, "solve", "linsys", "--lam", "0.9", "--tie", "max")
@@ -174,6 +193,12 @@ class TestTableCommand:
         code, out, err = run(capsys, "table", "--lambdas", "")
         assert code == 1
         assert "empty lambda list" in err
+
+    def test_unparsable_lambda_exit_1(self, capsys):
+        code, out, err = run(capsys, "table", "--lambdas", "abc")
+        assert code == 1
+        assert out == ""
+        assert "peakseq table: error: invalid lambda 'abc'" in err
 
     def test_bad_lambda_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--lambdas", "1.5")

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from peakseq import (
     Envelope,
+    EnvelopeFn,
     EnvelopeViolation,
     Monotonicity,
     NoUsefulIndex,
@@ -21,6 +23,7 @@ from peakseq import (
     validate_envelope,
 )
 from peakseq.algebra import affine_fn
+from peakseq.core import _SAMPLE_GRID
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
 from peakseq import linsys
 
@@ -331,6 +334,14 @@ class TestStoppingIndex:
         assert stopping_index(2, src, env) == 3
 
 
+def listed_family(scales, betas, mono, terms=None):
+    """(source, envelope) with h_k(x) = scales[k] * x, beta_k = betas[k], u_k = terms[k] or 0."""
+    fns = [affine_fn(a, 0.0) for a in scales]
+    terms = terms or [0.0] * len(scales)
+    env = Envelope(h=lambda k: fns[k], beta=lambda k: betas[k], mono=mono)
+    return TermSource(eval=lambda k: terms[k]), env
+
+
 class TestValidateEnvelope:
     def test_factorial_clean(self):
         ad = FactorialRatioAdapter(3)
@@ -352,6 +363,76 @@ class TestValidateEnvelope:
         eager = Envelope(h=ad.seq_env.h, beta=ad.seq_env.beta, mono=Monotonicity.decreasing())
         kinds = {f.kind for f in validate_envelope(ad.source, eager, 20)}
         assert "h-decrease" in kinds
+
+    # Hand-built families, one per finding kind, pin the exact (k, kind) list.
+    def findings(self, scales, betas, mono, terms=None):
+        source, env = listed_family(scales, betas, mono, terms)
+        return [(f.k, f.kind) for f in validate_envelope(source, env, len(scales) - 1)]
+
+    def test_beta_range(self):
+        # Decrease checks start past the horizon, so only the range test fires.
+        got = self.findings([1.0] * 6, [0.5, 0.5, 1.5, 0.5, 0.0, 0.5], Monotonicity(10, None))
+        assert got == [(2, "beta-range"), (4, "beta-range")]
+
+    def test_beta_decrease(self):
+        got = self.findings([1.0] * 5, [0.5, 0.5, 0.6, 0.55, 0.7], Monotonicity.decreasing())
+        assert got == [(2, "beta-decrease"), (4, "beta-decrease")]
+
+    def test_beta_constant(self):
+        got = self.findings([1.0] * 5, [0.6, 0.6, 0.6, 0.5, 0.4], Monotonicity(0, 2))
+        assert got == [(3, "beta-constant"), (4, "beta-constant")]
+
+    def test_h_constant(self):
+        source, env = listed_family([2.0, 2.0, 2.0, 1.5, 1.5], [0.5] * 5, Monotonicity(0, 1))
+        findings = validate_envelope(source, env, 4)
+        assert [(f.k, f.kind) for f in findings] == [(3, "h-constant"), (4, "h-constant")]
+        assert findings[0].detail == "h_3(0.0625) = 0.09375 != h_c(0.0625) = 0.125"
+
+    def test_adjacent_kinds_in_index_order(self):
+        got = self.findings(
+            [2.0, 1.0, 1.5, 1.5], [0.5, 0.5, 0.5, 1.0], Monotonicity(0, 0), [0.0, 1.0, 0.0, 0.0]
+        )
+        assert got == [
+            (1, "membership"),
+            (1, "h-constant"),
+            (2, "h-decrease"),
+            (2, "h-constant"),
+            (3, "beta-decrease"),
+            (3, "beta-range"),
+        ]
+
+    @pytest.mark.parametrize("envelope", ["sequence", "constant"])
+    def test_one_evaluation_per_index(self, envelope):
+        ad = FactorialRatioAdapter(5)
+        env = ad.seq_env if envelope == "sequence" else ad.const_env
+        calls = Counter()
+
+        def counted(key, f):
+            def wrapped(arg):
+                calls[key] += 1
+                return f(arg)
+            return wrapped
+
+        def h(k):
+            fn = env.h(k)
+            return EnvelopeFn(eval=counted(("h_k", k), fn.eval), inverse=fn.inverse, lo=fn.lo, hi=fn.hi)
+
+        source = TermSource(eval=counted("u", ad.source.eval))
+        wrapped = Envelope(h=counted("h", h), beta=counted("beta", env.beta), mono=env.mono)
+        horizon = 30
+        assert validate_envelope(source, wrapped, horizon) == []
+        assert calls["u"] == calls["h"] == calls["beta"] == horizon + 1
+        assert max(calls[("h_k", k)] for k in range(horizon + 1)) <= len(_SAMPLE_GRID) + 1
+
+    def test_memory_does_not_grow_with_horizon(self):
+        ad = FactorialRatioAdapter(30)
+        tracemalloc.start()
+        try:
+            assert validate_envelope(ad.source, ad.seq_env, 2000) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 def test_monotonicity_validation():

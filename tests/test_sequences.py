@@ -1,6 +1,8 @@
 """Adapters: factorial ratio, Fibonacci ratio, logistic, Syracuse."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +49,21 @@ class TestFactorialRatio:
     def test_constant_envelope_a10(self):
         sol = factorial_solve(10, envelope="constant")
         assert sol.truncation_index == 168
+
+    # First n at which a^n/n! rounds to 0.0 (below half the smallest subnormal).
+    @pytest.mark.parametrize("a, underflow_n", [(1, 178), (2, 205), (20, 381), (142, 889), (700, 2546)])
+    def test_terms_exact_around_underflow(self, a, underflow_n):
+        ad = FactorialRatioAdapter(a)
+        assert a ** (underflow_n - 1) / math.factorial(underflow_n - 1) > 0.0
+        for n in range(underflow_n - 40, underflow_n + 40):
+            assert ad.source.eval(n) == a**n / math.factorial(n)
+
+    def test_constant_envelope_a100(self):
+        sol = factorial_solve(100, envelope="constant")
+        assert sol.sup_value == float(Fraction(100**99, math.factorial(99)))
+        assert sol.argmax_min == 99
+        assert sol.truncation_index == 36_655
+        assert sol.terms_evaluated == 36_656
 
     def test_unknown_envelope(self):
         with pytest.raises(PreconditionViolated):
