@@ -89,48 +89,38 @@ class Matrix:
         return cls.from_rows([[vals[i] if i == j else 0.0 for j in range(d)] for i in range(d)])
 
 
+def _product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
+    """Row-tuple product; each entry sums its d products in index order."""
+    cols = list(zip(*b_rows))
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in cols) for ra in a_rows)
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    d = a.dim
-    if b.dim != d:
+    if b.dim != a.dim:
         raise PreconditionViolated("dimension mismatch")
-    bt = list(zip(*b.rows))
-    return Matrix.from_rows(
-        [[sum(ra[t] * cb[t] for t in range(d)) for cb in bt] for ra in a.rows]
-    )
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return Matrix.from_rows(list(zip(*a.rows)))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return Matrix.from_rows(
-        [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-    )
+    return Matrix(_product(a.rows, b.rows))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
-    """A^k by binary exponentiation."""
+    """A^k by binary exponentiation.  An overflow in a square that feeds A^k
+    leaves a non-finite entry, which the check of the returned matrix catches."""
     if k < 0:
         raise PreconditionViolated("power must be >= 0")
-    result = Matrix.identity(a.dim)
-    base = a
+    result = Matrix.identity(a.dim).rows
+    base = a.rows
     while k:
         if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = _product(result, base)
         k >>= 1
-    return result
+        if k:
+            base = _product(base, base)
+    return Matrix(result)
 
 
-def _max_abs(a: Matrix) -> float:
-    return max(abs(x) for r in a.rows for x in r)
-
-
-def _symmetrize(a: Matrix) -> Matrix:
-    d = a.dim
-    return Matrix.from_rows(
-        [[0.5 * (a.rows[i][j] + a.rows[j][i]) for j in range(d)] for i in range(d)]
+def _symmetrize(rows) -> Matrix:
+    d = len(rows)
+    return Matrix(
+        tuple(tuple(0.5 * (rows[i][j] + rows[j][i]) for j in range(d)) for i in range(d))
     )
 
 
@@ -141,7 +131,7 @@ def sym_eig_bounds(m: Matrix) -> tuple[float, float]:
     norm drops below 1e-13 times the matrix norm.
     """
     d = m.dim
-    scale = _max_abs(m)
+    scale = max(abs(x) for r in m.rows for x in r)
     tol = SYMMETRY_RTOL * max(1.0, scale)
     for i in range(d):
         for j in range(i + 1, d):
@@ -204,15 +194,15 @@ def cholesky_lower(m: Matrix) -> list[list[float]] | None:
     return lower
 
 
-def _forward_solve(lower: list[list[float]], b: Matrix) -> Matrix:
+def _forward_solve(lower: list[list[float]], b) -> list[list[float]]:
     """Solve L X = B for X with L lower triangular."""
-    d = b.dim
+    d = len(b)
     x = [[0.0] * d for _ in range(d)]
     for col in range(d):
         for i in range(d):
-            acc = b.rows[i][col] - sum(lower[i][t] * x[t][col] for t in range(i))
+            acc = b[i][col] - sum(lower[i][t] * x[t][col] for t in range(i))
             x[i][col] = acc / lower[i][i]
-    return Matrix.from_rows(x)
+    return x
 
 
 def is_lyapunov(a: Matrix, p: Matrix) -> bool:
@@ -221,8 +211,9 @@ def is_lyapunov(a: Matrix, p: Matrix) -> bool:
         raise PreconditionViolated("dimension mismatch")
     if cholesky_lower(p) is None:
         return False
-    residual = _symmetrize(mat_sub(p, mat_mul(mat_transpose(a), mat_mul(p, a))))
-    return cholesky_lower(residual) is not None
+    m = _product(zip(*a.rows), _product(p.rows, a.rows))
+    residual = [[x - y for x, y in zip(rp, rm)] for rp, rm in zip(p.rows, m)]
+    return cholesky_lower(_symmetrize(residual)) is not None
 
 
 def op_norm_sq(a: Matrix, p: Matrix) -> float:
@@ -234,9 +225,9 @@ def op_norm_sq(a: Matrix, p: Matrix) -> float:
     lower = cholesky_lower(p)
     if lower is None:
         raise NotPositiveDefinite("P must be positive definite")
-    m = mat_mul(mat_transpose(a), mat_mul(p, a))
+    m = _product(zip(*a.rows), _product(p.rows, a.rows))
     half = _forward_solve(lower, m)
-    whitened = _forward_solve(lower, mat_transpose(half))
+    whitened = _forward_solve(lower, list(zip(*half)))
     return sym_eig_bounds(_symmetrize(whitened))[1]
 
 
@@ -244,9 +235,9 @@ def spectral_norm_sq_power(a: Matrix, k: int) -> float:
     """||A^k||_2^2 as the top eigenvalue of (A^k)^T A^k; 1 at k = 0."""
     if k == 0:
         return 1.0
-    pw = mat_pow(a, k)
-    gram = _symmetrize(mat_mul(mat_transpose(pw), pw))
-    return sym_eig_bounds(gram)[1]
+    pw = mat_pow(a, k).rows
+    # Entries (i, j) and (j, i) sum the same products in order: exactly symmetric.
+    return sym_eig_bounds(Matrix(_product(zip(*pw), pw)))[1]
 
 
 @dataclass(frozen=True)

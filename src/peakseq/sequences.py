@@ -261,8 +261,8 @@ class SyracuseAdapter:
 def syracuse_excursion(n0: int, max_steps: int = 1_000_000) -> tuple[int, int, bool]:
     """Largest term of the Syracuse trajectory from n0 and its first index.
 
-    Iterates until the value 1 is reached (after which the trajectory is the
-    fixed {1, 2} cycle, accounted for in the maximum) or max_steps runs out.
+    Looks at y_0 .. y_max_steps and stops early at the value 1 (after which
+    the trajectory is the fixed {1, 2} cycle, accounted for in the maximum).
     Returns (max, first argmax, reached_cycle).
     """
     if max_steps < 0:
@@ -270,16 +270,16 @@ def syracuse_excursion(n0: int, max_steps: int = 1_000_000) -> tuple[int, int, b
     adapter = SyracuseAdapter(n0)
     y = adapter.n0
     best, arg = y, 0
-    for k in range(max_steps + 1):
+    for k in range(1, max_steps + 1):
         if y == 1:
-            if best < 2:
-                # The continuation 1 -> 2 -> 1 -> ... contributes a 2.
-                return 2, k + 1, True
-            return best, arg, True
+            break
         y = adapter.step(y)
         if y > best:
-            best, arg = y, k + 1
-    return best, arg, False
+            best, arg = y, k
+    if y == 1 and best < 2:
+        # Only n0 = 1: the continuation 1 -> 2 -> 1 -> ... contributes a 2.
+        return 2, 1, True
+    return best, arg, y == 1
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import sys
 from pathlib import Path
 
-from peakseq import cli, core, linsys, sequences
+from peakseq import algebra, cli, core, linsys, sequences
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -14,9 +14,16 @@ HOOKED = [
     (core, "argmax_bound"),
     (linsys, "truncation_from"),
     (cli, "validate_envelope"),
-    (linsys, "mat_pow"),
+    *((linsys, attr) for attr in ("mat_mul", "mat_pow", "sym_eig_bounds", "spectral_norm_sq_power",
+                                  "cholesky_lower", "envelope_from_certificate")),
+    *((algebra, attr) for attr in ("invert_numeric", "env_min", "promote_to_decreasing",
+                                   "envelope_fn_from_forward")),
+    (cli, "main"),
     (linsys.Matrix, "from_rows"),
-    (core.TermSource, "__init__"),
+    (sequences.SyracuseAdapter, "step"),
+    *((cls, "__init__") for cls in (sequences.FactorialRatioAdapter, sequences.FibonacciRatioAdapter,
+                                    sequences.LogisticAdapter, sequences.SyracuseAdapter)),
+    *((cls, "__init__") for cls in (core.TermSource, core.Envelope, core.EnvelopeFn)),
 ]
 
 

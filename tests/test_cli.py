@@ -56,6 +56,11 @@ class TestSolveCommand:
         assert exc["max"] == 4616
         assert exc["reached_cycle"] is True
 
+    def test_syracuse_step_budget(self, capsys):
+        code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27", "--max-steps", "0")
+        assert code == 0
+        assert json.loads(out)["excursion"] == {"max": 27, "argmax_min": 0, "reached_cycle": False}
+
     def test_syracuse_negative_max_steps_exit_2(self, capsys):
         code, out, err = run(capsys, "solve", "syracuse", "--n0", "27", "--max-steps", "-1")
         assert code == 2

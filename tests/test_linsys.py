@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from peakseq import PreconditionViolated, Tie, solve
+from peakseq import Envelope, Monotonicity, PreconditionViolated, Tie, affine_fn, solve
 from peakseq.linsys import (
     Matrix,
     NotLyapunov,
@@ -163,6 +163,51 @@ class TestSpectralNormPower:
                 got = spectral_norm_sq_power(a_lambda(lam), k)
                 want = a_lambda_norm_sq_closed(lam, k)
                 assert abs(got - want) <= 1e-9 * want
+
+
+class TestKernelChecks:
+    """Matrices are checked where they enter and where a result leaves."""
+
+    def test_unused_square_may_overflow(self):
+        # 1e100^2 is the result; the next square (1e400) would never be used.
+        assert mat_pow(Matrix.from_rows([[1e100]]), 2).rows == ((1e200,),)
+
+    def test_overflowing_power_raises(self):
+        with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
+            mat_pow(Matrix.from_rows([[1e200]]), 2)
+
+    def test_overflowing_gram_raises(self):
+        # A^1 is finite; its Gram entry 1e400 is not.
+        with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
+            spectral_norm_sq_power(Matrix.from_rows([[1e200]]), 1)
+
+    @pytest.mark.parametrize(
+        "rows", [[[1e200]], [[1e100]], [[1e100, 1.0], [0.0, 0.5]], [[0.5, 1e200], [0.0, 0.5]]]
+    )
+    def test_solve_raises_on_overflow(self, rows):
+        # A scale far above every finite term keeps the scan going into the overflow.
+        fn = affine_fn(1e300, 0.0)
+        env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity.constant())
+        with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
+            solve(power_norm_source(Matrix.from_rows(rows)), env)
+
+    def test_checks_per_term_do_not_grow_with_k(self, monkeypatch):
+        a = a_lambda(0.9, 3)
+        checked = Matrix.__post_init__
+        calls = []
+
+        def counting(self):
+            calls.append(1)
+            checked(self)
+
+        monkeypatch.setattr(Matrix, "__post_init__", counting)
+        counts = []
+        for k in (1, 100, 2**14 + 1, 20000):
+            calls.clear()
+            spectral_norm_sq_power(a, k)
+            counts.append(len(calls))
+        assert counts[0] <= 3
+        assert counts == [counts[0]] * 4
 
 
 class TestBenchmarkFamily:

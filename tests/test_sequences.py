@@ -194,6 +194,27 @@ class TestSyracuse:
         mx, arg, cycled = syracuse_excursion(27, max_steps=5)
         assert not cycled
 
+    def test_step_budget_bounds_the_trajectory(self):
+        assert syracuse_excursion(27, 0) == (27, 0, False)
+        assert syracuse_excursion(27, 5) == (71, 5, False)
+        assert syracuse_excursion(2, 1) == (2, 0, True)
+        assert syracuse_excursion(1, 0) == (2, 1, True)
+
+    def test_step_budget_matches_truncated_iterator(self):
+        def naive(n0, max_steps):
+            ys = [n0]
+            while len(ys) <= max_steps and ys[-1] != 1:
+                y = ys[-1]
+                ys.append(y // 2 if y % 2 == 0 else (3 * y + 1) // 2)
+            cycled = ys[-1] == 1
+            if cycled:
+                ys.append(2)
+            return max(ys), ys.index(max(ys)), cycled
+
+        for n0 in range(1, 201):
+            for max_steps in range(121):
+                assert syracuse_excursion(n0, max_steps) == naive(n0, max_steps), (n0, max_steps)
+
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             SyracuseAdapter.step(2**128 - 1)
