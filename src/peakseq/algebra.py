@@ -210,16 +210,15 @@ def optimal_affine_certificate(
     (k_s, u_{k_s}) over (k_s, n_c] fixes the ratio b and scale a so that
     the bound touches the sequence exactly at k_s; the touching makes the
     index bound evaluate to k_s there.  The finished certificate is
-    checked directly on [0, n_c].
+    checked directly on [0, n_c]; each of u_0..u_{n_c} is evaluated once.
     """
-    if n_c <= k_s:
-        raise PreconditionViolated("n_c must exceed k_s")
-    u_star = source.eval(k_s)
+    if not 0 <= k_s < n_c:
+        raise PreconditionViolated("need 0 <= k_s < n_c")
+    us = [source.eval(k) for k in range(n_c + 1)]
+    u_star = us[k_s]
     if c >= u_star:
         raise InvalidBracket(f"c={c!r} must lie strictly below u_[k_s]={u_star!r}")
-    gamma = max(
-        (u_star - source.eval(k)) / (k_s - k) for k in range(k_s + 1, n_c + 1)
-    )
+    gamma = max((u_star - us[k]) / (k_s - k) for k in range(k_s + 1, n_c + 1))
     if gamma >= 0.0:
         raise InvalidBracket(
             "a later term matches the claimed maximum; k_s is not the last maximizer"
@@ -227,8 +226,7 @@ def optimal_affine_certificate(
     b = math.exp(gamma / (u_star - c))
     a = (u_star - c) * math.exp(-k_s * gamma / (u_star - c))
     params = AffineParams(a=a, b=b, c=c)
-    for k in range(n_c + 1):
-        u_k = source.eval(k)
+    for k, u_k in enumerate(us):
         if exceeds_certificate(u_k, params.bound_at(k)):
             raise InvalidBracket(
                 f"certificate fails the direct check at k={k}: "

@@ -197,10 +197,13 @@ def argmax_bound(k: int, u_k: float, env: Envelope) -> UpperBoundValue:
     Returns the infinite branch when u_k <= h_k(0) (the strict inequality
     is exact, no epsilon).  Raises :class:`EnvelopeViolation` when u_k
     exceeds h_k(beta_k^k) beyond a 1e-12 relative slack; membership is
-    assumed, not trusted.
+    assumed, not trusted.  A beta_k outside (0, 1) raises
+    :class:`PreconditionViolated`.
     """
     fn = env.h(k)
     b = env.beta(k)
+    if not 0.0 < b < 1.0:
+        raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
     cert = fn.eval(b**k)
     if exceeds_certificate(u_k, cert):
         raise EnvelopeViolation(k, u_k, cert)

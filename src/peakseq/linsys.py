@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_SCAN_LIMIT,
     Envelope,
-    Monotonicity,
     PeakSolution,
     PeakseqError,
     PreconditionViolated,
@@ -33,7 +32,7 @@ from .core import (
     solve,
     truncation_from,
 )
-from .algebra import affine_fn
+from .algebra import AffineParams
 
 JACOBI_SWEEPS = 60
 OFF_DIAG_TARGET = 1e-13
@@ -276,8 +275,7 @@ def envelope_from_certificate(a: Matrix, p: Matrix) -> Envelope:
     positive, so every index carries bound information.
     """
     cert = lyapunov_certificate(a, p)
-    fn = affine_fn(cert.slope, 0.0)
-    return Envelope(h=lambda k: fn, beta=lambda k: cert.beta, mono=Monotonicity.constant())
+    return AffineParams(cert.slope, cert.beta, 0.0).constant_envelope()
 
 
 # --- the lambda*Id + U benchmark family ---------------------------------

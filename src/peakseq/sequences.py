@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+from .algebra import AffineParams, affine_fn
 from .core import (
     Envelope,
     EnvelopeFn,
@@ -72,28 +73,18 @@ class FactorialRatioAdapter:
     @cached_property
     def const_env(self) -> Envelope:
         """Built on first use: (a+1)^a overflows a float from a = 143 on."""
-        const = float((self.a + 1) ** self.a)
-        const_fn = EnvelopeFn(
-            eval=lambda t: t * const,
-            inverse=lambda y: y / const,
-            lo=0.0,
-            hi=const,
-        )
-        return Envelope(
-            h=lambda n: const_fn,
-            beta=lambda n: self.beta,
-            mono=Monotonicity.constant(),
-        )
+        try:
+            scale = float((self.a + 1) ** self.a)
+        except OverflowError:
+            raise OverflowError(
+                f"a={self.a}: (a+1)^a overflows a float, so the constant envelope needs "
+                "a <= 142; use the sequence envelope"
+            ) from None
+        return AffineParams(scale, self.beta, 0.0).constant_envelope()
 
     def _seq_fn(self, n: int) -> EnvelopeFn:
         # Clamped where the exact slope underflows, so lo < hi still holds.
-        slope = max(_pow_over_factorial(self.a + 1, n), math.ulp(0.0))
-        return EnvelopeFn(
-            eval=lambda t: t * slope,
-            inverse=lambda y: y / slope,
-            lo=0.0,
-            hi=slope,
-        )
+        return affine_fn(max(_pow_over_factorial(self.a + 1, n), math.ulp(0.0)), 0.0)
 
 
 def factorial_solve(a: int, envelope: str = "sequence", tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:
@@ -313,5 +304,6 @@ def collatz_envelope_check(
     for n in range(horizon + 1):
         if y > a * b**n + c:
             return CollatzCheck(consistent=False, violated_at=n)
-        y = adapter.step(y)
+        if n < horizon:
+            y = adapter.step(y)
     return CollatzCheck(consistent=True)

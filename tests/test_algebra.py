@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peakseq import (
+    AffineParams,
     Monotonicity,
     PreconditionViolated,
     TermSource,
@@ -228,6 +229,20 @@ class TestOptimalAffineCertificate:
         env = params.constant_envelope()
         ub = argmax_bound(2, ad.source.eval(2), env)
         assert ub.value == pytest.approx(2.0, abs=1e-6)
+
+    def test_one_evaluation_per_index(self):
+        ad = FactorialRatioAdapter(5)
+        calls = []
+        src = TermSource(eval=lambda k: calls.append(k) or ad.source.eval(k), description="counted")
+        params = optimal_affine_certificate(src, 5, 1.0, 30)
+        assert sorted(calls) == list(range(31))
+        assert params == AffineParams(
+            a=float.fromhex("0x1.ed4cacb2dc8f1p+4"), b=float.fromhex("0x1.eb2398d875895p-1"), c=1.0
+        )
+
+    def test_rejects_negative_k_s(self):
+        with pytest.raises(PreconditionViolated):
+            optimal_affine_certificate(GEOMETRIC, -1, 0.25, 2)
 
     def test_rejects_offset_at_or_above_peak(self):
         with pytest.raises(InvalidBracket):

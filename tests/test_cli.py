@@ -48,6 +48,7 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
         assert "OverflowError" in err
+        assert "a=143" in err and "a <= 142" in err and "sequence envelope" in err
 
     def test_syracuse(self, capsys):
         code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27")
@@ -232,6 +233,16 @@ class TestValidateCommand:
         code, out, _ = run(
             capsys, "validate", "syracuse",
             "--n0", "7", "--a", "50", "--b", "0.9", "--c", "5", "--horizon", "60",
+        )
+        assert code == 0
+        assert json.loads(out)["consistent"] is True
+
+    def test_collatz_check_stops_at_horizon(self, capsys):
+        # y_1 = (3*(2^128-1)+1)/2 leaves the 128-bit range, but a horizon
+        # of 0 never needs it.
+        code, out, _ = run(
+            capsys, "validate", "syracuse",
+            "--n0", str(2**128 - 1), "--a", "1e39", "--b", "0.9", "--c", "5", "--horizon", "0",
         )
         assert code == 0
         assert json.loads(out)["consistent"] is True

@@ -1,6 +1,7 @@
 """Core solver, index-bound, and oracle operations."""
 
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -81,6 +82,14 @@ class TestArgmaxBound:
         ub = argmax_bound(2, src.eval(2), env)
         assert ub.is_finite and ub.value == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("beta", [1.5, 1.0, math.nan], ids=["above-1", "one", "nan"])
+    def test_beta_out_of_range_raises(self, beta):
+        # Unchecked, 1.5 gave a wrong bound, 1.0 divided by log(1) = 0 and
+        # nan floored the bound to 0.
+        env = constant_env(affine_fn(1.0, 0.0), beta)
+        with pytest.raises(PreconditionViolated, match=re.escape(f"beta_k={beta!r} at k=1")):
+            argmax_bound(1, 0.9, env)
+
 
 class TestTruncationFrom:
     def test_factorial(self):
@@ -128,6 +137,16 @@ class TestSolve:
         assert sol.sup_value == pytest.approx(15.3082, abs=1e-3)
         assert sol.argmax_min == 9
         assert sol.truncation_index == 20
+
+    @pytest.mark.parametrize("beta", [1.5, 1.0, math.nan], ids=["above-1", "one", "nan"])
+    def test_beta_out_of_range_raises(self, beta):
+        # With beta = 1.5 the unchecked solver stopped at k = 0 and reported
+        # (0.5, 0); the peak is 0.9 at index 1.
+        terms = [0.5, 0.9, 0.1]
+        src = TermSource(eval=lambda k: terms[k] if k < 3 else 0.1, description="peak at 1")
+        env = constant_env(affine_fn(1.0, 0.0), beta)
+        with pytest.raises(PreconditionViolated, match=re.escape(f"beta_k={beta!r} at k=0")):
+            solve(src, env)
 
     def test_no_useful_index_raises(self):
         src = TermSource(eval=lambda k: 1.0, description="ones")

@@ -233,6 +233,13 @@ class TestCollatzEnvelopeCheck:
         assert not outcome.consistent
         assert outcome.violated_at == 3  # 6 -> 3 -> 5 -> 8 and 8 > 2*0.5^3 + 5
 
+    def test_no_step_past_horizon(self):
+        # y_1 of 2^128-1 overflows the 128-bit range; only a horizon of 1
+        # or more needs it.
+        assert collatz_envelope_check(2**128 - 1, 1e39, 0.9, 5.0, 0).consistent
+        with pytest.raises(OverflowError):
+            collatz_envelope_check(2**128 - 1, 1e39, 0.9, 5.0, 1)
+
     def test_c_domain(self):
         with pytest.raises(PreconditionViolated):
             collatz_envelope_check(5, 10.0, 0.9, 4.0, 20)
