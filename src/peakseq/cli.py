@@ -10,6 +10,7 @@ significant digits so reruns are bit-comparable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -274,7 +275,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["json", "text"], default="json")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The `peakseq` parser, built once per process and shared: do not mutate it.
+
+    It holds no per-call state; the scan limit is read from the environment
+    when a command runs.
+    """
     parser = _Parser(prog="peakseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -12,9 +12,10 @@ dominates every maximizer of u.  The solver scans terms while shrinking the
 bound until the scan index passes it, which pins down the supremum and a
 maximizer after finitely many term evaluations.
 
-Everything in this module is deterministic and immutable after construction;
-term sources are required to be pure, so read-only sharing across threads is
-safe.
+Everything in this module is deterministic and its types are immutable after
+construction.  Term sources are required to be pure: a source may keep a
+private cursor to step a recurrence forward from the last index it was asked
+for, but its value at k depends on k alone, so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -69,11 +70,38 @@ class TermSource:
     """A deterministic map k -> u_k for the analyzed real sequence.
 
     ``eval`` must be pure: repeated calls with the same k return the
-    identical value, and it must be defined for every k >= 0.
+    identical value, and it must be defined for every k >= 0.  It may keep
+    private state, such as a cursor into a recurrence, as long as the value
+    at k depends on k alone, whatever the order of calls.
     """
 
     eval: Callable[[int], float]
     description: str = ""
+
+
+def _cursor(start, step: Callable) -> Callable[[int], object]:
+    """k -> s_k of the recurrence s_0 = start, s_{k+1} = step(s_k).
+
+    Steps forward from the last (index, state) pair it reached when k is at
+    or past it, and from index 0 otherwise, so an in-order scan costs one
+    step per index.  The pair is replaced by one assignment after every
+    step: a step that raises leaves a valid pair behind, and a concurrent
+    caller holding an older pair steps along the same deterministic chain.
+    """
+    at = (0, start)
+
+    def state(k: int):
+        nonlocal at
+        n, s = at
+        if k < n:
+            n, s = 0, start
+        while n < k:
+            s = step(s)
+            n += 1
+            at = (n, s)
+        return s
+
+    return state
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .core import (
     PreconditionViolated,
     TermSource,
     Tie,
+    _cursor,
     solve,
     truncation_from,
 )
@@ -230,13 +231,21 @@ def op_norm_sq(a: Matrix, p: Matrix) -> float:
     return sym_eig_bounds(_symmetrize(whitened))[1]
 
 
+def _norm_sq(rows) -> float:
+    """||M||_2^2 of row tuples M as the top eigenvalue of the Gram M^T M.
+
+    A non-finite entry of M leaves one on the Gram's diagonal, which the
+    check of the Gram catches.
+    """
+    # Entries (i, j) and (j, i) sum the same products in order: exactly symmetric.
+    return sym_eig_bounds(Matrix(_product(zip(*rows), rows)))[1]
+
+
 def spectral_norm_sq_power(a: Matrix, k: int) -> float:
     """||A^k||_2^2 as the top eigenvalue of (A^k)^T A^k; 1 at k = 0."""
     if k == 0:
         return 1.0
-    pw = mat_pow(a, k).rows
-    # Entries (i, j) and (j, i) sum the same products in order: exactly symmetric.
-    return sym_eig_bounds(Matrix(_product(zip(*pw), pw)))[1]
+    return _norm_sq(mat_pow(a, k).rows)
 
 
 @dataclass(frozen=True)
@@ -261,9 +270,15 @@ def lyapunov_certificate(a: Matrix, p: Matrix) -> LyapunovCertificate:
 
 
 def power_norm_source(a: Matrix) -> TermSource:
-    """Term source k -> ||A^k||_2^2 through the generic kernel."""
+    """Term source k -> ||A^k||_2^2 through the generic kernel.
+
+    A^k = A^(k-1) A is stepped from the last power the source computed, so
+    an in-order scan pays two row products and one eigensolve per term.
+    """
+    rows = a.rows
+    power = _cursor(Matrix.identity(a.dim).rows, lambda pw: _product(pw, rows))
     return TermSource(
-        eval=lambda k: spectral_norm_sq_power(a, k),
+        eval=lambda k: _norm_sq(power(k)) if k else 1.0,
         description=f"||A^k||_2^2, d={a.dim}",
     )
 
@@ -297,9 +312,11 @@ def q_threshold(lam: float) -> float:
 
 
 def p_q(lam: float, d: int = 2, q: float | None = None) -> Matrix:
-    """Diag(1, ..., 1, q); valid iff q > (1 - lambda^2)^-2 (default: twice that)."""
+    """Diag(1, ..., 1, q); valid iff q is finite and q > (1 - lambda^2)^-2 (default: twice that)."""
     if q is None:
         q = 2.0 * q_threshold(lam)
+    if not math.isfinite(q):
+        raise PreconditionViolated(f"q={q!r} must be finite")
     if q <= q_threshold(lam):
         raise QTooSmall(f"q={q!r} must exceed {q_threshold(lam)!r}")
     return Matrix.diagonal([1.0] * (d - 1) + [q])

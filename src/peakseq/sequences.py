@@ -5,7 +5,9 @@ certificates are known in closed form: the factorial ratio a^n/n!, the ratio
 of consecutive terms of generalized Fibonacci sequences, logistic iterations
 with r < 1, and the accelerated Syracuse iteration (terms only; the only
 envelope statement available there is conjecture-equivalent, so it is
-exposed as a finite-horizon checker).
+exposed as a finite-horizon checker).  The recurrences (Fibonacci, logistic,
+Syracuse) step their terms forward from the last index asked for, so an
+in-order scan pays one step per term.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     PreconditionViolated,
     TermSource,
     Tie,
+    _cursor,
     solve,
 )
 
@@ -115,6 +118,7 @@ class FibonacciRatioAdapter:
             raise PreconditionViolated(f"need u1 > u0*phi, got {u1} <= {u0 * PHI!r}")
         self.u0 = u0
         self.u1 = u1
+        self._pairs = _cursor((u0, u1), lambda p: (p[1], p[0] + p[1]))
         denom = 1.0 + PHI * PHI
         self.A = (u0 + u1 * PHI) / denom
         self.B = (u0 * PHI - u1) * PHI / denom
@@ -131,10 +135,7 @@ class FibonacciRatioAdapter:
 
     def term_pair(self, n: int) -> tuple[int, int]:
         """(u_n, u_{n+1}) in exact integers."""
-        a, b = self.u0, self.u1
-        for _ in range(n):
-            a, b = b, a + b
-        return a, b
+        return self._pairs(n)
 
     def ratio(self, n: int) -> float:
         if n == 0:
@@ -185,16 +186,14 @@ class LogisticAdapter:
             raise PreconditionViolated("need y0 in (0, 1)")
         self.r = r
         self.y0 = y0
+        self._ys = _cursor(y0, lambda y: r * y * (1.0 - y))
         self.source = TermSource(eval=self.term, description=f"logistic r={r} y0={y0}")
         self.env = Envelope(
             h=self._fn, beta=lambda n: r, mono=Monotonicity.decreasing()
         )
 
     def term(self, n: int) -> float:
-        y = self.y0
-        for _ in range(n):
-            y = self.r * y * (1.0 - y)
-        return y
+        return self._ys(n)
 
     def _fn(self, n: int) -> EnvelopeFn:
         y0 = self.y0
@@ -230,6 +229,8 @@ class SyracuseAdapter:
         if n0 < 1:
             raise PreconditionViolated("need a starting integer N0 >= 1")
         self.n0 = n0
+        # Looked up at every step, so a wrapper installed on `step` sees each one.
+        self._ys = _cursor(n0, lambda y: self.step(y))
         self.source = TermSource(
             eval=lambda k: float(self.term(k)),
             description=f"syracuse N0={n0}",
@@ -243,10 +244,7 @@ class SyracuseAdapter:
         return nxt
 
     def term(self, k: int) -> int:
-        y = self.n0
-        for _ in range(k):
-            y = self.step(y)
-        return y
+        return self._ys(k)
 
 
 def syracuse_excursion(n0: int, max_steps: int = 1_000_000) -> tuple[int, int, bool]:

@@ -210,6 +210,13 @@ class TestTableCommand:
         code, _, err = run(capsys, "table", "--lambdas", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_non_finite_q_exit_2(self, capsys, q):
+        # `nan <= threshold` is False, so nan slips past a threshold compare alone.
+        code, out, err = run(capsys, "table", "--lambdas", "0.5", "--q", q)
+        assert (code, out) == (2, "")
+        assert f"q={q} must be finite" in err
+
     def test_no_partial_csv_on_error(self, capsys):
         code, out, _ = run(capsys, "table", "--lambdas", "0.5,1.5", "--format", "csv")
         assert code == 2
@@ -281,6 +288,22 @@ class TestScanLimitEnv:
         monkeypatch.setenv(SCAN_LIMIT_ENV, "zero")
         with pytest.raises(SystemExit):
             scan_limit_from_env()
+
+    def test_each_main_call_parses_afresh(self, capsys, monkeypatch):
+        argv = ["solve", "fibonacci", "--u0", "0", "--u1", "1"]
+        monkeypatch.setenv(SCAN_LIMIT_ENV, "1")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "NoUsefulIndex" in err
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bogus"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        monkeypatch.delenv(SCAN_LIMIT_ENV)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        report = json.loads(out)
+        assert report["command"] == " ".join(argv)
+        assert report["solution"]["argmax_min"] == 2
 
     def test_floats_serialized_with_17_digits(self, capsys):
         code, out, _ = run(capsys, "solve", "factorial", "--a", "5")

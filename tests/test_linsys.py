@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -163,6 +164,19 @@ class TestSpectralNormPower:
                 got = spectral_norm_sq_power(a_lambda(lam), k)
                 want = a_lambda_norm_sq_closed(lam, k)
                 assert abs(got - want) <= 1e-9 * want
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_generic_source_within_1e14_of_exact(self, d):
+        # z_k of the float lambda in 50 digits, over the rise to the peak and past it.
+        lam = 0.999
+        source = power_norm_source(a_lambda(lam, d))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            dl = Decimal(lam)
+            for k in range(1, int(2 / (1 - lam))):
+                dk = Decimal(k)
+                z_k = dl ** (2 * k - 2) * (dl * dl + dk * dk / 2 + dk / 2 * (4 * dl * dl + dk * dk).sqrt())
+                assert abs(Decimal(source.eval(k)) - z_k) <= Decimal("1e-14") * z_k, k
 
 
 class TestKernelChecks:

@@ -1,0 +1,149 @@
+"""Recurrence sources: the value at k depends on k alone, and an in-order scan
+costs O(1) per term however the source keeps its place."""
+
+import random
+import sys
+import threading
+
+import pytest
+
+from peakseq import linsys
+from peakseq.sequences import (
+    U128_MAX,
+    FibonacciRatioAdapter,
+    LogisticAdapter,
+    SyracuseAdapter,
+)
+
+N = 120
+
+
+def naive_fibonacci(u0, u1):
+    def ratio(n):
+        if n == 0:
+            return u1 / u0 if u0 > 0 else 0.0
+        a, b = u0, u1
+        for _ in range(n):
+            a, b = b, a + b
+        return b / a
+
+    return ratio
+
+
+def naive_logistic(r, y0):
+    def term(n):
+        y = y0
+        for _ in range(n):
+            y = r * y * (1.0 - y)
+        return y
+
+    return term
+
+
+def naive_syracuse(n0):
+    def term(k):
+        y = n0
+        for _ in range(k):
+            y = y // 2 if y % 2 == 0 else (3 * y + 1) // 2
+        return float(y)
+
+    return term
+
+
+# name -> (fresh source factory, naive from-index-0 iterator or None)
+SOURCES = {
+    "fibonacci-u0=0": (lambda: FibonacciRatioAdapter(0, 1).source, naive_fibonacci(0, 1)),
+    "fibonacci-u0>0": (lambda: FibonacciRatioAdapter(3, 7).source, naive_fibonacci(3, 7)),
+    "logistic": (lambda: LogisticAdapter(0.9, 0.3).source, naive_logistic(0.9, 0.3)),
+    "syracuse": (lambda: SyracuseAdapter(27).source, naive_syracuse(27)),
+    "power-norm": (lambda: linsys.power_norm_source(linsys.a_lambda(0.9, 3)), None),
+}
+
+
+def bits(values):
+    return [v.hex() for v in values]
+
+
+def scan(source, order):
+    return {k: source.eval(k) for k in order}
+
+
+@pytest.mark.parametrize("name", SOURCES)
+class TestValueDependsOnKOnly:
+    def test_any_order_gives_the_same_bits(self, name):
+        fresh, naive = SOURCES[name]
+        ks = list(range(N + 1))
+        shuffled = ks[:]
+        random.Random(7).shuffle(shuffled)
+        in_order = bits(fresh().eval(k) for k in ks)
+        for order in (ks[::-1], shuffled):
+            got = scan(fresh(), order)
+            assert bits(got[k] for k in ks) == in_order
+        if naive is not None:
+            assert bits(naive(k) for k in ks) == in_order
+
+    def test_threads_in_opposite_orders_agree(self, name):
+        fresh, _ = SOURCES[name]
+        ks = list(range(N + 1))
+        want = bits(fresh().eval(k) for k in ks)
+        shared = fresh()
+        results = {}
+
+        def worker(order):
+            got = scan(shared, order)
+            results[order[0]] = bits(got[k] for k in ks)
+
+        threads = [threading.Thread(target=worker, args=(order,)) for order in (ks, ks[::-1])]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {0: want, N: want}
+
+
+class TestInOrderCost:
+    def test_power_norm_two_products_per_term(self, monkeypatch):
+        product = linsys._product
+        calls = []
+
+        def counting(a_rows, b_rows):
+            calls.append(1)
+            return product(a_rows, b_rows)
+
+        monkeypatch.setattr(linsys, "_product", counting)
+        source = linsys.power_norm_source(linsys.a_lambda(0.9, 3))
+        for k in range(N + 1):
+            source.eval(k)
+        assert len(calls) <= 2 * N
+
+    def test_syracuse_one_step_per_term(self, monkeypatch):
+        step = SyracuseAdapter.step
+        calls = []
+
+        def counting(y):
+            calls.append(y)
+            return step(y)
+
+        monkeypatch.setattr(SyracuseAdapter, "step", staticmethod(counting))
+        adapter = SyracuseAdapter(27)
+        for k in range(N + 1):
+            adapter.term(k)
+        assert len(calls) == N
+
+
+def test_syracuse_overflow_leaves_a_valid_cursor():
+    # 2^127 - 1 steps once to 3*2^126 - 1; the next step passes 128 bits.
+    n0 = 2**127 - 1
+    adapter = SyracuseAdapter(n0)
+    assert adapter.term(1) == 3 * 2**126 - 1 <= U128_MAX
+    for k in (5, 2):
+        with pytest.raises(OverflowError):
+            adapter.term(k)
+        assert adapter.term(1) == 3 * 2**126 - 1
+        assert adapter.term(0) == n0
