@@ -23,6 +23,7 @@ from .core import (
 )
 
 BISECTION_MAX_ITER = 200
+BISECTION_TOL = 1e-14
 
 
 class OutOfRange(PeakseqError):
@@ -49,13 +50,14 @@ def affine_fn(a: float, c: float) -> EnvelopeFn:
     )
 
 
-def invert_numeric(f, y: float, tol: float = 1e-14) -> float:
+def invert_numeric(f, y: float) -> float:
     """Invert a strictly increasing f: [0, 1] -> R at y by bisection.
 
     Monotonicity is the only structure assumed, so bisection rather than a
-    derivative method; the bracket is narrowed to width ``tol`` (absolute on
-    x) and the midpoint returned.  Values outside [f(0), f(1)] beyond a
-    1e-12 slack raise :class:`OutOfRange`; within the slack they clamp.
+    derivative method; the bracket is narrowed to width ``BISECTION_TOL``
+    (absolute on x), in at most ``BISECTION_MAX_ITER`` halvings, and the
+    midpoint returned.  Values outside [f(0), f(1)] beyond a 1e-12 slack
+    raise :class:`OutOfRange`; within the slack they clamp.
     """
     f0 = f(0.0)
     f1 = f(1.0)
@@ -68,7 +70,7 @@ def invert_numeric(f, y: float, tol: float = 1e-14) -> float:
         return 1.0
     lo, hi = 0.0, 1.0
     for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= tol:
+        if hi - lo <= BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
         if f(mid) < y:

@@ -16,12 +16,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .core import (
     DEFAULT_SCAN_LIMIT,
     EnvelopeViolation,
-    PeakSolution,
     PeakseqError,
     Tie,
     UpperBoundValue,
@@ -142,16 +142,6 @@ def scan_limit_from_env() -> int:
     return limit
 
 
-def _solution_dict(sol: PeakSolution) -> dict:
-    return {
-        "sup_value": sol.sup_value,
-        "argmax_min": sol.argmax_min,
-        "truncation_index": sol.truncation_index,
-        "terms_evaluated": sol.terms_evaluated,
-        "argmax_max_requested": sol.argmax_max_requested,
-    }
-
-
 def _trace_recorder(trace: list):
     def on_step(k: int, u_k: float, bound: UpperBoundValue | None, running_k: int | None):
         if bound is None:
@@ -180,36 +170,27 @@ def _print_report(report: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _run_solve(args, argv: list[str]) -> int:
-    tie = Tie.MAX_ARGMAX if args.tie == "max" else Tie.MIN_ARGMAX
-    scan_limit = scan_limit_from_env()
-    trace: list | None = [] if args.trace else None
-    on_step = _trace_recorder(trace) if args.trace else None
-    started = time.perf_counter()
+def _print_adapter_report(args, argv: list[str], body: dict) -> None:
+    _print_report({"command": " ".join(argv), "adapter": args.adapter, **body}, args.format)
 
+
+def _run_solve(args, argv: list[str]) -> int:
+    started = time.perf_counter()
     if args.adapter == "syracuse":
         mx, arg, cycled = syracuse_excursion(args.n0, args.max_steps)
-        report = {
-            "command": " ".join(argv),
-            "adapter": "syracuse",
+        body = {
             "parameters": {"n0": args.n0, "max_steps": args.max_steps},
             "excursion": {"max": mx, "argmax_min": arg, "reached_cycle": cycled},
-            "elapsed_seconds": time.perf_counter() - started,
         }
-        _print_report(report, args.format)
-        return EXIT_OK
-
-    source, env, params = _ADAPTERS[args.adapter].build(args)
-    sol = solve(source, env, tie=tie, scan_limit=scan_limit, on_step=on_step)
-    report = {
-        "command": " ".join(argv),
-        "adapter": args.adapter,
-        "parameters": params,
-        "solution": _solution_dict(sol),
-        "trace": trace,
-        "elapsed_seconds": time.perf_counter() - started,
-    }
-    _print_report(report, args.format)
+    else:
+        scan_limit = scan_limit_from_env()
+        trace: list | None = [] if args.trace else None
+        source, env, params = _ADAPTERS[args.adapter].build(args)
+        sol = solve(source, env, tie=Tie(args.tie), scan_limit=scan_limit,
+                    on_step=None if trace is None else _trace_recorder(trace))
+        body = {"parameters": params, "solution": asdict(sol), "trace": trace}
+    body["elapsed_seconds"] = time.perf_counter() - started
+    _print_adapter_report(args, argv, body)
     return EXIT_OK
 
 
@@ -240,31 +221,21 @@ def _run_table(args, argv: list[str]) -> int:
 
 def _run_validate(args, argv: list[str]) -> int:
     if args.adapter == "syracuse":
-        outcome = collatz_envelope_check(args.n0, args.a, args.b, args.c, args.horizon)
-        report = {
-            "command": " ".join(argv),
-            "adapter": "syracuse",
-            "consistent": outcome.consistent,
-            "violated_at": outcome.violated_at,
+        check = collatz_envelope_check(args.n0, args.a, args.b, args.c, args.horizon)
+        passed = check.consistent
+        body = {**asdict(check), "horizon": args.horizon}
+    else:
+        source, env, _ = _ADAPTERS[args.adapter].build(args)
+        findings = validate_envelope(source, env, args.horizon)
+        passed = not findings
+        body = {
+            "clean": passed,
             "horizon": args.horizon,
+            "findings": [asdict(f) for f in findings[:10]],
+            "finding_count": len(findings),
         }
-        _print_report(report, args.format)
-        return EXIT_OK if outcome.consistent else EXIT_VIOLATION
-
-    source, env, _ = _ADAPTERS[args.adapter].build(args)
-    findings = validate_envelope(source, env, args.horizon)
-    report = {
-        "command": " ".join(argv),
-        "adapter": args.adapter,
-        "clean": not findings,
-        "horizon": args.horizon,
-        "findings": [
-            {"k": f.k, "kind": f.kind, "detail": f.detail} for f in findings[:10]
-        ],
-        "finding_count": len(findings),
-    }
-    _print_report(report, args.format)
-    return EXIT_OK if not findings else EXIT_VIOLATION
+    _print_adapter_report(args, argv, body)
+    return EXIT_OK if passed else EXIT_VIOLATION
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

@@ -289,6 +289,8 @@ def collatz_envelope_check(
     only falsifies on [0, horizon], a Consistent outcome proves nothing
     beyond it.
     """
+    if not math.isfinite(a):
+        raise PreconditionViolated(f"need a finite a, got a={a!r}")
     if a < 0.0:
         raise PreconditionViolated("need a >= 0")
     if not 0.0 < b < 1.0:

@@ -1,11 +1,15 @@
 """CLI surface: subcommands, formats, exit codes, tracing, env overrides."""
 
+import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from peakseq import Envelope, linsys, solve
-from peakseq.cli import _ADAPTERS, _solution_dict, main, scan_limit_from_env, SCAN_LIMIT_ENV
+from peakseq.cli import _ADAPTERS, main, scan_limit_from_env, SCAN_LIMIT_ENV
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
 
 
@@ -13,6 +17,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def halved_ratio(args):
+    """Build the tight factorial family with its ratio halved: it undercuts u_3 = 4.5."""
+    ad = FactorialRatioAdapter(args.a)
+    bad = Envelope(h=ad.seq_env.h, beta=lambda n: ad.beta / 2.0, mono=ad.seq_env.mono)
+    return ad.source, bad, {"a": args.a}
 
 
 class TestSolveCommand:
@@ -69,13 +80,7 @@ class TestSolveCommand:
         assert "max_steps" in err
 
     def test_envelope_violation_exit_3(self, capsys, monkeypatch):
-        # The tight factorial family with its ratio halved undercuts u_3 = 4.5.
-        def broken(args):
-            ad = FactorialRatioAdapter(args.a)
-            bad = Envelope(h=ad.seq_env.h, beta=lambda n: ad.beta / 2.0, mono=ad.seq_env.mono)
-            return ad.source, bad, {"a": args.a}
-
-        monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=broken))
+        monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=halved_ratio))
         code, out, err = run(capsys, "solve", "factorial", "--a", "3")
         assert code == 3
         assert out == ""
@@ -166,10 +171,95 @@ class TestAdapterTable:
     def test_cli_matches_library(self, capsys, name):
         code, out, _ = run(capsys, "solve", name, *ADAPTER_ARGV[name])
         assert code == 0
-        assert json.loads(out)["solution"] == _solution_dict(solve(*library_pair(name)))
+        assert json.loads(out)["solution"] == dataclasses.asdict(solve(*library_pair(name)))
         code, out, _ = run(capsys, "validate", name, *ADAPTER_ARGV[name])
         assert code == 0
         assert json.loads(out)["clean"] is True
+
+
+def mask_elapsed(out: str) -> str:
+    return re.sub(r'(elapsed_seconds"?: )[0-9.e+-]+', r"\1T", out)
+
+
+class TestReportLayout:
+    """The byte layout of `solve` and `validate` reports: key order, separators, text form."""
+
+    SOLUTION_KEYS = ["sup_value", "argmax_min", "truncation_index", "terms_evaluated",
+                     "argmax_max_requested"]
+
+    def test_solve_json_bytes(self, capsys):
+        code, out, _ = run(capsys, "solve", "factorial", "--a", "3")
+        assert code == 0
+        assert mask_elapsed(out) == (
+            '{"command": "solve factorial --a 3", "adapter": "factorial", '
+            '"parameters": {"a": 3, "envelope": "sequence"}, '
+            '"solution": {"sup_value": 4.5, "argmax_min": 2, "truncation_index": 3, '
+            '"terms_evaluated": 4, "argmax_max_requested": false}, '
+            '"trace": null, "elapsed_seconds": T}\n'
+        )
+
+    def test_solve_text_layout(self, capsys):
+        code, out, _ = run(capsys, "solve", "factorial", "--a", "3", "--trace", "--format", "text")
+        assert code == 0
+        assert mask_elapsed(out) == (
+            "command: solve factorial --a 3 --trace --format text\n"
+            "adapter: factorial\n"
+            "parameters:\n"
+            "  a: 3\n"
+            "  envelope: sequence\n"
+            "solution:\n"
+            "  sup_value: 4.5\n"
+            "  argmax_min: 2\n"
+            "  truncation_index: 3\n"
+            "  terms_evaluated: 4\n"
+            "  argmax_max_requested: False\n"
+            "trace: [4 entries]\n"
+            "elapsed_seconds: T\n"
+        )
+
+    @pytest.mark.parametrize("name", sorted(_ADAPTERS))
+    def test_solve_key_order(self, capsys, name):
+        code, out, _ = run(capsys, "solve", name, *ADAPTER_ARGV[name], "--trace")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["command", "adapter", "parameters", "solution", "trace",
+                                "elapsed_seconds"]
+        assert list(report["solution"]) == self.SOLUTION_KEYS
+        assert list(report["trace"][0]) == ["k", "u_k", "bound", "K"]
+
+    def test_solve_syracuse_key_order(self, capsys):
+        code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27")
+        assert code == 0
+        report = json.loads(out)
+        assert list(report) == ["command", "adapter", "parameters", "excursion", "elapsed_seconds"]
+        assert list(report["parameters"]) == ["n0", "max_steps"]
+        assert list(report["excursion"]) == ["max", "argmax_min", "reached_cycle"]
+
+    @pytest.mark.parametrize("name", sorted(_ADAPTERS))
+    def test_validate_key_order(self, capsys, name):
+        code, out, _ = run(capsys, "validate", name, *ADAPTER_ARGV[name])
+        assert code == 0
+        assert list(json.loads(out)) == ["command", "adapter", "clean", "horizon", "findings",
+                                         "finding_count"]
+
+    def test_validate_finding_key_order(self, capsys, monkeypatch):
+        monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=halved_ratio))
+        code, out, _ = run(capsys, "validate", "factorial", "--a", "3", "--horizon", "20")
+        assert code == 3
+        report = json.loads(out)
+        # Every index 1..20 is a finding; the report lists the first ten.
+        assert (report["clean"], len(report["findings"]), report["finding_count"]) == (False, 10, 20)
+        assert out.count('{"k": ') == 10
+        assert '"findings": [{"k": 1, "kind": "membership", "detail": "u_k=3.0 > h_k(beta_k^k)=1.5"}, ' in out
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--n0", "7", "--a", "50", "--b", "0.9", "--c", "5", "--horizon", "60"], 0),
+        (["--n0", "6", "--a", "2", "--b", "0.5", "--c", "5", "--horizon", "10"], 3),
+    ])
+    def test_validate_syracuse_key_order(self, capsys, argv, code):
+        got, out, _ = run(capsys, "validate", "syracuse", *argv)
+        assert got == code
+        assert list(json.loads(out)) == ["command", "adapter", "consistent", "violated_at", "horizon"]
 
 
 class TestTableCommand:
@@ -262,6 +352,17 @@ class TestValidateCommand:
         assert code == 3
         assert json.loads(out)["violated_at"] == 3
 
+    @pytest.mark.parametrize("a", ["nan", "inf"])
+    def test_collatz_non_finite_a_exit_2(self, capsys, a):
+        # With a=nan every `y > a*b^n + c` compare is False, so the check
+        # used to report a consistent trajectory; with --a 1 it fails at k=0.
+        code, out, err = run(
+            capsys, "validate", "syracuse",
+            "--n0", "27", "--a", a, "--b", "0.9", "--c", "5", "--horizon", "200",
+        )
+        assert (code, out) == (2, "")
+        assert f"need a finite a, got a={a}" in err
+
     def test_collatz_bad_c_exit_2(self, capsys):
         code, _, err = run(
             capsys, "validate", "syracuse",
@@ -289,6 +390,15 @@ class TestScanLimitEnv:
         with pytest.raises(SystemExit):
             scan_limit_from_env()
 
+    def test_syracuse_ignores_scan_limit(self, capsys, monkeypatch):
+        # Syracuse scans no envelope, so a limit it never uses cannot fail it.
+        monkeypatch.setenv(SCAN_LIMIT_ENV, "abc")
+        code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27")
+        assert code == 0
+        assert json.loads(out)["excursion"]["max"] == 4616
+        with pytest.raises(SystemExit, match="is not a positive integer"):
+            main(["solve", "factorial", "--a", "5"])
+
     def test_each_main_call_parses_afresh(self, capsys, monkeypatch):
         argv = ["solve", "fibonacci", "--u0", "0", "--u1", "1"]
         monkeypatch.setenv(SCAN_LIMIT_ENV, "1")
@@ -308,3 +418,33 @@ class TestScanLimitEnv:
     def test_floats_serialized_with_17_digits(self, capsys):
         code, out, _ = run(capsys, "solve", "factorial", "--a", "5")
         assert "26.041666666666668" in out
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every `peakseq ...` line of the README's sh blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    return [line for block in blocks for line in block.splitlines() if line.startswith("peakseq ")]
+
+
+# What the comments next to these README commands claim about the solution.
+README_CLAIMS = {
+    "peakseq solve factorial --a 5": {"truncation_index": 5},
+    "peakseq solve fibonacci --u0 0 --u1 1": {"argmax_min": 2},
+    "peakseq solve fibonacci --u0 1 --u1 2": {"argmax_min": 0},
+    "peakseq solve logistic --r 0.5 --y0 0.5": {"terms_evaluated": 1},
+}
+
+
+class TestReadmeExamples:
+    def test_claimed_commands_are_in_the_readme(self):
+        assert set(README_CLAIMS) <= set(readme_commands())
+
+    @pytest.mark.parametrize("line", readme_commands())
+    def test_example_runs(self, capsys, line):
+        code, out, err = run(capsys, *shlex.split(line)[1:])
+        assert code == 0, err
+        for key, value in README_CLAIMS.get(line, {}).items():
+            assert json.loads(out)["solution"][key] == value

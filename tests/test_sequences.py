@@ -246,6 +246,13 @@ class TestCollatzEnvelopeCheck:
         with pytest.raises(PreconditionViolated):
             collatz_envelope_check(5, 10.0, 0.9, 5.5, 20)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
+    def test_a_domain(self, a):
+        # `nan < 0.0` is False, so a sign check alone lets nan through, and
+        # then `y > nan` never fires: every trajectory would pass.
+        with pytest.raises(PreconditionViolated):
+            collatz_envelope_check(27, a, 0.9, 5.0, 200)
+
 
 class TestSolveAgreesWithBruteForce:
     def test_factorial_family(self):
