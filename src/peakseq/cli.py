@@ -166,6 +166,9 @@ def _print_report(report: dict, fmt: str) -> None:
                 print(f"  {k2}: {v2}")
         elif isinstance(value, list):
             print(f"{key}: [{len(value)} entries]")
+            if key == "findings":  # at most ten; a trace is only counted
+                for entry in value:
+                    print("  " + ", ".join(f"{k2}: {v2}" for k2, v2 in entry.items()))
         else:
             print(f"{key}: {value}")
 
@@ -282,7 +285,7 @@ def build_parser() -> _Parser:
     p = solve_sub.add_parser("syracuse")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--max-steps", type=int, default=1_000_000)
-    _add_common(p)
+    p.add_argument("--format", choices=["json", "text"], default="json")
 
     p = val_sub.add_parser("syracuse", help="finite-horizon geometric-bound check")
     p.add_argument("--n0", type=int, required=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .core import (
     DEFAULT_SCAN_LIMIT,
@@ -92,7 +93,7 @@ class Matrix:
 def _product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
     """Row-tuple product; each entry sums its d products in index order."""
     cols = list(zip(*b_rows))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in cols) for ra in a_rows)
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols) for ra in a_rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -137,10 +138,15 @@ def sym_eig_bounds(m: Matrix) -> tuple[float, float]:
         for j in range(i + 1, d):
             if abs(m.rows[i][j] - m.rows[j][i]) > tol:
                 raise NotSymmetric(f"entries ({i},{j}) and ({j},{i}) differ beyond {tol!r}")
-    if d == 1:
-        return m.rows[0][0], m.rows[0][0]
+    return _jacobi([list(r) for r in m.rows])
 
-    a = [list(r) for r in m.rows]
+
+def _jacobi(a: list[list[float]]) -> tuple[float, float]:
+    """The rotation loop of sym_eig_bounds on a finite symmetric list of
+    lists, which it overwrites."""
+    d = len(a)
+    if d == 1:
+        return a[0][0], a[0][0]
     frob = math.sqrt(sum(x * x for r in a for x in r))
     target = OFF_DIAG_TARGET * max(frob, 1e-300)
     for _ in range(JACOBI_SWEEPS):
@@ -234,11 +240,21 @@ def op_norm_sq(a: Matrix, p: Matrix) -> float:
 def _norm_sq(rows) -> float:
     """||M||_2^2 of row tuples M as the top eigenvalue of the Gram M^T M.
 
-    A non-finite entry of M leaves one on the Gram's diagonal, which the
-    check of the Gram catches.
+    Only the upper triangle is summed: entry (j, i) sums the same products
+    in the same order as (i, j), so the mirrored Gram is exactly symmetric
+    and goes straight to the rotation loop.  A non-finite entry of M leaves
+    one on the Gram's diagonal, which the check of the summed entries catches.
     """
-    # Entries (i, j) and (j, i) sum the same products in order: exactly symmetric.
-    return sym_eig_bounds(Matrix(_product(zip(*rows), rows)))[1]
+    cols = list(zip(*rows))
+    d = len(cols)
+    gram = [[0.0] * d for _ in range(d)]
+    for i, ci in enumerate(cols):
+        for j in range(i, d):
+            x = sum(map(mul, ci, cols[j]))
+            if not math.isfinite(x):
+                raise PreconditionViolated("matrix entries must be finite")
+            gram[i][j] = gram[j][i] = x
+    return _jacobi(gram)[1]
 
 
 def spectral_norm_sq_power(a: Matrix, k: int) -> float:
@@ -273,7 +289,8 @@ def power_norm_source(a: Matrix) -> TermSource:
     """Term source k -> ||A^k||_2^2 through the generic kernel.
 
     A^k = A^(k-1) A is stepped from the last power the source computed, so
-    an in-order scan pays two row products and one eigensolve per term.
+    an in-order scan pays one row product, half a Gram and one Jacobi solve
+    per term.
     """
     rows = a.rows
     power = _cursor(Matrix.identity(a.dim).rows, lambda pw: _product(pw, rows))

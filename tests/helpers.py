@@ -161,3 +161,25 @@ def useful_indices(case: Case) -> list[int]:
         for k in range(m, case.horizon + 1)
         if case.source.eval(k) > case.env.h(k).lo
     ]
+
+
+def reference_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
+    """The row product as first written: each entry sums a generator of x * y."""
+    cols = list(zip(*b_rows))
+    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in cols) for ra in a_rows)
+
+
+def reference_power_norms(m: linsys.Matrix, n: int) -> list[float]:
+    """||A^k||_2^2 for k = 0..n through the full-Gram kernel.
+
+    A^k steps from the identity by reference_product, and each Gram goes
+    whole into a Matrix and through the public sym_eig_bounds, so the
+    check, the symmetry test and the copy all run per term.
+    """
+    power = linsys.Matrix.identity(m.dim).rows
+    terms = [1.0]
+    for _ in range(n):
+        power = reference_product(power, m.rows)
+        gram = linsys.Matrix(reference_product(zip(*power), power))
+        terms.append(linsys.sym_eig_bounds(gram)[1])
+    return terms

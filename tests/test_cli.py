@@ -79,6 +79,14 @@ class TestSolveCommand:
         assert out == ""
         assert "max_steps" in err
 
+    @pytest.mark.parametrize("flags", [["--trace"], ["--tie", "max"]], ids=["trace", "tie"])
+    def test_syracuse_rejects_solver_flags(self, capsys, flags):
+        # Syracuse runs no envelope solver, so it has no tie rule and no trace.
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "syracuse", "--n0", "27", *flags])
+        assert exc.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_envelope_violation_exit_3(self, capsys, monkeypatch):
         monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=halved_ratio))
         code, out, err = run(capsys, "solve", "factorial", "--a", "3")
@@ -251,6 +259,32 @@ class TestReportLayout:
         assert (report["clean"], len(report["findings"]), report["finding_count"]) == (False, 10, 20)
         assert out.count('{"k": ') == 10
         assert '"findings": [{"k": 1, "kind": "membership", "detail": "u_k=3.0 > h_k(beta_k^k)=1.5"}, ' in out
+
+    def test_validate_text_lists_findings(self, capsys, monkeypatch):
+        monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=halved_ratio))
+        code, out, _ = run(capsys, "validate", "factorial", "--a", "3", "--horizon", "3",
+                           "--format", "text")
+        assert code == 3
+        assert out == (
+            "command: validate factorial --a 3 --horizon 3 --format text\n"
+            "adapter: factorial\n"
+            "clean: False\n"
+            "horizon: 3\n"
+            "findings: [3 entries]\n"
+            "  k: 1, kind: membership, detail: u_k=3.0 > h_k(beta_k^k)=1.5\n"
+            "  k: 2, kind: membership, detail: u_k=4.5 > h_k(beta_k^k)=1.125\n"
+            "  k: 3, kind: membership, detail: u_k=4.5 > h_k(beta_k^k)=0.5625\n"
+            "finding_count: 3\n"
+        )
+
+    def test_validate_text_lists_at_most_ten_findings(self, capsys, monkeypatch):
+        monkeypatch.setitem(_ADAPTERS, "factorial", _ADAPTERS["factorial"]._replace(build=halved_ratio))
+        code, out, _ = run(capsys, "validate", "factorial", "--a", "3", "--horizon", "20",
+                           "--format", "text")
+        assert code == 3
+        listed = [line for line in out.splitlines() if line.startswith("  k: ")]
+        assert len(listed) == 10 and listed[-1].startswith("  k: 10, kind: membership, ")
+        assert out.endswith("finding_count: 20\n")
 
     @pytest.mark.parametrize("argv, code", [
         (["--n0", "7", "--a", "50", "--b", "0.9", "--c", "5", "--horizon", "60"], 0),

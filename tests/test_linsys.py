@@ -5,7 +5,10 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import reference_power_norms, reference_product
 from peakseq import Envelope, Monotonicity, PreconditionViolated, Tie, affine_fn, solve
 from peakseq.linsys import (
     Matrix,
@@ -31,6 +34,7 @@ from peakseq.linsys import (
     spectral_norm_sq_power,
     sym_eig_bounds,
     table_run,
+    _product,
 )
 
 
@@ -222,6 +226,35 @@ class TestKernelChecks:
             counts.append(len(calls))
         assert counts[0] <= 3
         assert counts == [counts[0]] * 4
+
+
+def square_rows(d):
+    entry = st.floats(min_value=-1.0, max_value=1.0)
+    return st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+
+
+class TestKernelMatchesReference:
+    """The lean kernel (map-based products, half Gram, direct Jacobi) returns
+    the same bits as the full-Gram reference in tests/helpers.py."""
+
+    @given(st.integers(min_value=1, max_value=6).flatmap(square_rows))
+    @settings(max_examples=60, deadline=None)
+    def test_power_norm_terms(self, rows):
+        m = Matrix.from_rows(rows)
+        source = power_norm_source(m)
+        got = [source.eval(k).hex() for k in range(61)]
+        assert got == [x.hex() for x in reference_power_norms(m, 60)]
+
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda d: st.tuples(square_rows(d), square_rows(d))))
+    @settings(max_examples=60, deadline=None)
+    def test_product(self, pair):
+        a, b = (Matrix.from_rows(rows).rows for rows in pair)
+        assert _product(a, b) == reference_product(a, b)
+
+    def test_public_eigensolve_still_checks_symmetry(self):
+        with pytest.raises(NotSymmetric):
+            sym_eig_bounds(Matrix.from_rows([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
 
 
 class TestBenchmarkFamily:

@@ -122,6 +122,25 @@ class TestInOrderCost:
             source.eval(k)
         assert len(calls) <= 2 * N
 
+    def test_power_norm_one_product_per_term(self, monkeypatch):
+        # The Gram is summed in _norm_sq itself, so only the step A^(k-1) A is a product.
+        product = linsys._product
+        calls = []
+
+        def counting(a_rows, b_rows):
+            calls.append(1)
+            return product(a_rows, b_rows)
+
+        monkeypatch.setattr(linsys, "_product", counting)
+        source = linsys.power_norm_source(linsys.a_lambda(0.9, 3))
+        for k in range(N + 1):
+            source.eval(k)
+        assert len(calls) == N
+
+    def test_power_norm_of_a_scalar(self):
+        source = linsys.power_norm_source(linsys.Matrix.from_rows([[0.5]]))
+        assert [source.eval(k) for k in range(N + 1)] == [0.25**k for k in range(N + 1)]
+
     def test_syracuse_one_step_per_term(self, monkeypatch):
         step = SyracuseAdapter.step
         calls = []
