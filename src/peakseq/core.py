@@ -35,6 +35,16 @@ MEMBERSHIP_RTOL = 1e-12
 # which is the safe direction.
 FLOOR_GUARD = 1e-9
 
+# Relative margin by which a term's upper bound must undercut the running max
+# before solve skips the exact term.  It covers the rounding between a bound
+# and the exact path it stands in for.  For ||M||_F^2 against the Jacobi
+# ||M||_2^2 of a d x d matrix: the sum of d^2 squares is off by at most
+# d^2 ulp, the Gram sums by d ulp, and each of at most
+# JACOBI_SWEEPS * d(d-1)/2 rotations moves the diagonal by a few ulp of the
+# top eigenvalue.  At d = 50 that is 60 * 1225 * 4 * 1.1e-16 ~ 3e-11, about
+# 30 times below this margin.
+SCREEN_RTOL = 1e-9
+
 
 class PeakseqError(Exception):
     """Base class for all library errors."""
@@ -73,10 +83,17 @@ class TermSource:
     identical value, and it must be defined for every k >= 0.  It may keep
     private state, such as a cursor into a recurrence, as long as the value
     at k depends on k alone, whatever the order of calls.
+
+    ``upper``, when set, is a cheaper certified bound with upper(k) >= eval(k)
+    for every k, up to roundoff of relative size MEMBERSHIP_RTOL; it is pure
+    in the same sense.  It is trusted like an envelope and checked by
+    :func:`validate_envelope`; :func:`solve` uses it to skip terms that
+    cannot reach the running max.
     """
 
     eval: Callable[[int], float]
     description: str = ""
+    upper: Callable[[int], float] | None = None
 
 
 def _cursor(start, step: Callable) -> Callable[[int], object]:
@@ -275,21 +292,33 @@ def solve(
 ) -> PeakSolution:
     """Compute sup u and a maximizer in finite time from a certified envelope.
 
-    One pass in O(1) state: each term is evaluated once.  With a
+    One pass in O(1) state: each term is evaluated at most once, and not at
+    all when its upper bound cannot reach the running max.  With a
     constant-from index the truncation bound is recomputed only when the
     running maximum improves (it can only shrink along new maxima there);
     otherwise it is intersected at every index k >= decreasing_from with
     u_k > h_k(0).  The scan below decreasing_from only compares terms.
 
+    Screening: in constant mode, once a truncation bound exists and with no
+    ``on_step``, a term whose ``source.upper(k)`` is finite, lies below the
+    running max by more than SCREEN_RTOL relative and at most at
+    h_k(beta_k^k) is skipped.  Such a term can neither improve nor tie the
+    max, nor move the bound, so the result is the one of the full scan.
+    Equal terms are always evaluated.
+
     The reported supremum and maximizer cover the whole scanned prefix
     u_0..u_K; a non-finite term raises :class:`PreconditionViolated`.
-    ``on_step`` receives (k, u_k, bound, running K) once per evaluated term;
-    the bound argument is None when it was not needed at that index and the
-    infinite variant when u_k <= h_k(0).
+    ``terms_evaluated`` counts the indices scanned, K + 1, screened ones
+    included.  ``on_step`` receives (k, u_k, bound, running K) once per
+    term; the bound argument is None when it was not needed at that index
+    and the infinite variant when u_k <= h_k(0).
     """
     m = env.mono.decreasing_from
     constant_mode = env.mono.constant_from is not None
     max_tie = tie is Tie.MAX_ARGMAX
+    # In non-constant mode the bound is intersected at every index, so a
+    # skipped term could loosen K; a trace must see every exact term.
+    upper = source.upper if constant_mode and on_step is None else None
 
     trunc: int | None = None
     vmax = -math.inf
@@ -301,6 +330,13 @@ def solve(
                 f"no index in [{m}, {m + scan_limit}] has u_k > h_k(0); "
                 "increase the scan limit only if the envelope is known useful"
             )
+        if upper is not None and trunc is not None:
+            ub = upper(k)
+            if math.isfinite(ub) and ub < vmax - SCREEN_RTOL * abs(vmax):
+                b = env.beta(k)
+                if 0.0 < b < 1.0 and ub <= env.h(k).eval(b**k):
+                    k += 1
+                    continue
         u_k = source.eval(k)
         if not math.isfinite(u_k):
             raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
@@ -347,9 +383,10 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
     """Check envelope membership and monotonicity metadata on [0, horizon].
 
     One in-order pass: u_k, h_k and beta_k are evaluated once per index and
-    h_k is sampled once on the grid (from decreasing_from on).  Returns every
-    finding in index order (empty list when clean).  A clean result proves
-    nothing beyond the horizon.
+    h_k is sampled once on the grid (from decreasing_from on).  A source with
+    an ``upper`` bound also has it checked against u_k (kind ``upper``).
+    Returns every finding in index order (empty list when clean).  A clean
+    result proves nothing beyond the horizon.
     """
     if horizon < 1:
         raise PreconditionViolated("horizon must be >= 1")
@@ -378,6 +415,10 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
                     )
                     break
         prev = None
+        if source.upper is not None:
+            up = source.upper(k)
+            if exceeds_certificate(u_k, up):
+                findings.append(EnvelopeFinding(k, "upper", f"u_k={u_k!r} > upper(k)={up!r}"))
         if not 0.0 < b < 1.0:
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
             continue

@@ -182,17 +182,22 @@ def _jacobi(a: list[list[float]]) -> tuple[float, float]:
 
 
 def cholesky_lower(m: Matrix) -> list[list[float]] | None:
-    """Lower Cholesky factor of m, or None when a pivot falls below
-    1e-12 * trace (the numerical cutoff standing in for strict positivity)."""
-    d = m.dim
-    trace = sum(m.rows[i][i] for i in range(d))
-    floor = PIVOT_RTOL * max(trace, 0.0)
+    """Lower Cholesky factor of m, or None when pivot i falls to
+    PIVOT_RTOL * |m_ii| or below (the numerical cutoff standing in for
+    strict positivity, relative to the scale the pivot's entry was formed at)."""
+    return _cholesky(m.rows, [abs(m.rows[i][i]) for i in range(m.dim)])
+
+
+def _cholesky(rows, scales) -> list[list[float]] | None:
+    """Lower Cholesky factor of the symmetric row tuples, or None when pivot
+    i falls to PIVOT_RTOL * scales[i] or below."""
+    d = len(rows)
     lower = [[0.0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1):
-            acc = m.rows[i][j] - sum(lower[i][t] * lower[j][t] for t in range(j))
+            acc = rows[i][j] - sum(lower[i][t] * lower[j][t] for t in range(j))
             if i == j:
-                if acc <= floor:
+                if acc <= PIVOT_RTOL * scales[i]:
                     return None
                 lower[i][j] = math.sqrt(acc)
             else:
@@ -212,14 +217,20 @@ def _forward_solve(lower: list[list[float]], b) -> list[list[float]]:
 
 
 def is_lyapunov(a: Matrix, p: Matrix) -> bool:
-    """True iff P > 0 and P - A^T P A > 0 (both via Cholesky)."""
+    """True iff P > 0 and P - A^T P A > 0 (both via Cholesky).
+
+    A pivot of the residual is compared with P_ii + (A^T P A)_ii, the scale
+    its diagonal entry was formed at: as lambda -> 1 the residual's pivots
+    are many orders below P's largest entry and still exact to rounding.
+    """
     if a.dim != p.dim:
         raise PreconditionViolated("dimension mismatch")
     if cholesky_lower(p) is None:
         return False
     m = _product(zip(*a.rows), _product(p.rows, a.rows))
     residual = [[x - y for x, y in zip(rp, rm)] for rp, rm in zip(p.rows, m)]
-    return cholesky_lower(_symmetrize(residual)) is not None
+    scales = [abs(p.rows[i][i]) + abs(m[i][i]) for i in range(a.dim)]
+    return _cholesky(_symmetrize(residual).rows, scales) is not None
 
 
 def op_norm_sq(a: Matrix, p: Matrix) -> float:
@@ -290,13 +301,16 @@ def power_norm_source(a: Matrix) -> TermSource:
 
     A^k = A^(k-1) A is stepped from the last power the source computed, so
     an in-order scan pays one row product, half a Gram and one Jacobi solve
-    per term.
+    per term.  Its upper bound is ||A^k||_F^2, d^2 multiplies on the same
+    cursor: a term that solve screens out pays the row product and those
+    multiplies, and an eval at the same k reuses the power.
     """
     rows = a.rows
     power = _cursor(Matrix.identity(a.dim).rows, lambda pw: _product(pw, rows))
     return TermSource(
         eval=lambda k: _norm_sq(power(k)) if k else 1.0,
         description=f"||A^k||_2^2, d={a.dim}",
+        upper=lambda k: sum(sum(map(mul, r, r)) for r in power(k)) if k else 1.0,
     )
 
 

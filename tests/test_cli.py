@@ -206,6 +206,32 @@ class TestReportLayout:
             '"trace": null, "elapsed_seconds": T}\n'
         )
 
+    def test_generic_trace_bytes(self, capsys):
+        # The trace lists every term exactly: u_4..u_7 would be screened without it.
+        code, out, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--generic", "--trace",
+                           "--tie", "max")
+        assert code == 0
+        terms = [
+            (0, "1", "14.156486566800192", 14),
+            (1, "1.9638878188659974", "10.084650000672118", 10),
+            (2, "2.84765625", "7.8429628853836331", 7),
+            (3, "3.1936948785130337", "7.151083734269621", 7),
+            (4, "3.0445901441251171", "null", 7),
+            (5, "2.6142368508331701", "null", 7),
+            (6, "2.0901591786307692", "null", 7),
+            (7, "1.5875771679851494", "null", 7),
+        ]
+        trace = ", ".join(f'{{"k": {k}, "u_k": {u}, "bound": {b}, "K": {K}}}' for k, u, b, K in terms)
+        assert mask_elapsed(out) == (
+            '{"command": "solve linsys --lam 0.75 --generic --trace --tie max", "adapter": "linsys", '
+            '"parameters": {"lambda": 0.75, "d": 2, "q": null, "generic": true}, '
+            '"solution": {"sup_value": 3.1936948785130337, "argmax_min": 3, "truncation_index": 7, '
+            '"terms_evaluated": 8, "argmax_max_requested": true}, '
+            f'"trace": [{trace}], "elapsed_seconds": T}}\n'
+        )
+        code, plain, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--generic", "--tie", "max")
+        assert json.loads(plain)["solution"] == json.loads(out)["solution"]
+
     def test_solve_text_layout(self, capsys):
         code, out, _ = run(capsys, "solve", "factorial", "--a", "3", "--trace", "--format", "text")
         assert code == 0
@@ -403,6 +429,13 @@ class TestValidateCommand:
             "--n0", "5", "--a", "10", "--b", "0.9", "--c", "4", "--horizon", "20",
         )
         assert code == 2
+
+    def test_linsys_certifies_lambda_near_one(self, capsys):
+        # Before the pivots were scaled per entry this certificate exited 2 (NotLyapunov).
+        code, out, err = run(capsys, "validate", "linsys", "--lam", "0.9999995", "--generic",
+                             "--horizon", "50")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["clean"] is True
 
     def test_fibonacci_clean(self, capsys):
         code, out, _ = run(capsys, "validate", "fibonacci", "--u0", "0", "--u1", "1")

@@ -6,6 +6,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from peakseq import (
     Envelope,
@@ -289,6 +291,174 @@ class TestOnePass:
         assert peak < 256 * 1024
 
 
+def _unit_upper_inverse(t):
+    """Inverse of a unit upper-triangular matrix by back substitution."""
+    d = len(t)
+    inv = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    for j in range(d):
+        for i in range(j - 1, -1, -1):
+            inv[i][j] = -sum(t[i][m] * inv[m][j] for m in range(i + 1, j + 1))
+    return inv
+
+
+@st.composite
+def stable_systems(draw):
+    """(A, P) with A = T B T^-1, ||B||_2 < 1 and P = T^-T T^-1, so that
+    P - A^T P A = T^-T (I - B^T B) T^-1 > 0.  T = I is the P = I case; a
+    unit upper-triangular T gives transient growth and a peak past k = 0.
+    B is rank 1 in half the cases, where ||M||_F = ||M||_2 for every power
+    and screening rests on its rounding margin alone."""
+    d = draw(st.integers(1, 5))
+    entry = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(d)]
+        y = [draw(entry) for _ in range(d)]
+        b = [[xi * yj for yj in y] for xi in x]
+    else:
+        b = [[draw(entry) for _ in range(d)] for _ in range(d)]
+    norm = math.sqrt(linsys._norm_sq(tuple(map(tuple, b))))
+    assume(norm > 1e-3)
+    r = draw(st.floats(0.1, 0.9)) / norm
+    b = [[r * x for x in row] for row in b]
+    t = [[1.0 if i == j else draw(st.floats(-3.0, 3.0)) if j > i else 0.0 for j in range(d)]
+         for i in range(d)]
+    t_inv = _unit_upper_inverse(t)
+    a = linsys.Matrix(linsys._product(linsys._product(t, b), t_inv))
+    p = linsys.Matrix(linsys._product(list(zip(*t_inv)), t_inv))
+    assume(linsys.is_lyapunov(a, p))
+    return a, p
+
+
+def _ulps_below(u, n):
+    for _ in range(n):
+        u = math.nextafter(u, -math.inf)
+    return u
+
+
+@st.composite
+def screened_sequences(draw):
+    """(term, upper, envelope): a few values in [0.5, 1] (ties likely) then
+    zeros, under h(t) = 2t with beta = 0.5^(1/n).  Each upper bound adds a
+    random nonnegative slack, or none, or falls a few ulp short of its term
+    as rounding can."""
+    n = draw(st.integers(1, 30))
+    pool = draw(st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4))
+    terms = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    slack = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(1, 4).map(lambda j: -j))
+    slacks = draw(st.lists(slack, min_size=1, max_size=2 * n + 2))
+
+    def term(k):
+        return terms[k] if k < n else 0.0
+
+    def upper(k):
+        u, s = term(k), slacks[k % len(slacks)]
+        return _ulps_below(u, -s) if isinstance(s, int) else u + s
+
+    mono = draw(st.sampled_from([Monotonicity.constant(), Monotonicity.decreasing()]))
+    env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5 ** (1.0 / n), mono=mono)
+    return term, upper, env
+
+
+def same_solution(screened, plain):
+    assert screened == plain
+    assert screened.sup_value.hex() == plain.sup_value.hex()
+
+
+class TestScreening:
+    """solve with an ``upper`` bound returns the bits of the full scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(screened_sequences(), st.sampled_from(list(Tie)))
+    def test_sequences(self, case, tie):
+        term, upper, env = case
+        plain = solve(TermSource(eval=term), env, tie=tie)
+        same_solution(solve(TermSource(eval=term, upper=upper), env, tie=tie), plain)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stable_systems(), st.sampled_from(list(Tie)))
+    def test_stable_matrices(self, system, tie):
+        a, p = system
+        env = linsys.envelope_from_certificate(a, p)
+        source = linsys.power_norm_source(a)
+        screened = solve(source, env, tie=tie)
+        same_solution(screened, solve(TermSource(eval=linsys.power_norm_source(a).eval), env, tie=tie))
+        best, first, last = brute_force_peak(linsys.power_norm_source(a), screened.truncation_index)
+        assert screened.sup_value == best
+        assert screened.argmax_min == (last if tie is Tie.MAX_ARGMAX else first)
+
+    def test_equal_term_is_evaluated(self):
+        # A = [[0, 1], [0, 0]] under P = diag(1, 4): u_0 = u_1 = 1 = ||A||_F^2
+        # = h(beta) (slope 4, beta 1/4), and only the exact u_1 makes 1 the
+        # last maximizer.
+        a = linsys.Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]])
+        env = linsys.envelope_from_certificate(a, linsys.Matrix.diagonal([1.0, 4.0]))
+        sol = solve(linsys.power_norm_source(a), env, tie=Tie.MAX_ARGMAX)
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.0, 1, 1)
+
+    def test_rank_one_term_an_ulp_above_its_frobenius_norm(self):
+        # A = x y^T with y^T x = 0 and ||x|| ||y|| = 1, certified by P = I + A^T A:
+        # ||A||_F^2 rounds one ulp below the exact term u_1 = 1 = u_0.
+        a = linsys.Matrix.from_rows([[0.4981285086581059, 0.5432202367190563],
+                                     [-0.4567797632809437, -0.498128508658106]])
+        ata = linsys._product(list(zip(*a.rows)), a.rows)
+        p = linsys.Matrix.from_rows([[(i == j) + ata[i][j] for j in range(2)] for i in range(2)])
+        env = linsys.envelope_from_certificate(a, p)
+        source = linsys.power_norm_source(a)
+        assert source.upper(1) < source.eval(1) == 1.0
+        sol = solve(source, env, tie=Tie.MAX_ARGMAX)
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.0, 1, 1)
+
+    def test_tie_an_ulp_under_its_upper_bound_is_evaluated(self):
+        # The upper bound of u_2 rounds one ulp below the running max it ties.
+        terms = [0.5, 0.75, 0.75, 0.25]
+        env = constant_env(affine_fn(2.0, 0.0), 0.5 ** (1.0 / 3))
+        src = TermSource(eval=lambda k: terms[k] if k < 4 else 0.0,
+                         upper=lambda k: math.nextafter(0.75, 0.0) if k == 2 else 1.0)
+        sol = solve(src, env, tie=Tie.MAX_ARGMAX)
+        assert (sol.sup_value, sol.argmax_min) == (0.75, 2)
+
+    def test_screened_terms_are_not_evaluated(self):
+        terms = [1.0, 0.5, 0.25, 0.125]
+        evaluated = []
+
+        def eval(k):
+            evaluated.append(k)
+            return terms[k] if k < 4 else 0.0
+
+        src = TermSource(eval=eval, upper=lambda k: terms[k] if k < 4 else 0.0)
+        sol = solve(src, constant_env(affine_fn(2.0, 0.0), 0.5 ** (1.0 / 3)))
+        assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (0, 3, 4)
+        assert evaluated == [0]
+
+    def test_no_screening_above_the_certificate(self):
+        # h_k(t) = 8t up to k = 1, then 0.4t: K = 3 from u_0 = 1.  The bound
+        # 0.09 undercuts the max everywhere but exceeds h_3(0.5^3) = 0.05.
+        evaluated = []
+
+        def eval(k):
+            evaluated.append(k)
+            return 1.0 if k == 0 else 0.0
+
+        fns = (affine_fn(8.0, 0.0), affine_fn(0.4, 0.0))
+        env = Envelope(h=lambda k: fns[k >= 2], beta=lambda k: 0.5, mono=Monotonicity(0, 2))
+        sol = solve(TermSource(eval=eval, upper=lambda k: 0.09), env)
+        assert sol.terms_evaluated == 4
+        assert evaluated == [0, 3]
+
+    @pytest.mark.parametrize("mode", ["decreasing", "on_step"])
+    def test_upper_unused(self, mode):
+        calls = []
+        ad = FactorialRatioAdapter(20)
+        src = TermSource(eval=ad.source.eval, upper=lambda k: calls.append(k) or 0.0)
+        if mode == "decreasing":
+            env = Envelope(h=ad.const_env.h, beta=ad.const_env.beta, mono=Monotonicity.decreasing())
+            sol = solve(src, env)
+        else:
+            sol = solve(src, ad.const_env, on_step=lambda *step: None)
+        assert sol.argmax_min == 19
+        assert calls == []
+
+
 class TestBruteForce:
     def test_constant(self):
         src = TermSource(eval=lambda k: 1.0, description="ones")
@@ -442,6 +612,23 @@ class TestValidateEnvelope:
         assert validate_envelope(source, wrapped, horizon) == []
         assert calls["u"] == calls["h"] == calls["beta"] == horizon + 1
         assert max(calls[("h_k", k)] for k in range(horizon + 1)) <= len(_SAMPLE_GRID) + 1
+
+    def test_upper_below_the_term_is_caught(self):
+        # upper(k) = u_k except at k = 1 (far below) and k = 3 (one part in 1e9
+        # below, beyond the roundoff slack); k = 2 sits 1 ulp low, within it.
+        terms = [1.0, 0.9, 0.8, 0.7, 0.6]
+        uppers = [1.0, 0.5, math.nextafter(0.8, 0.0), 0.7 * (1 - 1e-9), 0.6]
+        source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity.constant(), terms)
+        low = TermSource(eval=source.eval, upper=lambda k: uppers[k])
+        findings = validate_envelope(low, env, 4)
+        assert [(f.k, f.kind) for f in findings] == [(1, "upper"), (3, "upper")]
+        assert findings[0].detail == "u_k=0.9 > upper(k)=0.5"
+
+    @pytest.mark.parametrize("lam,d", [(0.9, 2), (0.99, 3), (0.999, 5)])
+    def test_power_norm_upper_is_clean(self, lam, d):
+        a = linsys.a_lambda(lam, d)
+        env = linsys.envelope_from_certificate(a, linsys.p_q(lam, d))
+        assert validate_envelope(linsys.power_norm_source(a), env, 300) == []
 
     def test_memory_does_not_grow_with_horizon(self):
         ad = FactorialRatioAdapter(30)

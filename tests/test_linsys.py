@@ -16,6 +16,7 @@ from peakseq.linsys import (
     NotPositiveDefinite,
     NotSymmetric,
     QTooSmall,
+    TABLE_LAMBDAS,
     a_lambda,
     a_lambda_norm_sq_closed,
     a_lambda_op_norm_sq_closed,
@@ -116,6 +117,30 @@ class TestCholeskyAndLyapunov:
 
     def test_cholesky_rejects_indefinite(self):
         assert cholesky_lower(Matrix.from_rows([[1.0, 2.0], [2.0, 1.0]])) is None
+
+    def test_cholesky_rejects_negative_and_zero_pivots(self):
+        assert cholesky_lower(Matrix.diagonal([1.0, -1.0])) is None
+        assert cholesky_lower(Matrix.diagonal([1.0, 0.0])) is None
+
+    def test_cholesky_pivot_scale_is_its_own_diagonal(self):
+        # A trace-wide floor (1e-12 * 1e12) would reject the unit pivot.
+        lower = cholesky_lower(Matrix.diagonal([1e12, 1.0]))
+        assert lower == [[1e6, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("lam", [0.9999995, 0.99999999, 0.9999999999])
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_certificate_as_lambda_tends_to_one(self, lam, d):
+        # P_q = diag(1, .., 2e12 and up): the residual's pivots sit near 1 - lambda^2
+        # and 1/(1 - lambda^2), far apart but both exact to rounding.
+        a, p = a_lambda(lam, d), p_q(lam, d)
+        assert is_lyapunov(a, p)
+        closed = a_lambda_op_norm_sq_closed(lam, p.rows[-1][-1])
+        assert abs(lyapunov_certificate(a, p).beta - closed) <= 2 * math.ulp(closed)
+
+    def test_published_rows_still_certify(self):
+        for lam in TABLE_LAMBDAS:
+            for d in range(2, 7):
+                assert is_lyapunov(a_lambda(lam, d), p_q(lam, d))
 
 
 class TestOpNormSq:

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from peakseq import linsys
+from peakseq import linsys, solve
 from peakseq.sequences import (
     U128_MAX,
     FibonacciRatioAdapter,
@@ -136,6 +136,38 @@ class TestInOrderCost:
         for k in range(N + 1):
             source.eval(k)
         assert len(calls) == N
+
+    def counted_solve(self, monkeypatch, **kwargs):
+        """solve on ||A^k||^2 for a_lambda(0.9, 3): (solution, _product calls, _norm_sq calls)."""
+        a = linsys.a_lambda(0.9, 3)
+        env = linsys.envelope_from_certificate(a, linsys.p_q(0.9, 3))
+        calls = {"_product": 0, "_norm_sq": 0}
+
+        def counting(name):
+            inner = getattr(linsys, name)
+
+            def wrapped(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(linsys, name, counting(name))
+        sol = solve(linsys.power_norm_source(a), env, **kwargs)
+        return sol, calls["_product"], calls["_norm_sq"]
+
+    def test_solve_screens_past_the_eigensolve(self, monkeypatch):
+        # One product per index past 0, screened or not; the Gram and Jacobi
+        # only for the terms that could reach the running max.
+        sol, products, norms = self.counted_solve(monkeypatch)
+        assert products == sol.terms_evaluated - 1
+        assert norms < sol.terms_evaluated - 1
+
+    def test_solve_with_on_step_evaluates_every_term(self, monkeypatch):
+        steps = []
+        sol, products, norms = self.counted_solve(monkeypatch, on_step=lambda *s: steps.append(s))
+        assert products == norms == sol.terms_evaluated - 1 == len(steps) - 1
 
     def test_power_norm_of_a_scalar(self):
         source = linsys.power_norm_source(linsys.Matrix.from_rows([[0.5]]))
