@@ -42,6 +42,11 @@ def affine_fn(a: float, c: float) -> EnvelopeFn:
     """The envelope function x -> a*x + c on [0, 1] with its exact inverse."""
     if a <= 0.0:
         raise PreconditionViolated("affine scale must be positive")
+    if c == 0.0 and type(a) is float:
+        # x -> a*x through the float's own methods, without two closures:
+        # families built per index (the factorial and linear-system ones)
+        # make one of these for every index they scan.
+        return EnvelopeFn(eval=a.__mul__, inverse=a.__rtruediv__, lo=0.0, hi=a)
     return EnvelopeFn(
         eval=lambda x: a * x + c,
         inverse=lambda y: (y - c) / a,

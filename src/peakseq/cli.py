@@ -70,8 +70,11 @@ def _logistic(args):
 
 def _linsys(args):
     matrix = linsys.a_lambda(args.lam, args.d)
-    env = linsys.envelope_from_certificate(matrix, linsys.p_q(args.lam, args.d, args.q))
-    source = linsys.a_lambda_source(args.lam, args.d, generic=args.generic)
+    system = linsys.LinearSystem(matrix, linsys.p_q(args.lam, args.d, args.q))
+    if args.generic:
+        source, env = system.source, system.env
+    else:
+        source, env = linsys.a_lambda_source(args.lam, args.d), system.const_env
     return source, env, {"lambda": args.lam, "d": args.d, "q": args.q, "generic": args.generic}
 
 
@@ -101,7 +104,8 @@ _ADAPTERS = {
          (("--d",), {"type": int, "default": 2}),
          (("--q",), {"type": float, "default": None}),
          (("--generic",), {"action": "store_true",
-                           "help": "use the generic matrix-power kernel instead of the closed form"})],
+                           "help": "use the generic matrix-power kernel and the anchored envelope "
+                                   "instead of the closed form"})],
         50, _linsys),
 }
 

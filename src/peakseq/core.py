@@ -87,8 +87,11 @@ class TermSource:
     ``upper``, when set, is a cheaper certified bound with upper(k) >= eval(k)
     for every k, up to roundoff of relative size MEMBERSHIP_RTOL; it is pure
     in the same sense.  It is trusted like an envelope and checked by
-    :func:`validate_envelope`; :func:`solve` uses it to skip terms that
-    cannot reach the running max.
+    :func:`validate_envelope`.  :func:`solve` uses it, in every monotonicity
+    mode once a truncation bound exists and with no ``on_step``, to skip
+    terms that cannot reach the running max; a skipped index still gets its
+    bound, which in non-constant mode is taken at the running max and
+    computed only where it can end the scan.
     """
 
     eval: Callable[[int], float]
@@ -236,8 +239,10 @@ def exceeds_certificate(u: float, cert: float) -> bool:
     return u > cert + MEMBERSHIP_RTOL * max(1.0, abs(u))
 
 
-def argmax_bound(k: int, u_k: float, env: Envelope) -> UpperBoundValue:
+def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None) -> UpperBoundValue:
     """Convert the term value u_k into an index bound through the envelope at k.
+
+    ``fn`` is h_k when the caller has already built it; env.h(k) otherwise.
 
     Returns the infinite branch when u_k <= h_k(0) (the strict inequality
     is exact, no epsilon).  Raises :class:`EnvelopeViolation` when u_k
@@ -245,7 +250,8 @@ def argmax_bound(k: int, u_k: float, env: Envelope) -> UpperBoundValue:
     assumed, not trusted.  A beta_k outside (0, 1) raises
     :class:`PreconditionViolated`.
     """
-    fn = env.h(k)
+    if fn is None:
+        fn = env.h(k)
     b = env.beta(k)
     if not 0.0 < b < 1.0:
         raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
@@ -293,32 +299,44 @@ def solve(
     """Compute sup u and a maximizer in finite time from a certified envelope.
 
     One pass in O(1) state: each term is evaluated at most once, and not at
-    all when its upper bound cannot reach the running max.  With a
-    constant-from index the truncation bound is recomputed only when the
-    running maximum improves (it can only shrink along new maxima there);
-    otherwise it is intersected at every index k >= decreasing_from with
-    u_k > h_k(0).  The scan below decreasing_from only compares terms.
+    all when its upper bound cannot reach the running max.  The scan below
+    decreasing_from only compares terms.  From there on:
 
-    Screening: in constant mode, once a truncation bound exists and with no
-    ``on_step``, a term whose ``source.upper(k)`` is finite, lies below the
+    - With a constant-from index the index bound is taken at u_k, and only
+      while no bound exists, when the running max improves (the bound can
+      only shrink along new maxima there) or when u_k <= h_k(0).
+    - Otherwise it is taken at the running max vmax: every later maximizer
+      j has u_j >= vmax, so j is bounded through h_k as well as through
+      u_k, and tighter.  Every evaluated term is checked against
+      h_k(beta_k^k) instead.  The bound is computed only while none exists
+      and where vmax > h_k(beta_k^(k+1)): the bound at vmax falls below
+      k + 1 exactly there, so these are the only indices where it can end
+      the scan.
+
+    A bound below k is clamped to k, whose prefix is already scanned, so
+    ``truncation_index`` is at least the argmax and ``terms_evaluated`` is
+    ``truncation_index + 1``.
+
+    Screening, in every mode once a truncation bound exists and with no
+    ``on_step``: a term whose ``source.upper(k)`` is finite, lies below the
     running max by more than SCREEN_RTOL relative and at most at
     h_k(beta_k^k) is skipped.  Such a term can neither improve nor tie the
-    max, nor move the bound, so the result is the one of the full scan.
-    Equal terms are always evaluated.
+    max; a bound at it is taken from vmax, which it cannot move, or not at
+    all.  So the result is the one of the full scan.  Equal terms are always
+    evaluated.
 
     The reported supremum and maximizer cover the whole scanned prefix
     u_0..u_K; a non-finite term raises :class:`PreconditionViolated`.
     ``terms_evaluated`` counts the indices scanned, K + 1, screened ones
     included.  ``on_step`` receives (k, u_k, bound, running K) once per
     term; the bound argument is None when it was not needed at that index
-    and the infinite variant when u_k <= h_k(0).
+    and the infinite variant when it carries no information.
     """
     m = env.mono.decreasing_from
     constant_mode = env.mono.constant_from is not None
     max_tie = tie is Tie.MAX_ARGMAX
-    # In non-constant mode the bound is intersected at every index, so a
-    # skipped term could loosen K; a trace must see every exact term.
-    upper = source.upper if constant_mode and on_step is None else None
+    # A trace must see every exact term.
+    upper = source.upper if on_step is None else None
 
     trunc: int | None = None
     vmax = -math.inf
@@ -330,30 +348,61 @@ def solve(
                 f"no index in [{m}, {m + scan_limit}] has u_k > h_k(0); "
                 "increase the scan limit only if the envelope is known useful"
             )
-        if upper is not None and trunc is not None:
-            ub = upper(k)
-            if math.isfinite(ub) and ub < vmax - SCREEN_RTOL * abs(vmax):
-                b = env.beta(k)
-                if 0.0 < b < 1.0 and ub <= env.h(k).eval(b**k):
-                    k += 1
-                    continue
-        u_k = source.eval(k)
-        if not math.isfinite(u_k):
-            raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
-        improved = u_k > vmax or (max_tie and u_k == vmax)
         bound: UpperBoundValue | None = None
-        # In constant mode a fresh bound is needed when the running max
-        # improves, and also while no bound exists yet (the pre-m prefix may
-        # dominate forever); an uninformative term still reports infinite.
-        if k >= m and (not constant_mode or trunc is None or improved or u_k <= env.h(k).lo):
-            bound = argmax_bound(k, u_k, env)
-            if bound.is_finite:
-                step = math.floor(bound.value + FLOOR_GUARD)
-                trunc = step if trunc is None else min(trunc, step)
-        if u_k > vmax:
-            vmax, first, last = u_k, k, k
-        elif u_k == vmax:
-            last = k
+        if constant_mode or k < m:
+            if upper is not None and trunc is not None:
+                ub = upper(k)
+                if math.isfinite(ub) and ub < vmax - SCREEN_RTOL * abs(vmax):
+                    b = env.beta(k)
+                    if 0.0 < b < 1.0 and ub <= env.h(k).eval(b**k):
+                        k += 1
+                        continue
+            u_k = source.eval(k)
+            if not math.isfinite(u_k):
+                raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
+            # A fresh bound is needed when the running max improves, and also
+            # while no bound exists yet (the pre-m prefix may dominate
+            # forever); an uninformative term still reports infinite.
+            if k >= m and (trunc is None or u_k > vmax or (max_tie and u_k == vmax)
+                           or u_k <= env.h(k).lo):
+                bound = argmax_bound(k, u_k, env)
+                if bound.is_finite:
+                    step = math.floor(bound.value + FLOOR_GUARD)
+                    if step < k:
+                        step = k
+                    trunc = step if trunc is None else min(trunc, step)
+            if u_k > vmax:
+                vmax, first, last = u_k, k, k
+            elif u_k == vmax:
+                last = k
+        else:
+            fn = env.h(k)
+            b = env.beta(k)
+            if not 0.0 < b < 1.0:
+                raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
+            bk = b**k
+            cert = fn.eval(bk)
+            ub = upper(k) if upper is not None and trunc is not None else math.inf
+            if math.isfinite(ub) and ub < vmax - SCREEN_RTOL * abs(vmax) and ub <= cert:
+                u_k = None
+            else:
+                u_k = source.eval(k)
+                if not math.isfinite(u_k):
+                    raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
+                if exceeds_certificate(u_k, cert):
+                    raise EnvelopeViolation(k, u_k, cert)
+                if u_k > vmax:
+                    vmax, first, last = u_k, k, k
+                elif u_k == vmax:
+                    last = k
+            if trunc is None or vmax > fn.eval(bk * b):
+                # min: above h_k(beta_k^k) the bound is below k either way.
+                bound = argmax_bound(k, min(vmax, cert), env, fn)
+                if bound.is_finite:
+                    step = math.floor(bound.value + FLOOR_GUARD)
+                    if step < k:
+                        step = k
+                    trunc = step if trunc is None else min(trunc, step)
         if on_step is not None:
             on_step(k, u_k, bound, trunc)
         k += 1

@@ -207,26 +207,26 @@ class TestReportLayout:
         )
 
     def test_generic_trace_bytes(self, capsys):
-        # The trace lists every term exactly: u_4..u_7 would be screened without it.
+        # The trace lists every term exactly, none screened.  The anchored
+        # family needs a bound at k = 0 and then only at k = 5, where
+        # beta * w_5 falls below the running max and the scan ends.
         code, out, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--generic", "--trace",
                            "--tie", "max")
         assert code == 0
         terms = [
-            (0, "1", "14.156486566800192", 14),
-            (1, "1.9638878188659974", "10.084650000672118", 10),
-            (2, "2.84765625", "7.8429628853836331", 7),
-            (3, "3.1936948785130337", "7.151083734269621", 7),
-            (4, "3.0445901441251171", "null", 7),
-            (5, "2.6142368508331701", "null", 7),
-            (6, "2.0901591786307692", "null", 7),
-            (7, "1.5875771679851494", "null", 7),
+            (0, "1", "14.707881338191539", 14),
+            (1, "1.9638878188659974", "null", 14),
+            (2, "2.84765625", "null", 14),
+            (3, "3.1936948785130337", "null", 14),
+            (4, "3.0445901441251171", "null", 14),
+            (5, "2.6142368508331701", "5", 5),
         ]
         trace = ", ".join(f'{{"k": {k}, "u_k": {u}, "bound": {b}, "K": {K}}}' for k, u, b, K in terms)
         assert mask_elapsed(out) == (
             '{"command": "solve linsys --lam 0.75 --generic --trace --tie max", "adapter": "linsys", '
             '"parameters": {"lambda": 0.75, "d": 2, "q": null, "generic": true}, '
-            '"solution": {"sup_value": 3.1936948785130337, "argmax_min": 3, "truncation_index": 7, '
-            '"terms_evaluated": 8, "argmax_max_requested": true}, '
+            '"solution": {"sup_value": 3.1936948785130337, "argmax_min": 3, "truncation_index": 5, '
+            '"terms_evaluated": 6, "argmax_max_requested": true}, '
             f'"trace": [{trace}], "elapsed_seconds": T}}\n'
         )
         code, plain, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--generic", "--tie", "max")
@@ -436,6 +436,16 @@ class TestValidateCommand:
                              "--horizon", "50")
         assert (code, err) == (0, "")
         assert json.loads(out)["clean"] is True
+
+    @pytest.mark.parametrize("lam", ["0.5", "0.1"])
+    def test_linsys_generic_past_underflow(self, capsys, lam):
+        # beta^k and A^k underflow long before k = 3000; the anchored family
+        # keeps a positive, finite scale that does not grow.
+        code, out, err = run(capsys, "validate", "linsys", "--lam", lam, "--generic",
+                             "--horizon", "3000")
+        assert (code, err) == (0, "")
+        assert '"clean": true' in out
+        assert json.loads(out)["finding_count"] == 0
 
     def test_fibonacci_clean(self, capsys):
         code, out, _ = run(capsys, "validate", "fibonacci", "--u0", "0", "--u1", "1")

@@ -25,7 +25,8 @@ from peakseq import (
     truncation_from,
     validate_envelope,
 )
-from peakseq.algebra import affine_fn
+from peakseq.algebra import affine_fn, env_min, promote_to_decreasing
+from peakseq import core
 from peakseq.core import _SAMPLE_GRID
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
 from peakseq import linsys
@@ -302,21 +303,29 @@ def _unit_upper_inverse(t):
 
 
 @st.composite
-def stable_systems(draw):
+def stable_systems(draw, isometric=False):
     """(A, P) with A = T B T^-1, ||B||_2 < 1 and P = T^-T T^-1, so that
     P - A^T P A = T^-T (I - B^T B) T^-1 > 0.  T = I is the P = I case; a
     unit upper-triangular T gives transient growth and a peak past k = 0.
     B is rank 1 in half the cases, where ||M||_F = ||M||_2 for every power
-    and screening rests on its rounding margin alone."""
+    and screening rests on its rounding margin alone.  With ``isometric``,
+    B = r H for a Householder reflection H: then (B^k)^T B^k = r^2k I, so
+    ||A||_P^2 = r^2 and tr((A^k)^T P A^k) = r^2k tr(P) decay at exactly the
+    certified ratio."""
     d = draw(st.integers(1, 5))
     entry = st.floats(-1.0, 1.0)
-    if draw(st.booleans()):
+    if isometric:
+        v = [draw(entry) for _ in range(d)]
+        vv = sum(x * x for x in v)
+        assume(vv > 1e-3)
+        b = [[(i == j) - 2.0 * v[i] * v[j] / vv for j in range(d)] for i in range(d)]
+    elif draw(st.booleans()):
         x = [draw(entry) for _ in range(d)]
         y = [draw(entry) for _ in range(d)]
         b = [[xi * yj for yj in y] for xi in x]
     else:
         b = [[draw(entry) for _ in range(d)] for _ in range(d)]
-    norm = math.sqrt(linsys._norm_sq(tuple(map(tuple, b))))
+    norm = 1.0 if isometric else math.sqrt(linsys._norm_sq(tuple(map(tuple, b))))
     assume(norm > 1e-3)
     r = draw(st.floats(0.1, 0.9)) / norm
     b = [[r * x for x in row] for row in b]
@@ -335,14 +344,11 @@ def _ulps_below(u, n):
     return u
 
 
-@st.composite
-def screened_sequences(draw):
-    """(term, upper, envelope): a few values in [0.5, 1] (ties likely) then
-    zeros, under h(t) = 2t with beta = 0.5^(1/n).  Each upper bound adds a
-    random nonnegative slack, or none, or falls a few ulp short of its term
-    as rounding can."""
-    n = draw(st.integers(1, 30))
-    pool = draw(st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4))
+def listed_terms(draw, n, lo):
+    """(term, upper): n values in [lo, 1] from a pool of at most four (ties
+    likely), then zeros.  Each upper bound adds a random nonnegative slack,
+    or none, or falls a few ulp short of its term as rounding can."""
+    pool = draw(st.lists(st.floats(lo, 1.0), min_size=1, max_size=4))
     terms = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     slack = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(1, 4).map(lambda j: -j))
     slacks = draw(st.lists(slack, min_size=1, max_size=2 * n + 2))
@@ -354,9 +360,50 @@ def screened_sequences(draw):
         u, s = term(k), slacks[k % len(slacks)]
         return _ulps_below(u, -s) if isinstance(s, int) else u + s
 
+    return term, upper
+
+
+@st.composite
+def screened_sequences(draw):
+    """(term, upper, envelope): ``listed_terms`` from 0.5 under h(t) = 2t
+    with beta = 0.5^(1/n), constant or declared decreasing."""
+    n = draw(st.integers(1, 30))
+    term, upper = listed_terms(draw, n, 0.5)
     mono = draw(st.sampled_from([Monotonicity.constant(), Monotonicity.decreasing()]))
     env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5 ** (1.0 / n), mono=mono)
     return term, upper, env
+
+
+@st.composite
+def decreasing_families(draw):
+    """(term, upper, envelope, n): ``listed_terms`` from 0.3 under a valid
+    family that decreases from a random m.
+
+    From m on, h_k(t) = (2 + D/(k+1)) t + C/(k+1) and beta_k = b + (1-b) E/(k+2)
+    with b = 0.5^(1/n), so h_k(beta_k^k) >= 2 b^k >= 1 on every k <= n; below
+    m slopes and ratios are random but as large.  The family is used as is,
+    promoted to a decreasing one, or met with a constant envelope."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.integers(0, 5))
+    term, upper = listed_terms(draw, n, 0.3)
+    big, off, fast = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 0.25)), draw(st.floats(0.0, 0.9))
+    bumps = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+    base = 0.5 ** (1.0 / n)
+
+    def h(k):
+        bump = bumps[k] if k < m else 0.0
+        return affine_fn(2.0 + big / (k + 1) + bump, off / (k + 1))
+
+    def beta(k):
+        return base + (1.0 - base) * (0.99 if k < m and bumps[k] > 1.5 else fast / (k + 2))
+
+    env = Envelope(h=h, beta=beta, mono=Monotonicity.eventually_decreasing(m))
+    combine = draw(st.sampled_from(["plain", "promote", "env_min"]))
+    if combine == "promote":
+        env = promote_to_decreasing(env)
+    elif combine == "env_min":
+        env = env_min([env, constant_env(affine_fn(2.0, 0.0), base)])
+    return term, upper, env, n
 
 
 def same_solution(screened, plain):
@@ -445,18 +492,95 @@ class TestScreening:
         assert sol.terms_evaluated == 4
         assert evaluated == [0, 3]
 
-    @pytest.mark.parametrize("mode", ["decreasing", "on_step"])
+    @pytest.mark.parametrize("mode", ["on_step"])
     def test_upper_unused(self, mode):
         calls = []
         ad = FactorialRatioAdapter(20)
         src = TermSource(eval=ad.source.eval, upper=lambda k: calls.append(k) or 0.0)
-        if mode == "decreasing":
-            env = Envelope(h=ad.const_env.h, beta=ad.const_env.beta, mono=Monotonicity.decreasing())
-            sol = solve(src, env)
-        else:
-            sol = solve(src, ad.const_env, on_step=lambda *step: None)
+        sol = solve(src, ad.const_env, on_step=lambda *step: None)
         assert sol.argmax_min == 19
         assert calls == []
+
+
+def solve_four_ways(term, upper, env, tie):
+    """solve with and without ``upper`` and a no-op ``on_step``; all four agree."""
+    runs = [solve(TermSource(eval=term, upper=up), env, tie=tie, on_step=step)
+            for up in (None, upper) for step in (None, lambda *args: None)]
+    for other in runs[1:]:
+        same_solution(other, runs[0])
+    sol = runs[0]
+    assert sol.truncation_index >= sol.argmax_min
+    assert sol.terms_evaluated == sol.truncation_index + 1
+    return sol
+
+
+def agrees_with_brute_force(sol, term, n, tie):
+    best, first, last = brute_force_peak(TermSource(eval=term), n)
+    assert sol.sup_value == best
+    assert sol.argmax_min == (last if tie is Tie.MAX_ARGMAX else first)
+
+
+class TestNonConstantScan:
+    """Decreasing families: the bound at the running max, computed only where
+    it can end the scan, and screening, give the result of the full scan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(decreasing_families(), st.sampled_from(list(Tie)))
+    def test_decreasing_families(self, case, tie):
+        term, upper, env, n = case
+        sol = solve_four_ways(term, upper, env, tie)
+        # Terms vanish from n on, so [0, max(K, n)] holds every maximizer.
+        agrees_with_brute_force(sol, term, max(sol.truncation_index, n), tie)
+
+    @settings(max_examples=80, deadline=None)
+    @given(stable_systems(), st.sampled_from(list(Tie)))
+    def test_anchored_stable_matrices(self, system, tie):
+        a, p = system
+        env = linsys.LinearSystem(a, p).env
+        source = linsys.LinearSystem(a, p).source
+        sol = solve_four_ways(source.eval, source.upper, env, tie)
+        agrees_with_brute_force(sol, linsys.power_norm_source(a).eval, sol.truncation_index, tie)
+
+    def test_bound_at_the_running_max_is_clamped_to_k(self):
+        # u_0 = 10 lies before m = 1; h_1(t) = 4t + 0.5 with beta 0.8 cannot
+        # reach 10 at any j >= 1, so the bound at vmax is below 1 and the scan
+        # ends at 1 (at u_1 alone it would run to 5).  Above h_1(beta) the
+        # bound is taken there, which is k itself.
+        src = TermSource(eval=lambda k: 10.0 if k == 0 else 2.0 * 0.8**k)
+        fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
+        env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
+                       mono=Monotonicity.eventually_decreasing(1))
+        bounds = []
+        sol = solve(src, env, on_step=lambda k, u, b, K: bounds.append(b))
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (10.0, 0, 1, 2)
+        assert bounds[0] is None and bounds[1].value == 1.0
+
+    def test_bound_below_k_by_rounding_is_clamped(self):
+        # u_3 sits 5e-13 relative above h(beta^3), inside the membership
+        # slack; with beta = 1 - 1e-6 its bound is 3 - 5e-7, which floored to
+        # 2 and ended the scan with truncation_index below the argmax.
+        b = 1.0 - 1e-6
+        terms = [0.5, 0.6, 0.7, b**3 * (1 + 5e-13)]
+        src = TermSource(eval=lambda k: terms[k] if k < 4 else 0.0)
+        sol = solve(src, constant_env(affine_fn(1.0, 0.0), b))
+        assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (3, 3, 4)
+
+    def test_membership_is_checked_on_every_evaluated_term(self):
+        # The bound is needed only at k = 0 and at the end; u_3 breaks h_3(beta^3).
+        src = TermSource(eval=lambda k: 5.0 if k == 3 else 0.5**k)
+        env = Envelope(h=lambda k: affine_fn(1.0 + 1.0 / (k + 1), 0.0), beta=lambda k: 0.99,
+                       mono=Monotonicity.decreasing())
+        with pytest.raises(EnvelopeViolation) as err:
+            solve(src, env)
+        assert err.value.k == 3
+
+    @pytest.mark.parametrize("lam,d", [(0.5, 2), (0.9, 3), (0.99, 2), (0.999, 4)])
+    def test_anchored_bound_only_where_it_ends_the_scan(self, monkeypatch, lam, d):
+        system = linsys.LinearSystem(linsys.a_lambda(lam, d), linsys.p_q(lam, d))
+        real, calls = core.argmax_bound, []
+        monkeypatch.setattr(core, "argmax_bound", lambda k, *args: calls.append(k) or real(k, *args))
+        sol = solve(system.source, system.env, tie=Tie.MAX_ARGMAX)
+        assert calls == [0, sol.truncation_index]
 
 
 class TestBruteForce:
@@ -629,6 +753,27 @@ class TestValidateEnvelope:
         a = linsys.a_lambda(lam, d)
         env = linsys.envelope_from_certificate(a, linsys.p_q(lam, d))
         assert validate_envelope(linsys.power_norm_source(a), env, 300) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(stable_systems())
+    def test_anchored_family_is_clean(self, system):
+        a, p = system
+        ls = linsys.LinearSystem(a, p)
+        sol = solve(ls.source, ls.env, tie=Tie.MAX_ARGMAX)
+        assert validate_envelope(ls.source, ls.env, 2 * sol.truncation_index + 20) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(stable_systems(isometric=True))
+    def test_anchored_family_with_a_smaller_beta_is_caught(self, system):
+        # The family rebuilt at 0.99 beta: h_k(t) = (w_k / (0.99 beta)^k) t.
+        # w_k decays at exactly beta here, so h_1 rises above h_0.
+        a, p = system
+        ls = linsys.LinearSystem(a, p)
+        beta = 0.99 * ls.cert.beta
+        env = Envelope(h=lambda k: affine_fn(ls.env.h(k).hi / 0.99**k, 0.0), beta=lambda k: beta,
+                       mono=Monotonicity.decreasing())
+        findings = validate_envelope(ls.source, env, 20)
+        assert findings and {f.kind for f in findings} <= {"membership", "h-decrease"}
 
     def test_memory_does_not_grow_with_horizon(self):
         ad = FactorialRatioAdapter(30)

@@ -4,13 +4,27 @@ import math
 import random
 from decimal import Decimal, localcontext
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_power_norms, reference_product
-from peakseq import Envelope, Monotonicity, PreconditionViolated, Tie, affine_fn, solve
+from peakseq import (
+    Envelope,
+    Monotonicity,
+    PreconditionViolated,
+    Tie,
+    affine_fn,
+    argmax_bound,
+    linsys,
+    solve,
+    validate_envelope,
+)
+from peakseq.cli import main
 from peakseq.linsys import (
+    LinearSystem,
     Matrix,
     NotLyapunov,
     NotPositiveDefinite,
@@ -311,8 +325,6 @@ class TestBenchmarkFamily:
     def test_tight_geometric_case(self):
         env = envelope_from_certificate(Matrix.diagonal([0.5, 0.5]), Matrix.identity(2))
         src = power_norm_source(Matrix.diagonal([0.5, 0.5]))
-        from peakseq import argmax_bound
-
         for k in range(1, 8):
             ub = argmax_bound(k, src.eval(k), env)
             assert ub.value == pytest.approx(float(k), abs=1e-9)
@@ -326,6 +338,114 @@ class TestBenchmarkFamily:
             for k in range(0, 2 * sol.truncation_index + 1):
                 z_k = src.eval(k)
                 assert z_k <= cert.slope * cert.beta**k * (1.0 + 1e-12)
+
+
+def similar_system():
+    """A = T B T^-1 with P = T^-T T^-1: a certificate with off-diagonal entries."""
+    t, t_inv = ((1.0, 2.0), (0.0, 1.0)), ((1.0, -2.0), (0.0, 1.0))
+    b = ((0.6, 0.3), (-0.2, 0.5))
+    a = Matrix(_product(_product(t, b), t_inv))
+    return a, Matrix(_product(tuple(zip(*t_inv)), t_inv))
+
+
+def reference_anchor(a, p, k):
+    """w_k = tr((A^k)^T P A^k) / lmin(P) through mat_pow and the public eigensolve."""
+    m = mat_pow(a, k).rows
+    pm = _product(p.rows, m)
+    trace = sum(x * y for rm, rp in zip(m, pm) for x, y in zip(rm, rp))
+    return trace / sym_eig_bounds(p)[0]
+
+
+SYSTEMS = {
+    "lambda-0.9-d3": lambda: (a_lambda(0.9, 3), p_q(0.9, 3)),
+    "lambda-0.99-d2-q50k": lambda: (a_lambda(0.99, 2), p_q(0.99, 2, 5e4)),
+    "similar": similar_system,
+}
+
+
+class TestLinearSystem:
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_terms_are_the_generic_terms(self, name):
+        a, p = SYSTEMS[name]()
+        system, plain = LinearSystem(a, p), power_norm_source(a)
+        want = reference_power_norms(a, 80)
+        for k in range(81):
+            assert system.source.eval(k).hex() == plain.eval(k).hex() == want[k].hex()
+            assert system.source.upper(k).hex() == plain.upper(k).hex()
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_const_env_is_the_certificate_envelope(self, name):
+        a, p = SYSTEMS[name]()
+        system, env = LinearSystem(a, p), envelope_from_certificate(a, p)
+        assert system.cert == lyapunov_certificate(a, p)
+        assert system.const_env.mono == env.mono == Monotonicity.constant()
+        for k in (0, 7, 300):
+            assert system.const_env.beta(k) == env.beta(k)
+            assert system.const_env.h(k).eval(0.5) == env.h(k).eval(0.5)
+
+    @pytest.mark.parametrize("name", sorted(SYSTEMS))
+    def test_anchored_family(self, name):
+        a, p = SYSTEMS[name]()
+        system = LinearSystem(a, p)
+        beta = system.cert.beta
+        assert system.env.mono == Monotonicity.decreasing()
+        scales = []
+        for k in range(0, 400, 7):
+            fn = system.env.h(k)
+            assert system.env.beta(k) == beta
+            assert (fn.lo, fn.eval(0.0)) == (0.0, 0.0)
+            assert fn.hi == pytest.approx(reference_anchor(a, p, k) / beta**k, rel=1e-12)
+            assert fn.eval(beta**k) >= system.source.eval(k)
+            scales.append(fn.hi)
+        assert scales == sorted(scales, reverse=True)
+
+    def test_exactly_zero_power_keeps_a_valid_family(self):
+        # A^2 = 0: w_k = 0 from k = 2 on, where the scale keeps its last
+        # value and h_k stays strictly increasing.
+        a = Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]])
+        system = LinearSystem(a, Matrix.diagonal([1.0, 4.0]))
+        assert validate_envelope(system.source, system.env, 40) == []
+        assert all(system.env.h(k).lo < system.env.h(k).hi for k in range(41))
+        assert system.env.h(1).hi == system.env.h(40).hi > 0.0
+        sol = solve(system.source, system.env, tie=Tie.MAX_ARGMAX)
+        assert (sol.sup_value, sol.argmax_min) == (1.0, 1)
+
+    def test_scale_past_the_underflow_of_beta_power(self):
+        # Strong transient growth keeps w_k ~ 1e300 k^2 4^-k normal well past
+        # k = 538, where beta^k = (0.25 + 5e-5)^k underflows to 0; the scale
+        # w_k / beta^k exists only in logs.  The weighted second row's norm
+        # 4^-k underflows at the same k and takes its share of w_k with it;
+        # the running minimum keeps the scale from growing there.
+        a = Matrix.from_rows([[0.5, 1e150], [0.0, 0.5]])
+        system = LinearSystem(a, Matrix.diagonal([1.0, 1e308]))
+        assert system.cert.beta**538 == 0.0
+        assert 0.0 < system.source.eval(538) and 1e300 < system.env.h(538).hi < math.inf
+        assert validate_envelope(system.source, system.env, 1000) == []
+
+    @pytest.mark.parametrize("lam", [0.5, 0.1])
+    def test_scale_stays_finite_past_underflow(self, lam):
+        # beta^k and A^k underflow long before k = 3000.
+        system = LinearSystem(a_lambda(lam), p_q(lam))
+        assert system.cert.beta**3000 == 0.0
+        fns = [system.env.h(k) for k in range(3001)]
+        assert all(0.0 < fn.hi < math.inf for fn in fns)
+        assert all(later.hi <= earlier.hi for earlier, later in zip(fns, fns[1:]))
+
+    def test_rejects_an_invalid_certificate(self):
+        with pytest.raises(NotLyapunov):
+            LinearSystem(a_lambda(0.9), Matrix.diagonal([1.0, 1.0]))
+
+    def test_near_threshold_q_ends_after_15_terms(self, capsys):
+        # q just above the threshold gives beta = 1 - 1.05e-8, and the
+        # constant envelope's bound at k = 0 is about 5.7e7.  The anchored
+        # family reads the decay of A^k and stops after 15 terms.
+        q = 1.0000001 * q_threshold(0.9)
+        system = LinearSystem(a_lambda(0.9), p_q(0.9, 2, q))
+        assert argmax_bound(0, 1.0, system.const_env).value > 5e7
+        assert main(["solve", "linsys", "--lam", "0.9", "--q", repr(q), "--generic"]) == 0
+        sol = json.loads(capsys.readouterr().out)["solution"]
+        assert (sol["argmax_min"], sol["truncation_index"], sol["terms_evaluated"]) == (9, 14, 15)
+        assert sol["sup_value"] == pytest.approx(a_lambda_norm_sq_closed(0.9, 9), rel=1e-13)
 
 
 class TestTableRun:
@@ -349,6 +469,21 @@ class TestTableRun:
         for r2, r5 in zip(rows2, rows5):
             assert (r2.k_s, r2.f_floor) == (r5.k_s, r5.f_floor)
             assert r5.max_norm_sq == pytest.approx(r2.max_norm_sq, rel=1e-9)
+
+    def test_generic_long_row_scans_the_anchored_family(self, monkeypatch):
+        # table_run calls solve through the module global, where a caller
+        # can count the terms each row scanned.
+        scanned, real = [], linsys.solve
+
+        def counted(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            scanned.append(sol.terms_evaluated)
+            return sol
+
+        monkeypatch.setattr(linsys, "solve", counted)
+        closed, generic = table_run([0.99995]) + table_run([0.99995], generic=True)
+        assert (closed.k_s, closed.f_floor) == (generic.k_s, generic.f_floor) == (19_999, 44_617)
+        assert scanned == [44_618, 30_255]
 
     def test_rejects_bad_lambda(self):
         with pytest.raises(PreconditionViolated):

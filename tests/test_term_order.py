@@ -137,10 +137,15 @@ class TestInOrderCost:
             source.eval(k)
         assert len(calls) == N
 
-    def counted_solve(self, monkeypatch, **kwargs):
-        """solve on ||A^k||^2 for a_lambda(0.9, 3): (solution, _product calls, _norm_sq calls)."""
-        a = linsys.a_lambda(0.9, 3)
-        env = linsys.envelope_from_certificate(a, linsys.p_q(0.9, 3))
+    def counted_solve(self, monkeypatch, anchored=False, **kwargs):
+        """solve on ||A^k||^2 for a_lambda(0.9, 3) under the constant envelope
+        or the anchored one: (solution, _product calls, _norm_sq calls)."""
+        a, p = linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3)
+        if anchored:
+            system = linsys.LinearSystem(a, p)
+            source, env = system.source, system.env
+        else:
+            source, env = linsys.power_norm_source(a), linsys.envelope_from_certificate(a, p)
         calls = {"_product": 0, "_norm_sq": 0}
 
         def counting(name):
@@ -154,7 +159,7 @@ class TestInOrderCost:
 
         for name in calls:
             monkeypatch.setattr(linsys, name, counting(name))
-        sol = solve(linsys.power_norm_source(a), env, **kwargs)
+        sol = solve(source, env, **kwargs)
         return sol, calls["_product"], calls["_norm_sq"]
 
     def test_solve_screens_past_the_eigensolve(self, monkeypatch):
@@ -168,6 +173,14 @@ class TestInOrderCost:
         steps = []
         sol, products, norms = self.counted_solve(monkeypatch, on_step=lambda *s: steps.append(s))
         assert products == norms == sol.terms_evaluated - 1 == len(steps) - 1
+
+    def test_anchored_solve_screens_past_the_eigensolve(self, monkeypatch):
+        # h_k reads the power from the cursor the terms step, and a diagonal
+        # P costs it no product of its own.
+        sol, products, norms = self.counted_solve(monkeypatch, anchored=True)
+        assert (sol.argmax_min, sol.terms_evaluated) == (9, 15)
+        assert products == sol.terms_evaluated - 1
+        assert norms < sol.terms_evaluated - 1
 
     def test_power_norm_of_a_scalar(self):
         source = linsys.power_norm_source(linsys.Matrix.from_rows([[0.5]]))
