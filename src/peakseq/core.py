@@ -35,14 +35,18 @@ MEMBERSHIP_RTOL = 1e-12
 # which is the safe direction.
 FLOOR_GUARD = 1e-9
 
-# Relative margin by which a term's upper bound must undercut the running max
-# before solve skips the exact term.  It covers the rounding between a bound
-# and the exact path it stands in for.  For ||M||_F^2 against the Jacobi
-# ||M||_2^2 of a d x d matrix: the sum of d^2 squares is off by at most
-# d^2 ulp, the Gram sums by d ulp, and each of at most
-# JACOBI_SWEEPS * d(d-1)/2 rotations moves the diagonal by a few ulp of the
-# top eigenvalue.  At d = 50 that is 60 * 1225 * 4 * 1.1e-16 ~ 3e-11, about
-# 30 times below this margin.
+# Relative margin by which a term's upper bound must undercut the running max,
+# or the next term's lower bound, before solve skips the exact term.  It
+# covers the rounding between a bound and the exact path it stands in for.
+# For ||M||_F^2 against the Jacobi ||M||_2^2 of a d x d matrix: the sum of
+# d^2 squares is off by at most d^2 ulp, the Gram sums by d ulp, and each of
+# at most JACOBI_SWEEPS * d(d-1)/2 rotations moves the diagonal by a few ulp
+# of the top eigenvalue.  At d = 50 that is 60 * 1225 * 4 * 1.1e-16 ~ 3e-11,
+# about 30 times below this margin.  The look-ahead compares two bounds with
+# the Jacobi values between them: the largest squared row norm is a sum of d
+# squares, off by at most d ulp, so the same estimate holds on either side.
+# The margin also dominates the MEMBERSHIP_RTOL slack a trusted bound or
+# envelope may carry.
 SCREEN_RTOL = 1e-9
 
 
@@ -85,40 +89,47 @@ class TermSource:
     at k depends on k alone, whatever the order of calls.
 
     ``upper``, when set, is a cheaper certified bound with upper(k) >= eval(k)
-    for every k, up to roundoff of relative size MEMBERSHIP_RTOL; it is pure
-    in the same sense.  It is trusted like an envelope and checked by
-    :func:`validate_envelope`.  :func:`solve` uses it, in every monotonicity
-    mode once a truncation bound exists and with no ``on_step``, to skip
-    terms that cannot reach the running max; a skipped index still gets its
-    bound, which in non-constant mode is taken at the running max and
-    computed only where it can end the scan.
+    for every k, up to roundoff of relative size MEMBERSHIP_RTOL; ``lower``
+    likewise has lower(k) <= eval(k).  Both are pure in the same sense,
+    trusted like an envelope and checked by :func:`validate_envelope`.
+    :func:`solve` uses them, in every monotonicity mode once a truncation
+    bound exists and with no ``on_step``, to skip terms that cannot reach
+    the running max (``upper``) or the next term (``upper`` against
+    ``lower`` one index on); a skipped index still gets its bound, which in
+    non-constant mode is taken at the running max and computed only where
+    it can end the scan.  ``lower`` alone screens nothing.
     """
 
     eval: Callable[[int], float]
     description: str = ""
     upper: Callable[[int], float] | None = None
+    lower: Callable[[int], float] | None = None
 
 
 def _cursor(start, step: Callable) -> Callable[[int], object]:
     """k -> s_k of the recurrence s_0 = start, s_{k+1} = step(s_k).
 
     Steps forward from the last (index, state) pair it reached when k is at
-    or past it, and from index 0 otherwise, so an in-order scan costs one
-    step per index.  The pair is replaced by one assignment after every
-    step: a step that raises leaves a valid pair behind, and a concurrent
-    caller holding an older pair steps along the same deterministic chain.
+    or past it, returns the pair before that one when k is its index, and
+    steps from index 0 otherwise.  So an in-order scan costs one step per
+    index, and so does one that peeks an index ahead before each term.  The
+    two pairs are replaced by one assignment after every step: a step that
+    raises leaves valid pairs behind, and a concurrent caller holding older
+    ones steps along the same deterministic chain.
     """
-    at = (0, start)
+    at = ((0, start), (0, start))
 
     def state(k: int):
         nonlocal at
-        n, s = at
+        before, (n, s) = at
         if k < n:
+            if k == before[0]:
+                return before[1]
             n, s = 0, start
         while n < k:
-            s = step(s)
-            n += 1
-            at = (n, s)
+            t = step(s)
+            at = ((n, s), (n + 1, t))
+            n, s = n + 1, t
         return s
 
     return state
@@ -239,6 +250,28 @@ def exceeds_certificate(u: float, cert: float) -> bool:
     return u > cert + MEMBERSHIP_RTOL * max(1.0, abs(u))
 
 
+def _below(ub: float, v: float) -> bool:
+    """ub lies below a finite v by more than the SCREEN_RTOL margin."""
+    return math.isfinite(v) and ub < v - SCREEN_RTOL * abs(v)
+
+
+def _screened(k: int, ub: float, cert: float, nxt: float, vmax: float, lower, trunc: int) -> bool:
+    """solve's screening rule at index k: the term under its upper bound ub
+    cannot reach the running max vmax or lower(k+1) <= u_(k+1).
+
+    cert = h_k(beta_k^k) and nxt = h_k(beta_k^(k+1)).  lower(k+1) is read
+    only where index k+1 is due to be scanned: k < trunc, and neither vmax
+    nor ub reaches nxt, the level above which a bound taken at k falls below
+    k + 1.  On a decreasing family u_(k+1) <= nxt, so the look-ahead cannot
+    succeed there anyway.
+    """
+    if not (math.isfinite(ub) and ub <= cert):
+        return False
+    if _below(ub, vmax):
+        return True
+    return lower is not None and k < trunc and ub < nxt and vmax <= nxt and _below(ub, lower(k + 1))
+
+
 def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None) -> UpperBoundValue:
     """Convert the term value u_k into an index bound through the envelope at k.
 
@@ -299,8 +332,8 @@ def solve(
     """Compute sup u and a maximizer in finite time from a certified envelope.
 
     One pass in O(1) state: each term is evaluated at most once, and not at
-    all when its upper bound cannot reach the running max.  The scan below
-    decreasing_from only compares terms.  From there on:
+    all when its upper bound cannot reach the running max or the next term.
+    The scan below decreasing_from only compares terms.  From there on:
 
     - With a constant-from index the index bound is taken at u_k, and only
       while no bound exists, when the running max improves (the bound can
@@ -318,12 +351,18 @@ def solve(
     ``truncation_index + 1``.
 
     Screening, in every mode once a truncation bound exists and with no
-    ``on_step``: a term whose ``source.upper(k)`` is finite, lies below the
-    running max by more than SCREEN_RTOL relative and at most at
-    h_k(beta_k^k) is skipped.  Such a term can neither improve nor tie the
-    max; a bound at it is taken from vmax, which it cannot move, or not at
-    all.  So the result is the one of the full scan.  Equal terms are always
-    evaluated.
+    ``on_step``: a term whose ``source.upper(k)`` is finite, at most at
+    h_k(beta_k^k) and below v = max(vmax, lower(k+1)) by more than
+    SCREEN_RTOL relative is skipped; a non-finite ``lower`` counts as
+    absent.  Below vmax such a term can neither improve nor tie the max;
+    a bound at it is taken from vmax, which it cannot move, or not at all.
+    Below lower(k+1), which is read only where index k+1 is due to be
+    scanned (see :func:`_screened`), the term lies under u_(k+1), so it
+    is no maximizer either; the running max it would have set stays at or
+    below h_k(beta_k^(k+1)), where no bound is taken in non-constant mode,
+    and in constant mode its bound is no tighter than the one the next
+    evaluated, larger term gets.  So the result is the one of the full scan,
+    before the peak as after it.  Equal terms are always evaluated.
 
     The reported supremum and maximizer cover the whole scanned prefix
     u_0..u_K; a non-finite term raises :class:`PreconditionViolated`.
@@ -337,6 +376,7 @@ def solve(
     max_tie = tie is Tie.MAX_ARGMAX
     # A trace must see every exact term.
     upper = source.upper if on_step is None else None
+    lower = source.lower if upper is not None else None
 
     trunc: int | None = None
     vmax = -math.inf
@@ -351,10 +391,11 @@ def solve(
         bound: UpperBoundValue | None = None
         if constant_mode or k < m:
             if upper is not None and trunc is not None:
-                ub = upper(k)
-                if math.isfinite(ub) and ub < vmax - SCREEN_RTOL * abs(vmax):
-                    b = env.beta(k)
-                    if 0.0 < b < 1.0 and ub <= env.h(k).eval(b**k):
+                b = env.beta(k)
+                if 0.0 < b < 1.0:
+                    fn = env.h(k)
+                    bk = b**k
+                    if _screened(k, upper(k), fn.eval(bk), fn.eval(bk * b), vmax, lower, trunc):
                         k += 1
                         continue
             u_k = source.eval(k)
@@ -382,8 +423,9 @@ def solve(
                 raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
             bk = b**k
             cert = fn.eval(bk)
-            ub = upper(k) if upper is not None and trunc is not None else math.inf
-            if math.isfinite(ub) and ub < vmax - SCREEN_RTOL * abs(vmax) and ub <= cert:
+            nxt = None if trunc is None else fn.eval(bk * b)
+            if upper is not None and trunc is not None and _screened(
+                    k, upper(k), cert, nxt, vmax, lower, trunc):
                 u_k = None
             else:
                 u_k = source.eval(k)
@@ -395,7 +437,7 @@ def solve(
                     vmax, first, last = u_k, k, k
                 elif u_k == vmax:
                     last = k
-            if trunc is None or vmax > fn.eval(bk * b):
+            if trunc is None or vmax > nxt:
                 # min: above h_k(beta_k^k) the bound is below k either way.
                 bound = argmax_bound(k, min(vmax, cert), env, fn)
                 if bound.is_finite:
@@ -433,7 +475,8 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
 
     One in-order pass: u_k, h_k and beta_k are evaluated once per index and
     h_k is sampled once on the grid (from decreasing_from on).  A source with
-    an ``upper`` bound also has it checked against u_k (kind ``upper``).
+    an ``upper`` or ``lower`` bound also has it checked against u_k (kinds
+    ``upper`` and ``lower``).
     Returns every finding in index order (empty list when clean).  A clean
     result proves nothing beyond the horizon.
     """
@@ -468,6 +511,10 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
             up = source.upper(k)
             if exceeds_certificate(u_k, up):
                 findings.append(EnvelopeFinding(k, "upper", f"u_k={u_k!r} > upper(k)={up!r}"))
+        if source.lower is not None:
+            lo = source.lower(k)
+            if exceeds_certificate(lo, u_k):
+                findings.append(EnvelopeFinding(k, "lower", f"u_k={u_k!r} < lower(k)={lo!r}"))
         if not 0.0 < b < 1.0:
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
             continue

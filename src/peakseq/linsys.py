@@ -306,13 +306,24 @@ def power_norm_source(a: Matrix) -> TermSource:
 
     A^k = A^(k-1) A is stepped from the last power the source computed, so
     an in-order scan pays one row product, half a Gram and one Jacobi solve
-    per term.  Its upper bound is ||A^k||_F^2, d^2 multiplies on the same
-    cursor: a term that solve screens out pays the row product and those
-    multiplies, and an eval at the same k reuses the power.
+    per term.  Its bounds come from the squared row norms of the same power,
+    d^2 multiplies formed on first use and kept on the cursor with it:
+    ||A^k||_F^2, their sum, above, and their max below (||M||_2 >=
+    ||e_i^T M|| for every row i).  A term that solve screens out pays the
+    row product and those multiplies, a scan of ``eval`` alone pays no
+    multiply for them, and an eval at the same k, or at k - 1 after a
+    look-ahead to k, reuses the power.
     """
     rows = a.rows
-    power = _cursor(Matrix.identity(a.dim).rows, lambda pw: _product(pw, rows))
-    return _power_terms(power, lambda k: _row_norms(power(k)), a.dim)
+    state = _cursor((Matrix.identity(a.dim).rows, []), lambda s: (_product(s[0], rows), []))
+
+    def norms(k: int) -> tuple[float, ...]:
+        power, memo = state(k)
+        if not memo:
+            memo.append(_row_norms(power))
+        return memo[0]
+
+    return _power_terms(lambda k: state(k)[0], norms, a.dim)
 
 
 def _row_norms(rows) -> tuple[float, ...]:
@@ -322,11 +333,13 @@ def _row_norms(rows) -> tuple[float, ...]:
 
 def _power_terms(power, norms, d: int) -> TermSource:
     """k -> ||A^k||_2^2 from ``power(k)`` = A^k and ``norms(k)``, its squared
-    row norms, whose sum ||A^k||_F^2 is the upper bound."""
+    row norms, whose sum ||A^k||_F^2 is the upper bound and whose max the
+    lower one."""
     return TermSource(
         eval=lambda k: _norm_sq(power(k)) if k else 1.0,
         description=f"||A^k||_2^2, d={d}",
         upper=lambda k: sum(norms(k)) if k else 1.0,
+        lower=lambda k: max(norms(k)) if k else 1.0,
     )
 
 
@@ -359,9 +372,9 @@ class LinearSystem:
     """||A^k||_2^2 for a stable A with its certificate P, checked once.
 
     ``source`` is the generic term source (as :func:`power_norm_source`,
-    with the Frobenius ``upper``), ``const_env`` the constant envelope
-    (t -> slope * t, beta = ||A||_P^2), and ``env`` the certificate
-    re-anchored at the current power:
+    with the Frobenius ``upper`` and the row-norm ``lower``), ``const_env``
+    the constant envelope (t -> slope * t, beta = ||A||_P^2), and ``env``
+    the certificate re-anchored at the current power:
 
         h_k(t) = (w_k / beta^k) * t,  w_k = tr((A^k)^T P A^k) / lmin(P),
 
@@ -372,12 +385,14 @@ class LinearSystem:
     :func:`solve` takes its bound at the running max vmax, which here is
     k + log(vmax / w_k) / log(beta), computes it only where
     beta * w_k < vmax (the only indices where it can end the scan), and
-    screens the terms past the peak with ``upper`` in this mode too.
+    screens terms with ``upper`` in this mode too: past the peak against
+    the running max, before it against ``lower`` one index on.
 
     One power cursor, built on first use, serves ``source`` and ``env``.
-    Each step forms A^k, its squared row norms (``upper`` sums them; for a
-    diagonal P, w_k weighs them by P_ii / lmin(P)) and the log of the scale,
-    min(log s_(k-1), log w_k - k log beta): a running minimum in logs.  So
+    Each step forms A^k, its squared row norms (``upper`` sums them,
+    ``lower`` takes their max; for a diagonal P, w_k weighs them by
+    P_ii / lmin(P)) and the log of the scale, min(log s_(k-1),
+    log w_k - k log beta): a running minimum in logs.  So
     the scale stays finite past the underflow of beta^k, never grows with k,
     even where a heavily weighted row norm underflows and w_k loses its
     share, and keeps its last value once A^k is exactly zero: h_k stays a

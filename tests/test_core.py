@@ -345,13 +345,15 @@ def _ulps_below(u, n):
 
 
 def listed_terms(draw, n, lo):
-    """(term, upper): n values in [lo, 1] from a pool of at most four (ties
-    likely), then zeros.  Each upper bound adds a random nonnegative slack,
-    or none, or falls a few ulp short of its term as rounding can."""
+    """(term, upper, lower): n values in [lo, 1] from a pool of at most four
+    (ties likely), then zeros.  Each upper bound adds a random nonnegative
+    slack, or none, or falls a few ulp short of its term as rounding can;
+    each lower bound likewise subtracts one or lies a few ulp above."""
     pool = draw(st.lists(st.floats(lo, 1.0), min_size=1, max_size=4))
     terms = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     slack = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(1, 4).map(lambda j: -j))
     slacks = draw(st.lists(slack, min_size=1, max_size=2 * n + 2))
+    low_slacks = draw(st.lists(slack, min_size=1, max_size=2 * n + 2))
 
     def term(k):
         return terms[k] if k < n else 0.0
@@ -360,24 +362,28 @@ def listed_terms(draw, n, lo):
         u, s = term(k), slacks[k % len(slacks)]
         return _ulps_below(u, -s) if isinstance(s, int) else u + s
 
-    return term, upper
+    def lower(k):
+        u, s = term(k), low_slacks[k % len(low_slacks)]
+        return -_ulps_below(-u, -s) if isinstance(s, int) else u - s
+
+    return term, upper, lower
 
 
 @st.composite
 def screened_sequences(draw):
-    """(term, upper, envelope): ``listed_terms`` from 0.5 under h(t) = 2t
-    with beta = 0.5^(1/n), constant or declared decreasing."""
+    """(term, upper, lower, envelope): ``listed_terms`` from 0.5 under
+    h(t) = 2t with beta = 0.5^(1/n), constant or declared decreasing."""
     n = draw(st.integers(1, 30))
-    term, upper = listed_terms(draw, n, 0.5)
+    term, upper, lower = listed_terms(draw, n, 0.5)
     mono = draw(st.sampled_from([Monotonicity.constant(), Monotonicity.decreasing()]))
     env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5 ** (1.0 / n), mono=mono)
-    return term, upper, env
+    return term, upper, lower, env
 
 
 @st.composite
 def decreasing_families(draw):
-    """(term, upper, envelope, n): ``listed_terms`` from 0.3 under a valid
-    family that decreases from a random m.
+    """(term, upper, lower, envelope, n): ``listed_terms`` from 0.3 under a
+    valid family that decreases from a random m.
 
     From m on, h_k(t) = (2 + D/(k+1)) t + C/(k+1) and beta_k = b + (1-b) E/(k+2)
     with b = 0.5^(1/n), so h_k(beta_k^k) >= 2 b^k >= 1 on every k <= n; below
@@ -385,7 +391,7 @@ def decreasing_families(draw):
     promoted to a decreasing one, or met with a constant envelope."""
     n = draw(st.integers(1, 30))
     m = draw(st.integers(0, 5))
-    term, upper = listed_terms(draw, n, 0.3)
+    term, upper, lower = listed_terms(draw, n, 0.3)
     big, off, fast = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 0.25)), draw(st.floats(0.0, 0.9))
     bumps = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
     base = 0.5 ** (1.0 / n)
@@ -403,7 +409,7 @@ def decreasing_families(draw):
         env = promote_to_decreasing(env)
     elif combine == "env_min":
         env = env_min([env, constant_env(affine_fn(2.0, 0.0), base)])
-    return term, upper, env, n
+    return term, upper, lower, env, n
 
 
 def same_solution(screened, plain):
@@ -412,14 +418,16 @@ def same_solution(screened, plain):
 
 
 class TestScreening:
-    """solve with an ``upper`` bound returns the bits of the full scan."""
+    """solve with an ``upper`` bound, alone or with a ``lower`` one, returns
+    the bits of the full scan."""
 
     @settings(max_examples=150, deadline=None)
     @given(screened_sequences(), st.sampled_from(list(Tie)))
     def test_sequences(self, case, tie):
-        term, upper, env = case
+        term, upper, lower, env = case
         plain = solve(TermSource(eval=term), env, tie=tie)
         same_solution(solve(TermSource(eval=term, upper=upper), env, tie=tie), plain)
+        same_solution(solve(TermSource(eval=term, upper=upper, lower=lower), env, tie=tie), plain)
 
     @settings(max_examples=80, deadline=None)
     @given(stable_systems(), st.sampled_from(list(Tie)))
@@ -429,6 +437,8 @@ class TestScreening:
         source = linsys.power_norm_source(a)
         screened = solve(source, env, tie=tie)
         same_solution(screened, solve(TermSource(eval=linsys.power_norm_source(a).eval), env, tie=tie))
+        upper_only = linsys.power_norm_source(a)
+        same_solution(screened, solve(TermSource(eval=upper_only.eval, upper=upper_only.upper), env, tie=tie))
         best, first, last = brute_force_peak(linsys.power_norm_source(a), screened.truncation_index)
         assert screened.sup_value == best
         assert screened.argmax_min == (last if tie is Tie.MAX_ARGMAX else first)
@@ -502,10 +512,12 @@ class TestScreening:
         assert calls == []
 
 
-def solve_four_ways(term, upper, env, tie):
-    """solve with and without ``upper`` and a no-op ``on_step``; all four agree."""
-    runs = [solve(TermSource(eval=term, upper=up), env, tie=tie, on_step=step)
-            for up in (None, upper) for step in (None, lambda *args: None)]
+def solve_six_ways(term, upper, lower, env, tie):
+    """solve with no bound, with ``upper`` alone and with ``upper`` and
+    ``lower``, each with and without a no-op ``on_step``; all six agree."""
+    runs = [solve(TermSource(eval=term, upper=up, lower=low), env, tie=tie, on_step=step)
+            for up, low in ((None, None), (upper, None), (upper, lower))
+            for step in (None, lambda *args: None)]
     for other in runs[1:]:
         same_solution(other, runs[0])
     sol = runs[0]
@@ -527,8 +539,8 @@ class TestNonConstantScan:
     @settings(max_examples=200, deadline=None)
     @given(decreasing_families(), st.sampled_from(list(Tie)))
     def test_decreasing_families(self, case, tie):
-        term, upper, env, n = case
-        sol = solve_four_ways(term, upper, env, tie)
+        term, upper, lower, env, n = case
+        sol = solve_six_ways(term, upper, lower, env, tie)
         # Terms vanish from n on, so [0, max(K, n)] holds every maximizer.
         agrees_with_brute_force(sol, term, max(sol.truncation_index, n), tie)
 
@@ -538,7 +550,7 @@ class TestNonConstantScan:
         a, p = system
         env = linsys.LinearSystem(a, p).env
         source = linsys.LinearSystem(a, p).source
-        sol = solve_four_ways(source.eval, source.upper, env, tie)
+        sol = solve_six_ways(source.eval, source.upper, source.lower, env, tie)
         agrees_with_brute_force(sol, linsys.power_norm_source(a).eval, sol.truncation_index, tie)
 
     def test_bound_at_the_running_max_is_clamped_to_k(self):
@@ -581,6 +593,131 @@ class TestNonConstantScan:
         monkeypatch.setattr(core, "argmax_bound", lambda k, *args: calls.append(k) or real(k, *args))
         sol = solve(system.source, system.env, tie=Tie.MAX_ARGMAX)
         assert calls == [0, sol.truncation_index]
+
+
+def recorded(calls, f):
+    """f, appending each index it is asked for to the list ``calls``."""
+    return lambda k: calls.append(k) or f(k)
+
+
+def a_lambda_systems():
+    """(lambda, d, q factor) with lambda in (0, 0.995), d in 2..6 and q a
+    factor in (1 + 1e-7, 100) above the diagonal certificate's threshold."""
+    return st.tuples(st.floats(0.0, 0.995, exclude_min=True, exclude_max=True), st.integers(2, 6),
+                     st.floats(1.0 + 1e-7, 100.0, exclude_max=True))
+
+
+def constant_scan_length(system, lam):
+    """The constant-envelope index bound at the closed-form peak: about the
+    number of terms a scan under ``const_env`` takes."""
+    peak = max(linsys.a_lambda_norm_sq_closed(lam, k) for k in range(1000))
+    return math.log(peak / system.cert.slope) / math.log(system.cert.beta)
+
+
+class TestLookAhead:
+    """Screening against lower(k+1) skips terms before the peak and leaves
+    every result, and the set of indices the scan touches, as it was."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(a_lambda_systems(), st.sampled_from(list(Tie)), st.sampled_from(["env", "const_env"]))
+    def test_a_lambda_matches_the_exact_scan(self, params, tie, family):
+        lam, d, q = params
+        a = linsys.a_lambda(lam, d)
+        system = linsys.LinearSystem(a, linsys.p_q(lam, d, q * linsys.q_threshold(lam)))
+        # Near the threshold the constant envelope runs to ~1e9 terms.
+        assume(family == "env" or constant_scan_length(system, lam) < 600)
+        env = getattr(system, family)
+        exact = solve(system.source, env, tie=tie, on_step=lambda *step: None)
+        same_solution(solve(system.source, env, tie=tie), exact)
+        same_solution(solve(linsys.power_norm_source(a), env, tie=tie), exact)
+
+    RISING = [0.25, 0.5, 0.75, 1.0, 0.5, 0.25]
+
+    @staticmethod
+    def listed(values):
+        return lambda k: values[k] if k < len(values) else 0.0
+
+    def rising(self, mono, lower=None):
+        """``RISING`` (zeros past it) with exact ``upper`` and ``lower`` bounds
+        unless ``lower`` is given, under h(t) = 2t, beta = 0.5^(1/6); the
+        source records the indices its ``eval`` and ``lower`` are asked for."""
+        calls = {"eval": [], "lower": []}
+        term = self.listed(self.RISING)
+        source = TermSource(eval=recorded(calls["eval"], term), upper=term,
+                            lower=recorded(calls["lower"], lower or term))
+        env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5 ** (1.0 / 6), mono=mono)
+        return source, env, calls
+
+    @pytest.mark.parametrize("mono", [Monotonicity.constant(), Monotonicity.decreasing()])
+    def test_rising_terms_are_skipped(self, mono):
+        source, env, calls = self.rising(mono)
+        sol = solve(source, env)
+        assert sol == solve(TermSource(eval=source.eval), env)
+        assert (sol.sup_value, sol.argmax_min) == (1.0, 3)
+        assert calls["eval"][:2] == [0, 3]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("mono", [Monotonicity.constant(), Monotonicity.decreasing()])
+    def test_non_finite_lower_screens_nothing(self, bad, mono):
+        source, env, calls = self.rising(mono, lower=lambda k: bad)
+        sol = solve(source, env)
+        assert calls["lower"]
+        upper_only, _, upper_calls = self.rising(mono)
+        assert sol == solve(TermSource(eval=upper_only.eval, upper=upper_only.upper), env)
+        assert calls["eval"] == upper_calls["eval"]
+        assert calls["eval"][:4] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("mono", [Monotonicity.constant(), Monotonicity.decreasing()])
+    def test_no_look_past_a_bound_that_ends_the_scan(self, mono):
+        # K = 3 from u_0; u_1 = 0.9 sets K = 1 in either mode.  Its upper
+        # bound reaches h(beta^2) = 0.5, so lower(2) is never read.
+        term, lowered = self.listed([0.25, 0.9, 0.95]), []
+        source = TermSource(eval=term, upper=term, lower=recorded(lowered, term))
+        env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5, mono=mono)
+        sol = solve(source, env)
+        assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (1, 1, 2)
+        assert lowered == []
+
+    def test_no_look_past_a_running_max_that_ends_the_scan(self):
+        # K = 2 from u_0 = 1 under h_0(t) = 4t.  h_1 is 9e-10 lower, so the
+        # running max lies just above h_1(beta^2) and the bound it gives at
+        # k = 1 ends the scan there; u_1 and its upper bound sit within the
+        # screening margin of the max but below h_1(beta^2).
+        term, lowered = self.listed([1.0, 1.0 - 9.5e-10, 0.5]), []
+        source = TermSource(eval=term, upper=term, lower=recorded(lowered, term))
+        fns = (affine_fn(4.0, 0.0), affine_fn(4.0 * (1.0 - 9e-10), 0.0))
+        env = Envelope(h=lambda k: fns[min(k, 1)], beta=lambda k: 0.5, mono=Monotonicity.decreasing())
+        sol = solve(source, env)
+        assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (0, 1, 2)
+        assert lowered == []
+
+    def test_anchored_scan_never_looks_past_its_end(self):
+        # The bound at k = 0 allows more terms than the scan takes; the one
+        # that ends it at K is taken at K itself.
+        system = linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3))
+        lowered, ks = [], []
+        source = TermSource(eval=system.source.eval, upper=system.source.upper,
+                            lower=recorded(lowered, system.source.lower))
+        sol = solve(source, system.env)
+        solve(system.source, system.env, on_step=lambda k, u, bound, K: ks.append(K))
+        assert ks[-2] > ks[-1] == sol.truncation_index == 14
+        assert lowered and max(lowered) <= sol.truncation_index
+
+    def test_overflow_still_raises_where_the_full_scan_does(self):
+        # A^k = c^k [[1, 0], [1, 0]] with c = 1e22: u_k = 2 c^2k, and each row
+        # norm c^2k stays finite up to k = 7, where the Gram entry 2 c^14 =
+        # 2e308 overflows.  Every earlier term lies below the next row norm,
+        # so the look-ahead skips them all and the scan still raises at 7.
+        a = linsys.Matrix.from_rows([[1e22, 0.0], [1e22, 0.0]])
+        env = constant_env(affine_fn(1e300, 0.0), 0.5)
+        for on_step, want in ((None, [0, 7]), (lambda *step: None, list(range(8)))):
+            plain, evaluated = linsys.power_norm_source(a), []
+            source = TermSource(eval=recorded(evaluated, plain.eval), upper=plain.upper,
+                                lower=plain.lower)
+            with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
+                solve(source, env, on_step=on_step)
+            assert evaluated == want
+        assert math.isfinite(plain.lower(7)) and plain.upper(7) == math.inf
 
 
 class TestBruteForce:
@@ -748,8 +885,20 @@ class TestValidateEnvelope:
         assert [(f.k, f.kind) for f in findings] == [(1, "upper"), (3, "upper")]
         assert findings[0].detail == "u_k=0.9 > upper(k)=0.5"
 
+    def test_lower_above_the_term_is_caught(self):
+        # lower(k) = u_k except at k = 1 (far above) and k = 3 (one part in 1e9
+        # above, beyond the roundoff slack); k = 2 sits 1 ulp high, within it.
+        terms = [1.0, 0.9, 0.8, 0.7, 0.6]
+        lowers = [1.0, 1.5, math.nextafter(0.8, 1.0), 0.7 * (1 + 1e-9), 0.6]
+        source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity.constant(), terms)
+        high = TermSource(eval=source.eval, lower=lambda k: lowers[k])
+        findings = validate_envelope(high, env, 4)
+        assert [(f.k, f.kind) for f in findings] == [(1, "lower"), (3, "lower")]
+        assert findings[0].detail == "u_k=0.9 < lower(k)=1.5"
+
     @pytest.mark.parametrize("lam,d", [(0.9, 2), (0.99, 3), (0.999, 5)])
     def test_power_norm_upper_is_clean(self, lam, d):
+        # The source carries both bounds, so this checks ``lower`` as well.
         a = linsys.a_lambda(lam, d)
         env = linsys.envelope_from_certificate(a, linsys.p_q(lam, d))
         assert validate_envelope(linsys.power_norm_source(a), env, 300) == []

@@ -372,6 +372,7 @@ class TestLinearSystem:
         for k in range(81):
             assert system.source.eval(k).hex() == plain.eval(k).hex() == want[k].hex()
             assert system.source.upper(k).hex() == plain.upper(k).hex()
+            assert system.source.lower(k).hex() == plain.lower(k).hex()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_const_env_is_the_certificate_envelope(self, name):

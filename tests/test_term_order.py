@@ -164,10 +164,11 @@ class TestInOrderCost:
 
     def test_solve_screens_past_the_eigensolve(self, monkeypatch):
         # One product per index past 0, screened or not; the Gram and Jacobi
-        # only for the terms that could reach the running max.
+        # only for the terms that could reach the running max or the next term.
         sol, products, norms = self.counted_solve(monkeypatch)
+        assert (sol.argmax_min, sol.terms_evaluated) == (9, 21)
         assert products == sol.terms_evaluated - 1
-        assert norms < sol.terms_evaluated - 1
+        assert norms == 3
 
     def test_solve_with_on_step_evaluates_every_term(self, monkeypatch):
         steps = []
@@ -176,11 +177,43 @@ class TestInOrderCost:
 
     def test_anchored_solve_screens_past_the_eigensolve(self, monkeypatch):
         # h_k reads the power from the cursor the terms step, and a diagonal
-        # P costs it no product of its own.
+        # P costs it no product of its own.  The look-ahead to k + 1 steps
+        # the cursor once, and an eval at k that follows reads the power
+        # before it.  Only the three terms at the peak are computed exactly.
         sol, products, norms = self.counted_solve(monkeypatch, anchored=True)
         assert (sol.argmax_min, sol.terms_evaluated) == (9, 15)
         assert products == sol.terms_evaluated - 1
-        assert norms < sol.terms_evaluated - 1
+        assert norms == 3
+
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_power_norm_step_back_one_is_free(self, monkeypatch, anchored):
+        # solve's look-ahead reads lower(k + 1) before eval(k): still one
+        # product per index, one set of row norms for both bounds, and the
+        # same bits as an in-order scan.
+        a = linsys.a_lambda(0.9, 3)
+
+        def fresh():
+            if anchored:
+                return linsys.LinearSystem(a, linsys.p_q(0.9, 3)).source
+            return linsys.power_norm_source(a)
+
+        want = bits(fresh().eval(k) for k in range(N))
+        source = fresh()
+        product, calls = linsys._product, []
+        row_norms, normed = linsys._row_norms, []
+        monkeypatch.setattr(linsys, "_product", lambda *args: calls.append(1) or product(*args))
+        monkeypatch.setattr(linsys, "_row_norms", lambda rows: normed.append(1) or row_norms(rows))
+        got = []
+        for k in range(N):
+            source.lower(k + 1)
+            source.upper(k + 1)
+            got.append(source.eval(k))
+        assert bits(got) == want
+        assert len(calls) == N
+        assert len(normed) <= N + 1
+        source.eval(N)
+        source.eval(N - 1)
+        assert len(calls) == N
 
     def test_power_norm_of_a_scalar(self):
         source = linsys.power_norm_source(linsys.Matrix.from_rows([[0.5]]))
