@@ -46,7 +46,13 @@ FLOOR_GUARD = 1e-9
 # the Jacobi values between them: the largest squared row norm is a sum of d
 # squares, off by at most d ulp, so the same estimate holds on either side.
 # The margin also dominates the MEMBERSHIP_RTOL slack a trusted bound or
-# envelope may carry.
+# envelope may carry.  In a constant tail solve computes the index bound only
+# where the tail's running max exceeds h_c(beta_c^(k+1)) less this margin;
+# below that level the bound is at least k + 1.  b**k, the product by b, the
+# division and the log behind the bound are each off by a few ulp, together
+# under ~1e-13 relative for |log x| <= 745, far inside the margin.  An
+# envelope whose inverse is less accurate than the margin can only make that
+# scan longer.
 SCREEN_RTOL = 1e-9
 
 
@@ -96,8 +102,8 @@ class TermSource:
     bound exists and with no ``on_step``, to skip terms that cannot reach
     the running max (``upper``) or the next term (``upper`` against
     ``lower`` one index on); a skipped index still gets its bound, which in
-    non-constant mode is taken at the running max and computed only where
-    it can end the scan.  ``lower`` alone screens nothing.
+    non-constant mode and in a constant tail is computed only where it can
+    end the scan.  ``lower`` alone screens nothing.
     """
 
     eval: Callable[[int], float]
@@ -335,9 +341,17 @@ def solve(
     all when its upper bound cannot reach the running max or the next term.
     The scan below decreasing_from only compares terms.  From there on:
 
-    - With a constant-from index the index bound is taken at u_k, and only
-      while no bound exists, when the running max improves (the bound can
-      only shrink along new maxima there) or when u_k <= h_k(0).
+    - With a constant-from index c the index bound is taken at u_k, and
+      only while no bound exists, when the running max improves (or is tied
+      under MAX_ARGMAX; the bound can only shrink along these terms) or when
+      u_k <= h_k(0).  From c on, once a bound exists and with no
+      ``on_step``, (h_c, beta_c) is read once and the bound is taken at vb,
+      the largest term this rule would have bounded from there, and only
+      where vb > h_c(beta_c^(k+1)) less SCREEN_RTOL relative: below that
+      level the bound at vb is at least k + 1, so these are the only indices
+      where it can end the scan, and it ends where this rule would.  Every
+      such term is still checked against h_c(beta_c^k).  A trace gets a
+      bound at every new maximum.
     - Otherwise it is taken at the running max vmax: every later maximizer
       j has u_j >= vmax, so j is bounded through h_k as well as through
       u_k, and tighter.  Every evaluated term is checked against
@@ -378,6 +392,10 @@ def solve(
     upper = source.upper if on_step is None else None
     lower = source.lower if upper is not None else None
 
+    # From this index on, once a bound exists, the constant tail below takes
+    # over; a trace sees a bound at every new maximum instead.
+    tail = env.mono.constant_from if on_step is None else None
+
     trunc: int | None = None
     vmax = -math.inf
     first = last = 0
@@ -390,6 +408,13 @@ def solve(
             )
         bound: UpperBoundValue | None = None
         if constant_mode or k < m:
+            if tail is not None and k >= tail and trunc is not None:
+                fn = env.h(k)
+                b = env.beta(k)
+                if 0.0 < b < 1.0:
+                    break
+                # argmax_bound raises at the first index that needs a bound.
+                tail = None
             if upper is not None and trunc is not None:
                 b = env.beta(k)
                 if 0.0 < b < 1.0:
@@ -447,6 +472,51 @@ def solve(
                     trunc = step if trunc is None else min(trunc, step)
         if on_step is not None:
             on_step(k, u_k, bound, trunc)
+        k += 1
+
+    # The constant tail, entered above with (h_c, beta_c) = (fn, b) and a
+    # bound.  vb is the largest term the per-maximum rule would bound from
+    # here on (new maxima, and ties under MAX_ARGMAX), None until there is
+    # one: unlike -inf, None allocates nothing.  Terms bounded before have
+    # their bound in trunc already and lie at or below every such term.
+    # With B the index bound at a value, that rule stops after k once
+    # k >= floor(B(vb) + FLOOR_GUARD), a floor that only falls as vb rises.
+    # B(vb) >= k + 1 while vb lies below h_c(beta_c^(k+1)) by the SCREEN_RTOL
+    # margin, so the bound is computed only past that level, at vb capped to
+    # h_c(beta_c^k); screened indices run the test too.
+    vb = None
+    while k <= trunc:
+        bk = b**k
+        nxt = fn.eval(bk * b)
+        cert = None
+        if upper is not None:
+            cert = fn.eval(bk)
+            u_k = None if _screened(k, upper(k), cert, nxt, vmax, lower, trunc) else source.eval(k)
+        else:
+            u_k = source.eval(k)
+        if u_k is not None:
+            if not math.isfinite(u_k):
+                raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
+            if u_k > vmax or (max_tie and u_k == vmax):
+                if cert is None:
+                    cert = fn.eval(bk)
+                if exceeds_certificate(u_k, cert):
+                    raise EnvelopeViolation(k, u_k, cert)
+                vb = u_k
+                if u_k > vmax:
+                    vmax, first = u_k, k
+                last = k
+            elif u_k == vmax:
+                last = k
+        if vb is not None and vb > nxt - SCREEN_RTOL * abs(nxt):
+            if cert is None:
+                cert = fn.eval(bk)
+            bound = argmax_bound(k, min(vb, cert), env, fn)
+            if bound.is_finite:
+                step = math.floor(bound.value + FLOOR_GUARD)
+                if step < k:
+                    step = k
+                trunc = min(trunc, step)
         k += 1
 
     return PeakSolution(

@@ -50,7 +50,7 @@ def _pow_over_factorial(base: int, n: int) -> float:
 
 
 class FactorialRatioAdapter:
-    """The sequence u_n = a^n / n! for a positive integer a.
+    """The sequence u_n = a^n / n! for an integer a in [1, 712].
 
     ``seq_env`` is the tight family h_n(t) = t * (a+1)^n / n! with ratio
     a/(a+1), an equality envelope (u_n = h_n(beta^n) exactly) decreasing
@@ -61,6 +61,13 @@ class FactorialRatioAdapter:
     def __init__(self, a: int):
         if a < 1:
             raise PreconditionViolated("factorial ratio needs integer a >= 1")
+        if a > 712:
+            # The slope peaks at n = a and a + 1, near e^(a+1)/sqrt(2 pi (a+1)),
+            # past the float range from a = 713 on; the terms from a = 714 on.
+            raise OverflowError(
+                f"a={a}: the sequence envelope's slope (a+1)^n/n! overflows a float, "
+                "so the factorial ratio needs a <= 712"
+            )
         self.a = a
         self.beta = a / (a + 1)
         self.source = TermSource(

@@ -61,6 +61,22 @@ class TestSolveCommand:
         assert "OverflowError" in err
         assert "a=143" in err and "a <= 142" in err and "sequence envelope" in err
 
+    def test_factorial_past_sequence_envelope_overflow(self, capsys):
+        # At a = 712 the slope (a+1)^n/n! peaks at 6.70e307 and still fits a
+        # float; from a = 713 on it does not, and from a = 714 on neither
+        # does the term.
+        code, out, _ = run(capsys, "solve", "factorial", "--a", "712")
+        assert code == 0
+        sol = json.loads(out)["solution"]
+        assert (sol["sup_value"], sol["argmax_min"], sol["truncation_index"]) == (
+            2.4676885942863772e307, 711, 712)
+        for a in ("713", "714"):
+            code, out, err = run(capsys, "solve", "factorial", "--a", a)
+            assert code == 2
+            assert out == ""
+            assert "OverflowError" in err
+            assert f"a={a}" in err and "a <= 712" in err
+
     def test_syracuse(self, capsys):
         code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27")
         assert code == 0

@@ -412,6 +412,53 @@ def decreasing_families(draw):
     return term, upper, lower, env, n
 
 
+@st.composite
+def eventually_constant_families(draw):
+    """(term, upper, lower, envelope, n): ``listed_terms`` from 0.3 under a
+    valid family declared eventually constant from (m, c).
+
+    From c on the pair is frozen at h(t) = 2t + C and beta = b = 0.5^(1/n),
+    so h(beta^k) >= 1 on every k <= n; on [m, c) slope, offset and ratio
+    step down towards those values, and below m they are random but as
+    large.  Every h_k(0) stays below 0.3, so each nonzero term from m on is
+    informative.  m and c are placed around the first maximizer p, so that
+    the peak lies before m, in [m, c) or from c on."""
+    n = draw(st.integers(1, 30))
+    term, upper, lower = listed_terms(draw, n, 0.3)
+    values = [term(k) for k in range(n)]
+    p = values.index(max(values))
+    where = draw(st.sampled_from(["before m", "in [m, c)", "from c"]))
+    if where == "before m":
+        # Terms from m on are the only ones bounded: one must be nonzero.
+        assume(p < n - 1)
+        m = draw(st.integers(p + 1, min(p + 4, n - 1)))
+        c = draw(st.integers(m, m + 6))
+    elif where == "in [m, c)":
+        m = draw(st.integers(max(0, p - 4), p))
+        c = draw(st.integers(p + 1, p + 6))
+    else:
+        c = draw(st.integers(max(0, p - 6), p))
+        m = draw(st.integers(max(0, c - 4), c))
+    big, off, fast = draw(st.floats(0.0, 4.0)), draw(st.floats(0.0, 0.1)), draw(st.floats(0.0, 0.9))
+    bumps = draw(st.lists(st.floats(0.0, 3.0), min_size=m, max_size=m))
+    base = 0.5 ** (1.0 / n)
+    frozen = affine_fn(2.0, off)
+
+    def h(k):
+        if k >= c:
+            return frozen
+        left = (c - k) / (c + 1)
+        return affine_fn(2.0 + big * left + (bumps[k] if k < m else 0.0), off * (1.0 + left))
+
+    def beta(k):
+        if k >= c:
+            return base
+        return base + (1.0 - base) * (0.99 if k < m and bumps[k] > 1.5 else fast * (c - k) / (c + 1))
+
+    env = Envelope(h=h, beta=beta, mono=Monotonicity.eventually_constant(m, c))
+    return term, upper, lower, env, n
+
+
 def same_solution(screened, plain):
     assert screened == plain
     assert screened.sup_value.hex() == plain.sup_value.hex()
@@ -593,6 +640,86 @@ class TestNonConstantScan:
         monkeypatch.setattr(core, "argmax_bound", lambda k, *args: calls.append(k) or real(k, *args))
         sol = solve(system.source, system.env, tie=Tie.MAX_ARGMAX)
         assert calls == [0, sol.truncation_index]
+
+
+class TestConstantTail:
+    """Constant tails: the bound at the tail's running max, computed only
+    where it can end the scan, gives the result of the per-maximum rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(eventually_constant_families(), st.sampled_from(list(Tie)))
+    def test_eventually_constant_families(self, case, tie):
+        term, upper, lower, env, n = case
+        sol = solve_six_ways(term, upper, lower, env, tie)
+        agrees_with_brute_force(sol, term, max(sol.truncation_index, n), tie)
+
+    @pytest.mark.parametrize("lam,d", [(0.5, 2), (0.9, 3), (0.99, 2), (0.999, 4)])
+    def test_closed_bound_only_where_it_ends_the_scan(self, monkeypatch, lam, d):
+        const = linsys.LinearSystem(linsys.a_lambda(lam, d), linsys.p_q(lam, d)).const_env
+        real, calls = core.argmax_bound, []
+        monkeypatch.setattr(core, "argmax_bound", lambda k, *args: calls.append(k) or real(k, *args))
+        h_calls, beta_calls = [], []
+        env = Envelope(h=recorded(h_calls, const.h), beta=recorded(beta_calls, const.beta), mono=const.mono)
+        source = linsys.a_lambda_source(lam, d)
+        sol = solve(source, env, tie=Tie.MAX_ARGMAX)
+        assert calls == [0, sol.truncation_index]
+        # The tail reads (h_c, beta_c) once, at k = 1; the other reads are
+        # argmax_bound's own.
+        assert h_calls == [0, 1]
+        assert beta_calls == [0, 1, sol.truncation_index]
+        # A trace still gets a bound at every new maximum.
+        calls.clear()
+        assert solve(source, const, tie=Tie.MAX_ARGMAX, on_step=lambda *step: None) == sol
+        assert calls == list(range(sol.argmax_min + 1))
+
+    def test_bound_due_inside_the_margin(self):
+        # h evaluates 1e-11 relative above the function its inverse inverts.
+        # u_1 lies 5e-12 below h(beta^11) as evaluated, yet its bound is
+        # 11 - 5e-9 and floors to 10: the scan ends at 10, not 11.
+        b = 0.999
+        fn = EnvelopeFn(eval=lambda t: 2.0 * t * (1.0 + 1e-11), inverse=lambda y: y / 2.0, lo=0.0, hi=2.0)
+        env = Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity.constant())
+        top = fn.eval(b**10 * b) * (1.0 - 5e-12)
+        src = TermSource(eval=lambda k: top / 2 if k == 0 else top if k == 1 else top / 4)
+        for step in (None, lambda *args: None):
+            sol = solve(src, env, on_step=step)
+            assert (sol.argmax_min, sol.truncation_index) == (1, 10)
+
+    @pytest.mark.parametrize("tie", list(Tie))
+    def test_tail_membership_at_a_max_tie(self, tie):
+        # u_0 = 10 lies under h_0; from c = 1 on h(t) = 4t + 0.5 with beta 0.8,
+        # so K = 5 from u_1 = 1.6.  u_2 ties the max far above h(0.8^2): the
+        # max-argmax rule bounds it and meets the violation, the min-argmax
+        # rule never checks it.
+        src = TermSource(eval=lambda k: 10.0 if k in (0, 2) else 2.0 * 0.8**k)
+        fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
+        env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
+                       mono=Monotonicity.eventually_constant(1, 1))
+        for step in (None, lambda *args: None):
+            if tie is Tie.MAX_ARGMAX:
+                with pytest.raises(EnvelopeViolation) as err:
+                    solve(src, env, tie=tie, on_step=step)
+                assert err.value.k == 2
+            else:
+                sol = solve(src, env, tie=tie, on_step=step)
+                assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (10.0, 0, 5)
+
+    @pytest.mark.parametrize("rises", [True, False])
+    def test_tail_beta_out_of_range_raises_where_a_bound_is_due(self, rises):
+        # K = 5 from u_0 = 0.1 under h(t) = 4t + 0.01, beta 0.5; from c = 2
+        # on beta is 1.5.  Only a new max in the tail (u_3) needs a bound
+        # there: every other term lies above h(0) and below the max.
+        values = [0.1, 0.05, 0.05, 0.2 if rises else 0.05]
+        src = TermSource(eval=lambda k: values[k] if k < 4 else 0.05)
+        env = Envelope(h=lambda k: affine_fn(4.0, 0.01), beta=lambda k: 0.5 if k < 2 else 1.5,
+                       mono=Monotonicity.eventually_constant(0, 2))
+        for step in (None, lambda *args: None):
+            if rises:
+                with pytest.raises(PreconditionViolated, match="at k=3 "):
+                    solve(src, env, on_step=step)
+            else:
+                sol = solve(src, env, on_step=step)
+                assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (0.1, 0, 5)
 
 
 def recorded(calls, f):
