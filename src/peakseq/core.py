@@ -46,13 +46,12 @@ FLOOR_GUARD = 1e-9
 # the Jacobi values between them: the largest squared row norm is a sum of d
 # squares, off by at most d ulp, so the same estimate holds on either side.
 # The margin also dominates the MEMBERSHIP_RTOL slack a trusted bound or
-# envelope may carry.  In a constant tail solve computes the index bound only
-# where the tail's running max exceeds h_c(beta_c^(k+1)) less this margin;
-# below that level the bound is at least k + 1.  b**k, the product by b, the
-# division and the log behind the bound are each off by a few ulp, together
-# under ~1e-13 relative for |log x| <= 745, far inside the margin.  An
-# envelope whose inverse is less accurate than the margin can only make that
-# scan longer.
+# envelope may carry.  solve computes the index bound only where the running
+# max exceeds h_k(beta_k^(k+1)) less this margin; below that level the bound
+# is at least k + 1.  b**k, the product by b, the division and the log behind
+# the bound are each off by a few ulp, together under ~1e-13 relative for
+# |log x| <= 745, far inside the margin.  An envelope whose inverse is less
+# accurate than the margin can only make the scan longer.
 SCREEN_RTOL = 1e-9
 
 
@@ -98,12 +97,11 @@ class TermSource:
     for every k, up to roundoff of relative size MEMBERSHIP_RTOL; ``lower``
     likewise has lower(k) <= eval(k).  Both are pure in the same sense,
     trusted like an envelope and checked by :func:`validate_envelope`.
-    :func:`solve` uses them, in every monotonicity mode once a truncation
-    bound exists and with no ``on_step``, to skip terms that cannot reach
-    the running max (``upper``) or the next term (``upper`` against
-    ``lower`` one index on); a skipped index still gets its bound, which in
-    non-constant mode and in a constant tail is computed only where it can
-    end the scan.  ``lower`` alone screens nothing.
+    :func:`solve` uses them, once a truncation bound exists and with no
+    ``on_step``, to skip terms that cannot reach the running max (``upper``)
+    or the next term (``upper`` against ``lower`` one index on); a skipped
+    index still gets its bound where one can end the scan.  ``lower`` alone
+    screens nothing.
     """
 
     eval: Callable[[int], float]
@@ -164,9 +162,9 @@ class Monotonicity:
 
     ``decreasing_from`` is the index from which both h_k and beta_k are
     pointwise decreasing; ``constant_from``, when set, is an index from
-    which the pair (h_k, beta_k) no longer changes.  Only this metadata
-    unlocks the argmax guarantees; it is trusted here and checked by
-    :func:`validate_envelope`.
+    which the pair (h_k, beta_k) no longer changes, so :func:`solve` reads
+    it once there.  Only this metadata unlocks the argmax guarantees; it is
+    trusted here and checked by :func:`validate_envelope`.
     """
 
     decreasing_from: int = 0
@@ -339,184 +337,102 @@ def solve(
 
     One pass in O(1) state: each term is evaluated at most once, and not at
     all when its upper bound cannot reach the running max or the next term.
-    The scan below decreasing_from only compares terms.  From there on:
-
-    - With a constant-from index c the index bound is taken at u_k, and
-      only while no bound exists, when the running max improves (or is tied
-      under MAX_ARGMAX; the bound can only shrink along these terms) or when
-      u_k <= h_k(0).  From c on, once a bound exists and with no
-      ``on_step``, (h_c, beta_c) is read once and the bound is taken at vb,
-      the largest term this rule would have bounded from there, and only
-      where vb > h_c(beta_c^(k+1)) less SCREEN_RTOL relative: below that
-      level the bound at vb is at least k + 1, so these are the only indices
-      where it can end the scan, and it ends where this rule would.  Every
-      such term is still checked against h_c(beta_c^k).  A trace gets a
-      bound at every new maximum.
-    - Otherwise it is taken at the running max vmax: every later maximizer
-      j has u_j >= vmax, so j is bounded through h_k as well as through
-      u_k, and tighter.  Every evaluated term is checked against
-      h_k(beta_k^k) instead.  The bound is computed only while none exists
-      and where vmax > h_k(beta_k^(k+1)): the bound at vmax falls below
-      k + 1 exactly there, so these are the only indices where it can end
-      the scan.
+    The scan below decreasing_from only compares terms.  From there on
+    (h_k, beta_k) is read at every index up to constant_from and kept after
+    it, and a beta_k outside (0, 1) raises where it is read.  Every
+    evaluated term is checked against h_k(beta_k^k).  The index bound is
+    taken at the running max vmax: every later maximizer j has u_j >= vmax,
+    so j is bounded through h_k as well as through u_k, and tighter.  It is
+    computed while no bound exists and then only where vmax exceeds
+    h_k(beta_k^(k+1)) less SCREEN_RTOL relative: below that level the bound
+    at vmax is at least k + 1, so these are the only indices where it can
+    end the scan.  A constant family is a decreasing one and takes the same
+    rule.
 
     A bound below k is clamped to k, whose prefix is already scanned, so
     ``truncation_index`` is at least the argmax and ``terms_evaluated`` is
     ``truncation_index + 1``.
 
-    Screening, in every mode once a truncation bound exists and with no
-    ``on_step``: a term whose ``source.upper(k)`` is finite, at most at
-    h_k(beta_k^k) and below v = max(vmax, lower(k+1)) by more than
-    SCREEN_RTOL relative is skipped; a non-finite ``lower`` counts as
-    absent.  Below vmax such a term can neither improve nor tie the max;
-    a bound at it is taken from vmax, which it cannot move, or not at all.
-    Below lower(k+1), which is read only where index k+1 is due to be
-    scanned (see :func:`_screened`), the term lies under u_(k+1), so it
-    is no maximizer either; the running max it would have set stays at or
-    below h_k(beta_k^(k+1)), where no bound is taken in non-constant mode,
-    and in constant mode its bound is no tighter than the one the next
-    evaluated, larger term gets.  So the result is the one of the full scan,
-    before the peak as after it.  Equal terms are always evaluated.
+    Screening, once a truncation bound exists and with no ``on_step``: a
+    term whose ``source.upper(k)`` is finite, at most at h_k(beta_k^k) and
+    below v = max(vmax, lower(k+1)) by more than SCREEN_RTOL relative is
+    skipped; a non-finite ``lower`` counts as absent.  Below vmax such a
+    term can neither improve nor tie the max, nor move the bound.  Below
+    lower(k+1), which is read only where index k+1 is due to be scanned (see
+    :func:`_screened`), the term lies under u_(k+1), so it is no maximizer
+    either, and the running max it would have set stays below
+    h_k(beta_k^(k+1)) by the margin, where no bound is taken.  So the result
+    is the one of the full scan, before the peak as after it.  Equal terms
+    are always evaluated.
 
     The reported supremum and maximizer cover the whole scanned prefix
     u_0..u_K; a non-finite term raises :class:`PreconditionViolated`.
     ``terms_evaluated`` counts the indices scanned, K + 1, screened ones
     included.  ``on_step`` receives (k, u_k, bound, running K) once per
-    term; the bound argument is None when it was not needed at that index
-    and the infinite variant when it carries no information.
+    term; the bound argument is None where no bound was computed and the
+    infinite variant when it carries no information.  It turns screening
+    off, so it sees every exact term and the bounds of the scan without it.
     """
     m = env.mono.decreasing_from
-    constant_mode = env.mono.constant_from is not None
+    c = env.mono.constant_from
     max_tie = tie is Tie.MAX_ARGMAX
     # A trace must see every exact term.
     upper = source.upper if on_step is None else None
     lower = source.lower if upper is not None else None
 
-    # From this index on, once a bound exists, the constant tail below takes
-    # over; a trace sees a bound at every new maximum instead.
-    tail = env.mono.constant_from if on_step is None else None
-
-    trunc: int | None = None
     vmax = -math.inf
     first = last = 0
-    k = 0
+    for k in range(m):
+        u_k = source.eval(k)
+        if not math.isfinite(u_k):
+            raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
+        if u_k > vmax:
+            vmax, first, last = u_k, k, k
+        elif u_k == vmax:
+            last = k
+        if on_step is not None:
+            on_step(k, u_k, None, None)
+
+    trunc: int | None = None
+    k = m
     while trunc is None or k <= trunc:
         if trunc is None and k > m + scan_limit:
             raise NoUsefulIndex(
                 f"no index in [{m}, {m + scan_limit}] has u_k > h_k(0); "
                 "increase the scan limit only if the envelope is known useful"
             )
-        bound: UpperBoundValue | None = None
-        if constant_mode or k < m:
-            if tail is not None and k >= tail and trunc is not None:
-                fn = env.h(k)
-                b = env.beta(k)
-                if 0.0 < b < 1.0:
-                    break
-                # argmax_bound raises at the first index that needs a bound.
-                tail = None
-            if upper is not None and trunc is not None:
-                b = env.beta(k)
-                if 0.0 < b < 1.0:
-                    fn = env.h(k)
-                    bk = b**k
-                    if _screened(k, upper(k), fn.eval(bk), fn.eval(bk * b), vmax, lower, trunc):
-                        k += 1
-                        continue
-            u_k = source.eval(k)
-            if not math.isfinite(u_k):
-                raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
-            # A fresh bound is needed when the running max improves, and also
-            # while no bound exists yet (the pre-m prefix may dominate
-            # forever); an uninformative term still reports infinite.
-            if k >= m and (trunc is None or u_k > vmax or (max_tie and u_k == vmax)
-                           or u_k <= env.h(k).lo):
-                bound = argmax_bound(k, u_k, env)
-                if bound.is_finite:
-                    step = math.floor(bound.value + FLOOR_GUARD)
-                    if step < k:
-                        step = k
-                    trunc = step if trunc is None else min(trunc, step)
-            if u_k > vmax:
-                vmax, first, last = u_k, k, k
-            elif u_k == vmax:
-                last = k
-        else:
+        if c is None or k <= c:
             fn = env.h(k)
             b = env.beta(k)
             if not 0.0 < b < 1.0:
                 raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
-            bk = b**k
-            cert = fn.eval(bk)
-            nxt = None if trunc is None else fn.eval(bk * b)
-            if upper is not None and trunc is not None and _screened(
-                    k, upper(k), cert, nxt, vmax, lower, trunc):
-                u_k = None
-            else:
-                u_k = source.eval(k)
-                if not math.isfinite(u_k):
-                    raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
-                if exceeds_certificate(u_k, cert):
-                    raise EnvelopeViolation(k, u_k, cert)
-                if u_k > vmax:
-                    vmax, first, last = u_k, k, k
-                elif u_k == vmax:
-                    last = k
-            if trunc is None or vmax > nxt:
-                # min: above h_k(beta_k^k) the bound is below k either way.
-                bound = argmax_bound(k, min(vmax, cert), env, fn)
-                if bound.is_finite:
-                    step = math.floor(bound.value + FLOOR_GUARD)
-                    if step < k:
-                        step = k
-                    trunc = step if trunc is None else min(trunc, step)
-        if on_step is not None:
-            on_step(k, u_k, bound, trunc)
-        k += 1
-
-    # The constant tail, entered above with (h_c, beta_c) = (fn, b) and a
-    # bound.  vb is the largest term the per-maximum rule would bound from
-    # here on (new maxima, and ties under MAX_ARGMAX), None until there is
-    # one: unlike -inf, None allocates nothing.  Terms bounded before have
-    # their bound in trunc already and lie at or below every such term.
-    # With B the index bound at a value, that rule stops after k once
-    # k >= floor(B(vb) + FLOOR_GUARD), a floor that only falls as vb rises.
-    # B(vb) >= k + 1 while vb lies below h_c(beta_c^(k+1)) by the SCREEN_RTOL
-    # margin, so the bound is computed only past that level, at vb capped to
-    # h_c(beta_c^k); screened indices run the test too.
-    vb = None
-    while k <= trunc:
         bk = b**k
+        cert = fn.eval(bk)
         nxt = fn.eval(bk * b)
-        cert = None
-        if upper is not None:
-            cert = fn.eval(bk)
-            u_k = None if _screened(k, upper(k), cert, nxt, vmax, lower, trunc) else source.eval(k)
+        if upper is not None and trunc is not None and _screened(
+                k, upper(k), cert, nxt, vmax, lower, trunc):
+            u_k = None
         else:
             u_k = source.eval(k)
-        if u_k is not None:
             if not math.isfinite(u_k):
                 raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
-            if u_k > vmax or (max_tie and u_k == vmax):
-                if cert is None:
-                    cert = fn.eval(bk)
-                if exceeds_certificate(u_k, cert):
-                    raise EnvelopeViolation(k, u_k, cert)
-                vb = u_k
-                if u_k > vmax:
-                    vmax, first = u_k, k
-                last = k
+            if u_k > cert and exceeds_certificate(u_k, cert):
+                raise EnvelopeViolation(k, u_k, cert)
+            if u_k > vmax:
+                vmax, first, last = u_k, k, k
             elif u_k == vmax:
                 last = k
-        if vb is not None and vb > nxt - SCREEN_RTOL * abs(nxt):
-            if cert is None:
-                cert = fn.eval(bk)
-            bound = argmax_bound(k, min(vb, cert), env, fn)
+        bound = None
+        if trunc is None or vmax > nxt - SCREEN_RTOL * abs(nxt):
+            # min: above h_k(beta_k^k) the bound is below k either way.
+            bound = argmax_bound(k, min(vmax, cert), env, fn)
             if bound.is_finite:
                 step = math.floor(bound.value + FLOOR_GUARD)
                 if step < k:
                     step = k
-                trunc = min(trunc, step)
+                trunc = step if trunc is None else min(trunc, step)
+        if on_step is not None:
+            on_step(k, u_k, bound, trunc)
         k += 1
 
     return PeakSolution(

@@ -248,6 +248,33 @@ class TestReportLayout:
         code, plain, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--generic", "--tie", "max")
         assert json.loads(plain)["solution"] == json.loads(out)["solution"]
 
+    def test_constant_trace_bytes(self, capsys):
+        # The closed form under the constant envelope takes the same rule:
+        # a bound at k = 0 and then only at k = 7, where the running max
+        # exceeds h(beta^8) and the scan ends.
+        code, out, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--trace", "--tie", "max")
+        assert code == 0
+        terms = [
+            (0, "1", "14.156486566800192", 14),
+            (1, "1.9638878188659974", "null", 14),
+            (2, "2.84765625", "null", 14),
+            (3, "3.1936948785130337", "null", 14),
+            (4, "3.0445901441251175", "null", 14),
+            (5, "2.6142368508331701", "null", 14),
+            (6, "2.0901591786307692", "null", 14),
+            (7, "1.5875771679851494", "7.151083734269621", 7),
+        ]
+        trace = ", ".join(f'{{"k": {k}, "u_k": {u}, "bound": {b}, "K": {K}}}' for k, u, b, K in terms)
+        assert mask_elapsed(out) == (
+            '{"command": "solve linsys --lam 0.75 --trace --tie max", "adapter": "linsys", '
+            '"parameters": {"lambda": 0.75, "d": 2, "q": null, "generic": false}, '
+            '"solution": {"sup_value": 3.1936948785130337, "argmax_min": 3, "truncation_index": 7, '
+            '"terms_evaluated": 8, "argmax_max_requested": true}, '
+            f'"trace": [{trace}], "elapsed_seconds": T}}\n'
+        )
+        code, plain, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--tie", "max")
+        assert json.loads(plain)["solution"] == json.loads(out)["solution"]
+
     def test_solve_text_layout(self, capsys):
         code, out, _ = run(capsys, "solve", "factorial", "--a", "3", "--trace", "--format", "text")
         assert code == 0

@@ -110,6 +110,24 @@ class TestTruncationFrom:
         assert truncation_from(1, src, env) == 2
 
 
+def one_family_per_class():
+    """(term, envelope) of one family per monotonicity class, keyed by class."""
+    fact = FactorialRatioAdapter(20)
+    system = linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3))
+    # (k+1) 0.8^k peaks at k = 3 and 4 under 8 (0.9)^k, with steeper slopes
+    # and larger ratios before c = 3.
+    stepped = Envelope(h=lambda k: affine_fn(8.0 + max(0, 3 - k), 0.0),
+                       beta=lambda k: 0.9 + 0.01 * max(0, 3 - k),
+                       mono=Monotonicity.eventually_constant(0, 3))
+    term = lambda k: (k + 1) * 0.8**k
+    return {
+        "constant": (fact.source.eval, fact.const_env),
+        "eventually constant": (term, stepped),
+        "decreasing": (system.source.eval, system.env),
+        "eventually decreasing": (term, Envelope(stepped.h, stepped.beta, Monotonicity.eventually_decreasing(2))),
+    }
+
+
 class TestSolve:
     def test_factorial_a5(self):
         ad = FactorialRatioAdapter(5)
@@ -184,12 +202,25 @@ class TestSolve:
         sol = solve(ad.source, ad.seq_env, on_step=lambda k, u, b, K: seen.append(k))
         assert seen == list(range(sol.terms_evaluated))
 
+    @pytest.mark.parametrize("family", ["constant", "eventually constant", "decreasing",
+                                        "eventually decreasing"])
+    @pytest.mark.parametrize("tie", list(Tie))
+    def test_trace_bounds_are_the_scan_bounds(self, monkeypatch, family, tie):
+        term, env = one_family_per_class()[family]
+        real, calls = core.argmax_bound, []
+        monkeypatch.setattr(core, "argmax_bound", lambda k, *args: calls.append(k) or real(k, *args))
+        sol = solve(TermSource(eval=term), env, tie=tie)
+        scanned, traced = list(calls), []
+        assert solve(TermSource(eval=term), env, tie=tie,
+                     on_step=lambda k, u, bound, K: bound is None or traced.append(k)) == sol
+        assert traced == scanned
+        assert len(scanned) >= 2
+
     def test_eventually_constant_with_peak_before_m(self):
-        # The running max never improves past m, so the truncation comes
-        # from the first informative index at/after m, not from a new max.
-        src = TermSource(
-            eval=lambda k: 10.0 if k == 0 else 2.0 * 0.8**k, description="early peak"
-        )
+        # The running max never improves past m, and the prefix max u_0 = 10
+        # lies above every h_k(beta^k) from m on, so the bound at the running
+        # max ends the scan at m (at u_1 alone it would run to 5).
+        term = lambda k: 10.0 if k == 0 else 2.0 * 0.8**k
         big = affine_fn(1.0, 12.0)
         tail = affine_fn(4.0, 0.5)
         env = Envelope(
@@ -197,11 +228,27 @@ class TestSolve:
             beta=lambda k: 0.8,
             mono=Monotonicity.eventually_constant(1, 1),
         )
-        sol = solve(src, env, scan_limit=1000)
+        sol = solve(TermSource(eval=term, description="early peak"), env, scan_limit=1000)
         assert sol.sup_value == 10.0
         assert sol.argmax_min == 0
-        assert sol.truncation_index == 5  # bound at k=1: log(.275)/log(.8)
-        assert sol.terms_evaluated == 6
+        assert sol.truncation_index == 1
+        assert sol.terms_evaluated == 2
+        for tie in Tie:
+            agrees_with_brute_force(solve_six_ways(term, term, term, env, tie), term, 20, tie)
+
+    def test_peak_before_m_under_a_flat_tail_ends(self):
+        # Every term from m on lies at or below h(0) = 0.5, so no bound at
+        # the term itself is ever finite; the running max bounds them all.
+        # A bound taken only at new maxima would scan the whole default scan
+        # limit here and raise NoUsefulIndex.
+        term = lambda k: 10.0 if k == 0 else 0.0
+        fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
+        env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
+                       mono=Monotonicity.eventually_constant(1, 1))
+        sol = solve(TermSource(eval=term), env)
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (10.0, 0, 1)
+        for tie in Tie:
+            agrees_with_brute_force(solve_six_ways(term, term, term, env, tie), term, 20, tie)
 
     def test_max_tie_entirely_below_m_uses_rescan(self):
         values = {0: 7.0, 1: 1.0, 2: 7.0}
@@ -233,19 +280,22 @@ class TestSolve:
         assert repr(bad) in str(err.value)
 
     def test_constant_mode_bound_kinds_per_index(self):
-        # New max -> finite bound; non-improving informative term -> None
-        # (not recomputed); non-improving u_k <= h_k(0) -> infinite.
+        # The bound is taken at k = 0, where none exists yet, and at K = 6,
+        # the one index where the running max 1 exceeds h(0.9^(k+1)); no
+        # other index gets one, whether its term is informative or not.
         values = {0: 1.0, 1: 0.9, 2: 0.1}
-        src = TermSource(eval=lambda k: values.get(k, 0.2), description="kinds")
+        term = lambda k: values.get(k, 0.2)
         env = constant_env(affine_fn(1.0, 0.5), 0.9)
         kinds = []
 
         def record(k, u, bound, K):
             kinds.append(None if bound is None else bound.is_finite)
 
-        sol = solve(src, env, on_step=record)
+        sol = solve(TermSource(eval=term, description="kinds"), env, on_step=record)
         assert sol.truncation_index == 6  # log(0.5)/log(0.9) = 6.58
-        assert kinds == [True, None, False, False, False, False, False]
+        assert kinds == [True, None, None, None, None, None, True]
+        for tie in Tie:
+            agrees_with_brute_force(solve_six_ways(term, term, term, env, tie), term, 20, tie)
 
 
 def counting(source):
@@ -535,22 +585,23 @@ class TestScreening:
         assert evaluated == [0]
 
     def test_no_screening_above_the_certificate(self):
-        # h_k(t) = 8t up to k = 1, then 0.4t: K = 3 from u_0 = 1.  The bound
-        # 0.09 undercuts the max everywhere but exceeds h_3(0.5^3) = 0.05.
+        # h_k(t) = 8t up to k = 1, then 0.4t: K = 2, where the bound is taken
+        # at h_2(0.5^2) = 0.1 below the max u_0 = 1.  The upper bound 0.2
+        # undercuts the max from k = 1 on; at k = 1 it lies under h_1(0.5) = 4
+        # and the term is skipped, at k = 2 it lies above 0.1 and the term is
+        # evaluated.
         evaluated = []
-
-        def eval(k):
-            evaluated.append(k)
-            return 1.0 if k == 0 else 0.0
-
+        term = lambda k: 1.0 if k == 0 else 0.0
+        upper = lambda k: 1.0 if k == 0 else 0.2
         fns = (affine_fn(8.0, 0.0), affine_fn(0.4, 0.0))
         env = Envelope(h=lambda k: fns[k >= 2], beta=lambda k: 0.5, mono=Monotonicity(0, 2))
-        sol = solve(TermSource(eval=eval, upper=lambda k: 0.09), env)
-        assert sol.terms_evaluated == 4
-        assert evaluated == [0, 3]
+        sol = solve(TermSource(eval=recorded(evaluated, term), upper=upper), env)
+        assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (0, 2, 3)
+        assert evaluated == [0, 2]
+        for tie in Tie:
+            agrees_with_brute_force(solve_six_ways(term, upper, term, env, tie), term, 20, tie)
 
-    @pytest.mark.parametrize("mode", ["on_step"])
-    def test_upper_unused(self, mode):
+    def test_upper_unused(self):
         calls = []
         ad = FactorialRatioAdapter(20)
         src = TermSource(eval=ad.source.eval, upper=lambda k: calls.append(k) or 0.0)
@@ -623,6 +674,15 @@ class TestNonConstantScan:
         src = TermSource(eval=lambda k: terms[k] if k < 4 else 0.0)
         sol = solve(src, constant_env(affine_fn(1.0, 0.0), b))
         assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (3, 3, 4)
+        # Capped at h(beta^3) the bound is 3 up to the inverse's rounding;
+        # an inverse 1e-11 relative high, with beta = 0.999, puts it at
+        # 3 - 1e-8, which also floors to 2.
+        b = 0.999
+        fn = EnvelopeFn(eval=lambda t: 2.0 * t * (1.0 + 1e-11), inverse=lambda y: y / 2.0, lo=0.0, hi=2.0)
+        terms = [0.5, 0.6, 0.7, fn.eval(b**3)]
+        src = TermSource(eval=lambda k: terms[k] if k < 4 else 0.0)
+        sol = solve(src, Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity.constant()))
+        assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (3, 3, 4)
 
     def test_membership_is_checked_on_every_evaluated_term(self):
         # The bound is needed only at k = 0 and at the end; u_3 breaks h_3(beta^3).
@@ -643,8 +703,9 @@ class TestNonConstantScan:
 
 
 class TestConstantTail:
-    """Constant tails: the bound at the tail's running max, computed only
-    where it can end the scan, gives the result of the per-maximum rule."""
+    """Eventually constant families: (h, beta) read once from constant_from
+    on, under the running-max rule, give the result of the full scan and of
+    the same family declared decreasing."""
 
     @settings(max_examples=300, deadline=None)
     @given(eventually_constant_families(), st.sampled_from(list(Tie)))
@@ -652,6 +713,14 @@ class TestConstantTail:
         term, upper, lower, env, n = case
         sol = solve_six_ways(term, upper, lower, env, tie)
         agrees_with_brute_force(sol, term, max(sol.truncation_index, n), tie)
+
+    @settings(max_examples=150, deadline=None)
+    @given(eventually_constant_families(), st.sampled_from(list(Tie)))
+    def test_same_as_declared_decreasing(self, case, tie):
+        term, upper, lower, env, n = case
+        decreasing = Envelope(h=env.h, beta=env.beta, mono=Monotonicity(env.mono.decreasing_from, None))
+        same_solution(solve_six_ways(term, upper, lower, env, tie),
+                      solve_six_ways(term, upper, lower, decreasing, tie))
 
     @pytest.mark.parametrize("lam,d", [(0.5, 2), (0.9, 3), (0.99, 2), (0.999, 4)])
     def test_closed_bound_only_where_it_ends_the_scan(self, monkeypatch, lam, d):
@@ -663,14 +732,14 @@ class TestConstantTail:
         source = linsys.a_lambda_source(lam, d)
         sol = solve(source, env, tie=Tie.MAX_ARGMAX)
         assert calls == [0, sol.truncation_index]
-        # The tail reads (h_c, beta_c) once, at k = 1; the other reads are
+        # (h, beta) is read once, at k = 0; the other beta reads are
         # argmax_bound's own.
-        assert h_calls == [0, 1]
-        assert beta_calls == [0, 1, sol.truncation_index]
-        # A trace still gets a bound at every new maximum.
+        assert h_calls == [0]
+        assert beta_calls == [0, 0, sol.truncation_index]
+        # A trace gets the bounds of the scan without it.
         calls.clear()
         assert solve(source, const, tie=Tie.MAX_ARGMAX, on_step=lambda *step: None) == sol
-        assert calls == list(range(sol.argmax_min + 1))
+        assert calls == [0, sol.truncation_index]
 
     def test_bound_due_inside_the_margin(self):
         # h evaluates 1e-11 relative above the function its inverse inverts.
@@ -688,38 +757,31 @@ class TestConstantTail:
     @pytest.mark.parametrize("tie", list(Tie))
     def test_tail_membership_at_a_max_tie(self, tie):
         # u_0 = 10 lies under h_0; from c = 1 on h(t) = 4t + 0.5 with beta 0.8,
-        # so K = 5 from u_1 = 1.6.  u_2 ties the max far above h(0.8^2): the
-        # max-argmax rule bounds it and meets the violation, the min-argmax
-        # rule never checks it.
-        src = TermSource(eval=lambda k: 10.0 if k in (0, 2) else 2.0 * 0.8**k)
+        # so the running max ends the scan at K = 1.  u_1 ties the max far
+        # above h(0.8): every evaluated term is checked, so both tie rules
+        # meet the violation.
+        term = lambda k: 10.0 if k < 2 else 2.0 * 0.8**k
         fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
         env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
                        mono=Monotonicity.eventually_constant(1, 1))
-        for step in (None, lambda *args: None):
-            if tie is Tie.MAX_ARGMAX:
+        for up in (None, term):
+            for step in (None, lambda *args: None):
                 with pytest.raises(EnvelopeViolation) as err:
-                    solve(src, env, tie=tie, on_step=step)
-                assert err.value.k == 2
-            else:
-                sol = solve(src, env, tie=tie, on_step=step)
-                assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (10.0, 0, 5)
+                    solve(TermSource(eval=term, upper=up), env, tie=tie, on_step=step)
+                assert err.value.k == 1
 
     @pytest.mark.parametrize("rises", [True, False])
-    def test_tail_beta_out_of_range_raises_where_a_bound_is_due(self, rises):
+    def test_tail_beta_out_of_range_raises_where_it_is_read(self, rises):
         # K = 5 from u_0 = 0.1 under h(t) = 4t + 0.01, beta 0.5; from c = 2
-        # on beta is 1.5.  Only a new max in the tail (u_3) needs a bound
-        # there: every other term lies above h(0) and below the max.
+        # on beta is 1.5.  (h, beta) is read at every index up to c, so the
+        # scan raises at k = 2 whether or not a later term (u_3) rises.
         values = [0.1, 0.05, 0.05, 0.2 if rises else 0.05]
         src = TermSource(eval=lambda k: values[k] if k < 4 else 0.05)
         env = Envelope(h=lambda k: affine_fn(4.0, 0.01), beta=lambda k: 0.5 if k < 2 else 1.5,
                        mono=Monotonicity.eventually_constant(0, 2))
         for step in (None, lambda *args: None):
-            if rises:
-                with pytest.raises(PreconditionViolated, match="at k=3 "):
-                    solve(src, env, on_step=step)
-            else:
-                sol = solve(src, env, on_step=step)
-                assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (0.1, 0, 5)
+            with pytest.raises(PreconditionViolated, match="at k=2 "):
+                solve(src, env, on_step=step)
 
 
 def recorded(calls, f):
