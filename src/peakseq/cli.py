@@ -69,12 +69,7 @@ def _logistic(args):
 
 
 def _linsys(args):
-    matrix = linsys.a_lambda(args.lam, args.d)
-    system = linsys.LinearSystem(matrix, linsys.p_q(args.lam, args.d, args.q))
-    if args.generic:
-        source, env = system.source, system.env
-    else:
-        source, env = linsys.a_lambda_source(args.lam, args.d), system.const_env
+    _, source, env = linsys.a_lambda_problem(args.lam, args.d, args.q, args.generic)
     return source, env, {"lambda": args.lam, "d": args.d, "q": args.q, "generic": args.generic}
 
 

@@ -284,9 +284,11 @@ def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None
     Returns the infinite branch when u_k <= h_k(0) (the strict inequality
     is exact, no epsilon).  Raises :class:`EnvelopeViolation` when u_k
     exceeds h_k(beta_k^k) beyond a 1e-12 relative slack; membership is
-    assumed, not trusted.  A beta_k outside (0, 1) raises
-    :class:`PreconditionViolated`.
+    assumed, not trusted.  A non-finite u_k or a beta_k outside (0, 1)
+    raises :class:`PreconditionViolated`.
     """
+    if not math.isfinite(u_k):
+        raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
     if fn is None:
         fn = env.h(k)
     b = env.beta(k)
@@ -462,7 +464,7 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
     One in-order pass: u_k, h_k and beta_k are evaluated once per index and
     h_k is sampled once on the grid (from decreasing_from on).  A source with
     an ``upper`` or ``lower`` bound also has it checked against u_k (kinds
-    ``upper`` and ``lower``).
+    ``upper`` and ``lower``).  A non-finite u_k is a ``membership`` finding.
     Returns every finding in index order (empty list when clean).  A clean
     result proves nothing beyond the horizon.
     """
@@ -505,7 +507,9 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
             continue
         cert = fn.eval(b**k)
-        if exceeds_certificate(u_k, cert):
+        if not math.isfinite(u_k):
+            findings.append(EnvelopeFinding(k, "membership", f"u_k={u_k!r} is not finite"))
+        elif exceeds_certificate(u_k, cert):
             findings.append(
                 EnvelopeFinding(k, "membership", f"u_k={u_k!r} > h_k(beta_k^k)={cert!r}")
             )

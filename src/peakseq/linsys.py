@@ -280,27 +280,6 @@ def spectral_norm_sq_power(a: Matrix, k: int) -> float:
     return _norm_sq(mat_pow(a, k).rows)
 
 
-@dataclass(frozen=True)
-class LyapunovCertificate:
-    """A quadratic stability certificate with its derived envelope data."""
-
-    p: Matrix
-    lambda_min: float
-    lambda_max: float
-    beta: float
-    slope: float
-
-
-def lyapunov_certificate(a: Matrix, p: Matrix) -> LyapunovCertificate:
-    if not is_lyapunov(a, p):
-        raise NotLyapunov("P fails P > 0 or P - A^T P A > 0")
-    lo, hi = sym_eig_bounds(p)
-    beta = op_norm_sq(a, p)
-    if not 0.0 < beta < 1.0:
-        raise NotLyapunov(f"certified contraction ratio {beta!r} not in (0,1)")
-    return LyapunovCertificate(p=p, lambda_min=lo, lambda_max=hi, beta=beta, slope=hi / lo)
-
-
 def power_norm_source(a: Matrix) -> TermSource:
     """Term source k -> ||A^k||_2^2 through the generic kernel.
 
@@ -344,12 +323,9 @@ def _power_terms(power, norms, d: int) -> TermSource:
 
 
 def envelope_from_certificate(a: Matrix, p: Matrix) -> Envelope:
-    """Constant envelope (t -> slope * t, beta = ||A||_P^2) for ||A^k||_2^2.
-
-    The envelope function vanishes at 0 while every squared norm is
-    positive, so every index carries bound information.  It is
-    ``LinearSystem(a, p).const_env``.
-    """
+    """``LinearSystem(a, p).const_env``: t -> slope * t with ratio ||A||_P^2.
+    It vanishes at 0 while every squared norm is positive, so every index
+    carries bound information."""
     return LinearSystem(a, p).const_env
 
 
@@ -371,14 +347,18 @@ def _anchor(p: Matrix, lmin: float):
 class LinearSystem:
     """||A^k||_2^2 for a stable A with its certificate P, checked once.
 
-    ``source`` is the generic term source (as :func:`power_norm_source`,
-    with the Frobenius ``upper`` and the row-norm ``lower``), ``const_env``
-    the constant envelope (t -> slope * t, beta = ||A||_P^2), and ``env``
-    the certificate re-anchored at the current power:
+    The constructor raises :class:`NotLyapunov` unless P > 0,
+    P - A^T P A > 0 and beta = ||A||_P^2 lies in (0, 1).  It keeps ``p``,
+    P's extreme eigenvalues ``lambda_min`` and ``lambda_max``, ``beta`` and
+    ``slope`` = lambda_max / lambda_min.  ``source`` is the generic term
+    source (as :func:`power_norm_source`, with the Frobenius ``upper`` and
+    the row-norm ``lower``), ``const_env`` the constant envelope
+    (t -> slope * t, ratio beta), and ``env`` the certificate re-anchored at
+    the current power:
 
         h_k(t) = (w_k / beta^k) * t,  w_k = tr((A^k)^T P A^k) / lmin(P),
 
-    with beta_k = beta = ||A||_P^2 and ``Monotonicity.decreasing()``.  It
+    with beta_k = beta and ``Monotonicity.decreasing()``.  It
     holds because ||A^k||_2^2 <= w_k = h_k(beta^k), and it decreases
     because A^T P A <= beta P gives w_{k+1} <= beta * w_k, so it follows the
     actual decay of A^k rather than the worst case the certificate allows.
@@ -401,9 +381,15 @@ class LinearSystem:
     """
 
     def __init__(self, a: Matrix, p: Matrix):
-        self.a = a
-        self.cert = cert = lyapunov_certificate(a, p)
-        self.const_env = AffineParams(cert.slope, cert.beta, 0.0).constant_envelope()
+        if not is_lyapunov(a, p):
+            raise NotLyapunov("P fails P > 0 or P - A^T P A > 0")
+        self.a, self.p = a, p
+        self.lambda_min, self.lambda_max = sym_eig_bounds(p)
+        self.beta = op_norm_sq(a, p)
+        if not 0.0 < self.beta < 1.0:
+            raise NotLyapunov(f"certified contraction ratio {self.beta!r} not in (0,1)")
+        self.slope = self.lambda_max / self.lambda_min
+        self.const_env = AffineParams(self.slope, self.beta, 0.0).constant_envelope()
 
     @cached_property
     def _state(self):
@@ -411,8 +397,8 @@ class LinearSystem:
 
         Built on first use, so a caller of ``const_env`` alone holds none of it.
         """
-        rows, log_beta = self.a.rows, math.log(self.cert.beta)
-        anchor = _anchor(self.cert.p, self.cert.lambda_min)
+        rows, log_beta = self.a.rows, math.log(self.beta)
+        anchor = _anchor(self.p, self.lambda_min)
 
         def at(k: int, power, log_scale: float):
             norms = _row_norms(power)
@@ -433,7 +419,7 @@ class LinearSystem:
 
     @cached_property
     def env(self) -> Envelope:
-        state, beta = self._state, self.cert.beta
+        state, beta = self._state, self.beta
         return Envelope(
             h=lambda k: affine_fn(math.exp(state(k)[3]), 0.0),
             beta=lambda k: beta,
@@ -494,6 +480,16 @@ def a_lambda_source(lam: float, d: int = 2, generic: bool = False) -> TermSource
     )
 
 
+def a_lambda_problem(lam: float, d: int = 2, q: float | None = None, generic: bool = False):
+    """(system, source, envelope) of lambda*Id + U under P_q: the closed-form
+    source with the constant envelope, or with ``generic`` the kernel source
+    with the anchored one (:class:`LinearSystem`)."""
+    system = LinearSystem(a_lambda(lam, d), p_q(lam, d, q))
+    if generic:
+        return system, system.source, system.env
+    return system, a_lambda_source(lam, d), system.const_env
+
+
 @dataclass(frozen=True)
 class TableRow:
     lam: float
@@ -514,22 +510,20 @@ def table_run(
 ) -> list[TableRow]:
     """Benchmark rows (lambda, last maximizer, peak value, floored bound).
 
-    For each lambda the certificate P_q (default q) is checked once.  The
-    closed-form rows scan under its constant envelope, the generic rows
-    under the anchored one (:class:`LinearSystem`), with the max-argmax tie
-    rule so the reported index is the last maximizer.  The bound column is
-    always the floored constant-envelope index bound at that maximizer,
-    whichever family drove the scan.  Rows are computed in input order.
+    Each row scans the problem :func:`a_lambda_problem` builds, with the
+    max-argmax tie rule so the reported index is the last maximizer.  The
+    bound column is always the floored constant-envelope index bound at that
+    maximizer, whichever family drove the scan.  Rows are computed in input
+    order.
     """
     rows: list[TableRow] = []
     for lam in lambdas:
         if not 0.0 < lam < 1.0:
             raise PreconditionViolated(f"lambda={lam!r} must lie in (0, 1)")
-        system = LinearSystem(a_lambda(lam, d), p_q(lam, d, q))
-        plain = a_lambda_source(lam, d, generic)
-        source, env = (system.source, system.env) if generic else (plain, system.const_env)
+        system, source, env = a_lambda_problem(lam, d, q, generic)
         sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX, scan_limit=scan_limit)
-        # The scan's cursor is past k_s; the plain source re-steps the power alone.
+        # The generic scan's cursor is past k_s; a fresh source re-steps the power alone.
+        plain = power_norm_source(system.a) if generic else source
         f_floor = truncation_from(sol.argmax_min, plain, system.const_env)
         rows.append(TableRow(lam=lam, k_s=sol.argmax_min, max_norm_sq=sol.sup_value, f_floor=f_floor))
     return rows

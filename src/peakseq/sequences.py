@@ -54,8 +54,9 @@ class FactorialRatioAdapter:
 
     ``seq_env`` is the tight family h_n(t) = t * (a+1)^n / n! with ratio
     a/(a+1), an equality envelope (u_n = h_n(beta^n) exactly) decreasing
-    from index a.  ``const_env`` freezes the family at its largest member
-    g(t) = t * (a+1)^a, trading tightness for a constant class.
+    from index a.  ``const_env`` is g(t) = t * (a+1)^a with the same ratio:
+    (a+1)^a is a! times the largest slope (a+1)^a / a!, trading tightness
+    for a constant class.
     """
 
     def __init__(self, a: int):

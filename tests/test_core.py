@@ -94,6 +94,20 @@ class TestArgmaxBound:
             argmax_bound(1, 0.9, env)
 
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_term_raises(self, bad):
+        # Unchecked, inf passed the slack (cert + inf) and nan every
+        # comparison; both gave a bound of 0.
+        env = constant_env(affine_fn(1.0, 0.0), 0.5)
+        with pytest.raises(PreconditionViolated, match=re.escape(f"k=3: u_k={bad!r}")):
+            argmax_bound(3, bad, env)
+
+
+def bad_at_3(bad):
+    """0.5^k, equal to h(0.5^k) under h(t) = t, except u_3 = bad."""
+    return TermSource(eval=lambda k: bad if k == 3 else 0.5**k, description="bad term")
+
+
 class TestTruncationFrom:
     def test_factorial(self):
         ad = FactorialRatioAdapter(5)
@@ -108,6 +122,12 @@ class TestTruncationFrom:
         env = linsys.envelope_from_certificate(linsys.a_lambda(0.5), linsys.p_q(0.5))
         src = linsys.a_lambda_source(0.5)
         assert truncation_from(1, src, env) == 2
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_term_raises(self, bad):
+        env = constant_env(affine_fn(1.0, 0.0), 0.5)
+        with pytest.raises(PreconditionViolated, match=re.escape(f"k=3: u_k={bad!r}")):
+            truncation_from(3, bad_at_3(bad), env)
 
 
 def one_family_per_class():
@@ -278,6 +298,14 @@ class TestSolve:
             solve(src, env)
         assert f"k={k_bad}" in str(err.value)
         assert repr(bad) in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_term_before_decreasing_from_raises(self, bad):
+        # The prefix below decreasing_from only compares terms.
+        env = Envelope(h=lambda k: affine_fn(1.0, 0.0), beta=lambda k: 0.5,
+                       mono=Monotonicity.eventually_decreasing(5))
+        with pytest.raises(PreconditionViolated, match=re.escape(f"k=3: u_k={bad!r}")):
+            solve(bad_at_3(bad), env)
 
     def test_constant_mode_bound_kinds_per_index(self):
         # The bound is taken at k = 0, where none exists yet, and at K = 6,
@@ -800,7 +828,7 @@ def constant_scan_length(system, lam):
     """The constant-envelope index bound at the closed-form peak: about the
     number of terms a scan under ``const_env`` takes."""
     peak = max(linsys.a_lambda_norm_sq_closed(lam, k) for k in range(1000))
-    return math.log(peak / system.cert.slope) / math.log(system.cert.beta)
+    return math.log(peak / system.slope) / math.log(system.beta)
 
 
 class TestLookAhead:
@@ -986,6 +1014,12 @@ class TestValidateEnvelope:
         ad = FactorialRatioAdapter(3)
         assert validate_envelope(ad.source, ad.seq_env, 100) == []
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_term_is_a_membership_finding(self, bad):
+        # Unchecked, both passed as clean.
+        findings = validate_envelope(bad_at_3(bad), constant_env(affine_fn(1.0, 0.0), 0.5), 10)
+        assert findings == [core.EnvelopeFinding(3, "membership", f"u_k={bad!r} is not finite")]
+
     def test_corrupted_beta_is_caught(self):
         ad = FactorialRatioAdapter(3)
         bad = Envelope(
@@ -1107,7 +1141,7 @@ class TestValidateEnvelope:
         # w_k decays at exactly beta here, so h_1 rises above h_0.
         a, p = system
         ls = linsys.LinearSystem(a, p)
-        beta = 0.99 * ls.cert.beta
+        beta = 0.99 * ls.beta
         env = Envelope(h=lambda k: affine_fn(ls.env.h(k).hi / 0.99**k, 0.0), beta=lambda k: beta,
                        mono=Monotonicity.decreasing())
         findings = validate_envelope(ls.source, env, 20)

@@ -33,12 +33,12 @@ from peakseq.linsys import (
     TABLE_LAMBDAS,
     a_lambda,
     a_lambda_norm_sq_closed,
+    a_lambda_problem,
     a_lambda_op_norm_sq_closed,
     a_lambda_source,
     cholesky_lower,
     envelope_from_certificate,
     is_lyapunov,
-    lyapunov_certificate,
     mat_pow,
     op_norm_sq,
     p_q,
@@ -132,6 +132,14 @@ class TestCholeskyAndLyapunov:
     def test_cholesky_rejects_indefinite(self):
         assert cholesky_lower(Matrix.from_rows([[1.0, 2.0], [2.0, 1.0]])) is None
 
+    def test_p_not_positive_definite_is_not(self):
+        # A = 2I is unstable, yet P = -I gives P - A^T P A = 3I > 0: only the
+        # check of P itself rejects the pair.
+        a, p = Matrix.diagonal([2.0, 2.0]), Matrix.diagonal([-1.0, -1.0])
+        assert not is_lyapunov(a, p)
+        with pytest.raises(NotLyapunov, match="P fails"):
+            LinearSystem(a, p)
+
     def test_cholesky_rejects_negative_and_zero_pivots(self):
         assert cholesky_lower(Matrix.diagonal([1.0, -1.0])) is None
         assert cholesky_lower(Matrix.diagonal([1.0, 0.0])) is None
@@ -149,7 +157,7 @@ class TestCholeskyAndLyapunov:
         a, p = a_lambda(lam, d), p_q(lam, d)
         assert is_lyapunov(a, p)
         closed = a_lambda_op_norm_sq_closed(lam, p.rows[-1][-1])
-        assert abs(lyapunov_certificate(a, p).beta - closed) <= 2 * math.ulp(closed)
+        assert abs(LinearSystem(a, p).beta - closed) <= 2 * math.ulp(closed)
 
     def test_published_rows_still_certify(self):
         for lam in TABLE_LAMBDAS:
@@ -312,11 +320,20 @@ class TestBenchmarkFamily:
         with pytest.raises(QTooSmall):
             p_q(0.5, q=q_threshold(0.5))
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_problem_pairs_source_and_envelope(self, d):
+        system, source, env = a_lambda_problem(0.9, d, 1e5)
+        assert (system.a, system.p) == (a_lambda(0.9, d), p_q(0.9, d, 1e5))
+        assert env is system.const_env and source.upper is None
+        assert source.eval(7) == a_lambda_norm_sq_closed(0.9, 7)
+        system, source, env = a_lambda_problem(0.9, d, 1e5, generic=True)
+        assert source is system.source and env is system.env
+
     def test_certificate_fields(self):
-        cert = lyapunov_certificate(a_lambda(0.9), p_q(0.9))
-        assert 0.0 < cert.beta < 1.0
-        assert cert.lambda_min <= cert.lambda_max
-        assert cert.slope == pytest.approx(cert.lambda_max / cert.lambda_min)
+        system = LinearSystem(a_lambda(0.9), p_q(0.9))
+        assert 0.0 < system.beta < 1.0
+        assert system.lambda_min <= system.lambda_max
+        assert system.slope == pytest.approx(system.lambda_max / system.lambda_min)
 
     def test_invalid_p_raises(self):
         with pytest.raises(NotLyapunov):
@@ -331,13 +348,13 @@ class TestBenchmarkFamily:
 
     def test_envelope_soundness(self):
         for lam in [0.5, 0.75, 0.9]:
-            cert = lyapunov_certificate(a_lambda(lam), p_q(lam))
+            system = LinearSystem(a_lambda(lam), p_q(lam))
             env = envelope_from_certificate(a_lambda(lam), p_q(lam))
             src = a_lambda_source(lam)
             sol = solve(src, env, tie=Tie.MAX_ARGMAX)
             for k in range(0, 2 * sol.truncation_index + 1):
                 z_k = src.eval(k)
-                assert z_k <= cert.slope * cert.beta**k * (1.0 + 1e-12)
+                assert z_k <= system.slope * system.beta**k * (1.0 + 1e-12)
 
 
 def similar_system():
@@ -378,7 +395,9 @@ class TestLinearSystem:
     def test_const_env_is_the_certificate_envelope(self, name):
         a, p = SYSTEMS[name]()
         system, env = LinearSystem(a, p), envelope_from_certificate(a, p)
-        assert system.cert == lyapunov_certificate(a, p)
+        lo, hi = sym_eig_bounds(p)
+        assert (system.p, system.lambda_min, system.lambda_max) == (p, lo, hi)
+        assert (system.beta, system.slope) == (op_norm_sq(a, p), hi / lo)
         assert system.const_env.mono == env.mono == Monotonicity.constant()
         for k in (0, 7, 300):
             assert system.const_env.beta(k) == env.beta(k)
@@ -388,7 +407,7 @@ class TestLinearSystem:
     def test_anchored_family(self, name):
         a, p = SYSTEMS[name]()
         system = LinearSystem(a, p)
-        beta = system.cert.beta
+        beta = system.beta
         assert system.env.mono == Monotonicity.decreasing()
         scales = []
         for k in range(0, 400, 7):
@@ -419,7 +438,7 @@ class TestLinearSystem:
         # the running minimum keeps the scale from growing there.
         a = Matrix.from_rows([[0.5, 1e150], [0.0, 0.5]])
         system = LinearSystem(a, Matrix.diagonal([1.0, 1e308]))
-        assert system.cert.beta**538 == 0.0
+        assert system.beta**538 == 0.0
         assert 0.0 < system.source.eval(538) and 1e300 < system.env.h(538).hi < math.inf
         assert validate_envelope(system.source, system.env, 1000) == []
 
@@ -427,7 +446,7 @@ class TestLinearSystem:
     def test_scale_stays_finite_past_underflow(self, lam):
         # beta^k and A^k underflow long before k = 3000.
         system = LinearSystem(a_lambda(lam), p_q(lam))
-        assert system.cert.beta**3000 == 0.0
+        assert system.beta**3000 == 0.0
         fns = [system.env.h(k) for k in range(3001)]
         assert all(0.0 < fn.hi < math.inf for fn in fns)
         assert all(later.hi <= earlier.hi for earlier, later in zip(fns, fns[1:]))
