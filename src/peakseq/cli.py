@@ -211,9 +211,7 @@ def _run_table(args, argv: list[str]) -> int:
             except ValueError:
                 print(f"peakseq table: error: invalid lambda {p.strip()!r}", file=sys.stderr)
                 return EXIT_USAGE
-    rows = linsys.table_run(
-        lambdas, d=args.d, q=args.q, generic=args.generic, scan_limit=scan_limit_from_env()
-    )
+    rows = linsys.table_run(lambdas, d=args.d, q=args.q, generic=args.generic)
     if args.format == "csv":
         sys.stdout.write(linsys.rows_to_csv(rows))
     else:
@@ -253,7 +251,7 @@ def build_parser() -> _Parser:
     """The `peakseq` parser, built once per process and shared: do not mutate it.
 
     It holds no per-call state; the scan limit is read from the environment
-    when a command runs.
+    when `solve` runs.
     """
     parser = _Parser(prog="peakseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -250,8 +250,9 @@ class PeakSolution:
 
 
 def exceeds_certificate(u: float, cert: float) -> bool:
-    """True when u lies above cert beyond the MEMBERSHIP_RTOL roundoff slack."""
-    return u > cert + MEMBERSHIP_RTOL * max(1.0, abs(u))
+    """True unless u <= cert plus the MEMBERSHIP_RTOL roundoff slack, so a
+    NaN on either side exceeds."""
+    return not u <= cert + MEMBERSHIP_RTOL * max(1.0, abs(u))
 
 
 def _below(ub: float, v: float) -> bool:
@@ -283,9 +284,9 @@ def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None
 
     Returns the infinite branch when u_k <= h_k(0) (the strict inequality
     is exact, no epsilon).  Raises :class:`EnvelopeViolation` when u_k
-    exceeds h_k(beta_k^k) beyond a 1e-12 relative slack; membership is
-    assumed, not trusted.  A non-finite u_k or a beta_k outside (0, 1)
-    raises :class:`PreconditionViolated`.
+    exceeds h_k(beta_k^k) beyond a 1e-12 relative slack, or h_k(beta_k^k)
+    is NaN; membership is assumed, not trusted.  A non-finite u_k or a
+    beta_k outside (0, 1) raises :class:`PreconditionViolated`.
     """
     if not math.isfinite(u_k):
         raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
@@ -342,7 +343,8 @@ def solve(
     The scan below decreasing_from only compares terms.  From there on
     (h_k, beta_k) is read at every index up to constant_from and kept after
     it, and a beta_k outside (0, 1) raises where it is read.  Every
-    evaluated term is checked against h_k(beta_k^k).  The index bound is
+    evaluated term is checked against h_k(beta_k^k), and a NaN
+    h_k(beta_k^k) fails the check.  The index bound is
     taken at the running max vmax: every later maximizer j has u_j >= vmax,
     so j is bounded through h_k as well as through u_k, and tighter.  It is
     computed while no bound exists and then only where vmax exceeds
@@ -418,7 +420,7 @@ def solve(
             u_k = source.eval(k)
             if not math.isfinite(u_k):
                 raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
-            if u_k > cert and exceeds_certificate(u_k, cert):
+            if not u_k <= cert and exceeds_certificate(u_k, cert):
                 raise EnvelopeViolation(k, u_k, cert)
             if u_k > vmax:
                 vmax, first, last = u_k, k, k
@@ -463,8 +465,9 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
 
     One in-order pass: u_k, h_k and beta_k are evaluated once per index and
     h_k is sampled once on the grid (from decreasing_from on).  A source with
-    an ``upper`` or ``lower`` bound also has it checked against u_k (kinds
-    ``upper`` and ``lower``).  A non-finite u_k is a ``membership`` finding.
+    an ``upper`` or ``lower`` bound also has it checked against a finite u_k
+    (kinds ``upper`` and ``lower``; a NaN bound fails).  A non-finite u_k,
+    or a NaN h_k(beta_k^k), is a ``membership`` finding.
     Returns every finding in index order (empty list when clean).  A clean
     result proves nothing beyond the horizon.
     """
@@ -495,11 +498,12 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
                     )
                     break
         prev = None
-        if source.upper is not None:
+        finite = math.isfinite(u_k)
+        if source.upper is not None and finite:
             up = source.upper(k)
             if exceeds_certificate(u_k, up):
                 findings.append(EnvelopeFinding(k, "upper", f"u_k={u_k!r} > upper(k)={up!r}"))
-        if source.lower is not None:
+        if source.lower is not None and finite:
             lo = source.lower(k)
             if exceeds_certificate(lo, u_k):
                 findings.append(EnvelopeFinding(k, "lower", f"u_k={u_k!r} < lower(k)={lo!r}"))
@@ -507,7 +511,7 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
             continue
         cert = fn.eval(b**k)
-        if not math.isfinite(u_k):
+        if not finite:
             findings.append(EnvelopeFinding(k, "membership", f"u_k={u_k!r} is not finite"))
         elif exceeds_certificate(u_k, cert):
             findings.append(

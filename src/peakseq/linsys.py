@@ -27,7 +27,6 @@ from functools import cached_property
 from operator import mul
 
 from .core import (
-    DEFAULT_SCAN_LIMIT,
     Envelope,
     Monotonicity,
     PeakSolution,
@@ -281,45 +280,25 @@ def spectral_norm_sq_power(a: Matrix, k: int) -> float:
 
 
 def power_norm_source(a: Matrix) -> TermSource:
-    """Term source k -> ||A^k||_2^2 through the generic kernel.
+    """Term source k -> ||A^k||_2^2 through the generic kernel, with no bounds.
 
     A^k = A^(k-1) A is stepped from the last power the source computed, so
     an in-order scan pays one row product, half a Gram and one Jacobi solve
-    per term.  Its bounds come from the squared row norms of the same power,
-    d^2 multiplies formed on first use and kept on the cursor with it:
-    ||A^k||_F^2, their sum, above, and their max below (||M||_2 >=
-    ||e_i^T M|| for every row i).  A term that solve screens out pays the
-    row product and those multiplies, a scan of ``eval`` alone pays no
-    multiply for them, and an eval at the same k, or at k - 1 after a
-    look-ahead to k, reuses the power.
+    per term, and an eval at the same k, or at k - 1 after one at k, reuses
+    the power.  ``LinearSystem(a, p).source`` is the same walk with the
+    bounds that let :func:`solve` skip terms.
     """
     rows = a.rows
-    state = _cursor((Matrix.identity(a.dim).rows, []), lambda s: (_product(s[0], rows), []))
-
-    def norms(k: int) -> tuple[float, ...]:
-        power, memo = state(k)
-        if not memo:
-            memo.append(_row_norms(power))
-        return memo[0]
-
-    return _power_terms(lambda k: state(k)[0], norms, a.dim)
+    power = _cursor(Matrix.identity(a.dim).rows, lambda m: _product(m, rows))
+    return TermSource(
+        eval=lambda k: _norm_sq(power(k)) if k else 1.0,
+        description=f"||A^k||_2^2, d={a.dim}",
+    )
 
 
 def _row_norms(rows) -> tuple[float, ...]:
     """Squared Euclidean norms of the rows, each summed in index order."""
     return tuple(sum(map(mul, r, r)) for r in rows)
-
-
-def _power_terms(power, norms, d: int) -> TermSource:
-    """k -> ||A^k||_2^2 from ``power(k)`` = A^k and ``norms(k)``, its squared
-    row norms, whose sum ||A^k||_F^2 is the upper bound and whose max the
-    lower one."""
-    return TermSource(
-        eval=lambda k: _norm_sq(power(k)) if k else 1.0,
-        description=f"||A^k||_2^2, d={d}",
-        upper=lambda k: sum(norms(k)) if k else 1.0,
-        lower=lambda k: max(norms(k)) if k else 1.0,
-    )
 
 
 def envelope_from_certificate(a: Matrix, p: Matrix) -> Envelope:
@@ -351,8 +330,9 @@ class LinearSystem:
     P - A^T P A > 0 and beta = ||A||_P^2 lies in (0, 1).  It keeps ``p``,
     P's extreme eigenvalues ``lambda_min`` and ``lambda_max``, ``beta`` and
     ``slope`` = lambda_max / lambda_min.  ``source`` is the generic term
-    source (as :func:`power_norm_source`, with the Frobenius ``upper`` and
-    the row-norm ``lower``), ``const_env`` the constant envelope
+    source with the bounds that screen a scan: ``upper`` = ||A^k||_F^2,
+    the sum of the squared row norms, and ``lower`` their max (||M||_2 >=
+    ||e_i^T M|| for every row i).  ``const_env`` is the constant envelope
     (t -> slope * t, ratio beta), and ``env`` the certificate re-anchored at
     the current power:
 
@@ -377,7 +357,7 @@ class LinearSystem:
     even where a heavily weighted row norm underflows and w_k loses its
     share, and keeps its last value once A^k is exactly zero: h_k stays a
     strictly increasing function at every k.  The values of u_k are those
-    of :func:`power_norm_source` to the bit.
+    of the bound-free :func:`power_norm_source` to the bit.
     """
 
     def __init__(self, a: Matrix, p: Matrix):
@@ -415,7 +395,12 @@ class LinearSystem:
     @cached_property
     def source(self) -> TermSource:
         state = self._state
-        return _power_terms(lambda k: state(k)[1], lambda k: state(k)[2], self.a.dim)
+        return TermSource(
+            eval=lambda k: _norm_sq(state(k)[1]) if k else 1.0,
+            description=f"||A^k||_2^2, d={self.a.dim}",
+            upper=lambda k: sum(state(k)[2]) if k else 1.0,
+            lower=lambda k: max(state(k)[2]) if k else 1.0,
+        )
 
     @cached_property
     def env(self) -> Envelope:
@@ -501,13 +486,7 @@ class TableRow:
 TABLE_LAMBDAS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.99995)
 
 
-def table_run(
-    lambdas,
-    d: int = 2,
-    q: float | None = None,
-    generic: bool = False,
-    scan_limit: int = DEFAULT_SCAN_LIMIT,
-) -> list[TableRow]:
+def table_run(lambdas, d: int = 2, q: float | None = None, generic: bool = False) -> list[TableRow]:
     """Benchmark rows (lambda, last maximizer, peak value, floored bound).
 
     Each row scans the problem :func:`a_lambda_problem` builds, with the
@@ -521,7 +500,7 @@ def table_run(
         if not 0.0 < lam < 1.0:
             raise PreconditionViolated(f"lambda={lam!r} must lie in (0, 1)")
         system, source, env = a_lambda_problem(lam, d, q, generic)
-        sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX, scan_limit=scan_limit)
+        sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX)
         # The generic scan's cursor is past k_s; a fresh source re-steps the power alone.
         plain = power_norm_source(system.a) if generic else source
         f_floor = truncation_from(sol.argmax_min, plain, system.const_env)

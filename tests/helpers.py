@@ -183,3 +183,15 @@ def reference_power_norms(m: linsys.Matrix, n: int) -> list[float]:
         gram = linsys.Matrix(reference_product(zip(*power), power))
         terms.append(linsys.sym_eig_bounds(gram)[1])
     return terms
+
+
+def reference_row_norm_bounds(m: linsys.Matrix, n: int) -> list[tuple[float, float]]:
+    """(||A^k||_F^2, the largest squared row norm of A^k) for k = 0..n, with
+    A^k stepped as in reference_power_norms; (1, 1) at k = 0."""
+    power = linsys.Matrix.identity(m.dim).rows
+    bounds = [(1.0, 1.0)]
+    for _ in range(n):
+        power = reference_product(power, m.rows)
+        norms = [sum(x * x for x in row) for row in power]
+        bounds.append((sum(norms), max(norms)))
+    return bounds

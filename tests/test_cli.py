@@ -415,6 +415,15 @@ class TestTableCommand:
         assert code == 2
         assert out == ""
 
+    def test_scan_limit_is_not_read(self, capsys, monkeypatch):
+        # Every row gets a finite bound at k = 0 (u_0 = 1, both envelopes
+        # vanish at 0), so no scan limit could act on a table row.
+        monkeypatch.delenv(SCAN_LIMIT_ENV, raising=False)
+        unset = run(capsys, "table", "--lambdas", "0.5")
+        monkeypatch.setenv(SCAN_LIMIT_ENV, "abc")
+        assert run(capsys, "table", "--lambdas", "0.5") == unset
+        assert unset[0] == 0
+
 
 class TestValidateCommand:
     def test_factorial_clean(self, capsys):

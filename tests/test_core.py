@@ -31,7 +31,7 @@ from peakseq.core import _SAMPLE_GRID
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
 from peakseq import linsys
 
-from helpers import InvalidTailBound, prefix_index_sets, stopping_index
+from helpers import InvalidTailBound, prefix_index_sets, reference_row_norm_bounds, stopping_index
 
 
 def constant_env(fn, beta):
@@ -558,12 +558,11 @@ class TestScreening:
     @given(stable_systems(), st.sampled_from(list(Tie)))
     def test_stable_matrices(self, system, tie):
         a, p = system
-        env = linsys.envelope_from_certificate(a, p)
-        source = linsys.power_norm_source(a)
+        ls = linsys.LinearSystem(a, p)
+        env, source = ls.const_env, ls.source
         screened = solve(source, env, tie=tie)
-        same_solution(screened, solve(TermSource(eval=linsys.power_norm_source(a).eval), env, tie=tie))
-        upper_only = linsys.power_norm_source(a)
-        same_solution(screened, solve(TermSource(eval=upper_only.eval, upper=upper_only.upper), env, tie=tie))
+        same_solution(screened, solve(linsys.power_norm_source(a), env, tie=tie))
+        same_solution(screened, solve(TermSource(eval=source.eval, upper=source.upper), env, tie=tie))
         best, first, last = brute_force_peak(linsys.power_norm_source(a), screened.truncation_index)
         assert screened.sup_value == best
         assert screened.argmax_min == (last if tie is Tie.MAX_ARGMAX else first)
@@ -573,8 +572,8 @@ class TestScreening:
         # = h(beta) (slope 4, beta 1/4), and only the exact u_1 makes 1 the
         # last maximizer.
         a = linsys.Matrix.from_rows([[0.0, 1.0], [0.0, 0.0]])
-        env = linsys.envelope_from_certificate(a, linsys.Matrix.diagonal([1.0, 4.0]))
-        sol = solve(linsys.power_norm_source(a), env, tie=Tie.MAX_ARGMAX)
+        ls = linsys.LinearSystem(a, linsys.Matrix.diagonal([1.0, 4.0]))
+        sol = solve(ls.source, ls.const_env, tie=Tie.MAX_ARGMAX)
         assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.0, 1, 1)
 
     def test_rank_one_term_an_ulp_above_its_frobenius_norm(self):
@@ -584,10 +583,10 @@ class TestScreening:
                                      [-0.4567797632809437, -0.498128508658106]])
         ata = linsys._product(list(zip(*a.rows)), a.rows)
         p = linsys.Matrix.from_rows([[(i == j) + ata[i][j] for j in range(2)] for i in range(2)])
-        env = linsys.envelope_from_certificate(a, p)
-        source = linsys.power_norm_source(a)
+        ls = linsys.LinearSystem(a, p)
+        source = ls.source
         assert source.upper(1) < source.eval(1) == 1.0
-        sol = solve(source, env, tie=Tie.MAX_ARGMAX)
+        sol = solve(source, ls.const_env, tie=Tie.MAX_ARGMAX)
         assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.0, 1, 1)
 
     def test_tie_an_ulp_under_its_upper_bound_is_evaluated(self):
@@ -846,7 +845,8 @@ class TestLookAhead:
         env = getattr(system, family)
         exact = solve(system.source, env, tie=tie, on_step=lambda *step: None)
         same_solution(solve(system.source, env, tie=tie), exact)
-        same_solution(solve(linsys.power_norm_source(a), env, tie=tie), exact)
+        source = system.source
+        same_solution(solve(TermSource(eval=source.eval, upper=source.upper), env, tie=tie), exact)
 
     RISING = [0.25, 0.5, 0.75, 1.0, 0.5, 0.25]
 
@@ -925,16 +925,18 @@ class TestLookAhead:
         # norm c^2k stays finite up to k = 7, where the Gram entry 2 c^14 =
         # 2e308 overflows.  Every earlier term lies below the next row norm,
         # so the look-ahead skips them all and the scan still raises at 7.
+        # A has no certificate, so the row-norm bounds are formed here.
         a = linsys.Matrix.from_rows([[1e22, 0.0], [1e22, 0.0]])
         env = constant_env(affine_fn(1e300, 0.0), 0.5)
+        bounds = reference_row_norm_bounds(a, 8)
+        assert math.isfinite(bounds[7][1]) and bounds[7][0] == math.inf
         for on_step, want in ((None, [0, 7]), (lambda *step: None, list(range(8)))):
-            plain, evaluated = linsys.power_norm_source(a), []
-            source = TermSource(eval=recorded(evaluated, plain.eval), upper=plain.upper,
-                                lower=plain.lower)
+            evaluated = []
+            source = TermSource(eval=recorded(evaluated, linsys.power_norm_source(a).eval),
+                                upper=lambda k: bounds[k][0], lower=lambda k: bounds[k][1])
             with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
                 solve(source, env, on_step=on_step)
             assert evaluated == want
-        assert math.isfinite(plain.lower(7)) and plain.upper(7) == math.inf
 
 
 class TestBruteForce:
@@ -1007,6 +1009,53 @@ def listed_family(scales, betas, mono, terms=None):
     terms = terms or [0.0] * len(scales)
     env = Envelope(h=lambda k: fns[k], beta=lambda k: betas[k], mono=mono)
     return TermSource(eval=lambda k: terms[k]), env
+
+
+class TestNaNCertificate:
+    """A NaN h_k(beta_k^k) or a NaN bound fails closed: every comparison
+    with NaN is false, so each check asks that the good case holds."""
+
+    @staticmethod
+    def nan_family():
+        """u_k = 0.5^k except the peak u_5 = 3.0, under an h that is NaN
+        everywhere, with beta = 0.5."""
+        fn = EnvelopeFn(eval=lambda x: math.nan, inverse=lambda y: 0.999, lo=0.0, hi=1.0)
+        source = TermSource(eval=lambda k: 3.0 if k == 5 else 0.5**k)
+        return source, Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity.decreasing())
+
+    def test_solve_raises(self):
+        source, env = self.nan_family()
+        for src in (source, TermSource(eval=source.eval, upper=source.eval, lower=source.eval)):
+            for step in (None, lambda *args: None):
+                with pytest.raises(EnvelopeViolation) as err:
+                    solve(src, env, on_step=step)
+                assert err.value.k == 0
+
+    def test_bound_and_truncation_raise(self):
+        source, env = self.nan_family()
+        with pytest.raises(EnvelopeViolation):
+            argmax_bound(5, 3.0, env)
+        with pytest.raises(EnvelopeViolation):
+            truncation_from(5, source, env)
+
+    def test_validation_reports_membership(self):
+        source, env = self.nan_family()
+        findings = validate_envelope(source, env, 10)
+        assert [(f.k, f.kind) for f in findings] == [(k, "membership") for k in range(11)]
+
+    def test_nan_bounds_are_findings(self):
+        source = TermSource(eval=lambda k: 0.5**k, upper=lambda k: math.nan, lower=lambda k: math.nan)
+        findings = validate_envelope(source, constant_env(affine_fn(1.0, 0.0), 0.5), 10)
+        assert [(f.k, f.kind) for f in findings] == [
+            (k, kind) for k in range(11) for kind in ("upper", "lower")
+        ]
+
+    def test_infinite_certificate_is_accepted(self):
+        # u_0 = 0: the ratio family certifies nothing finite at k = 0.
+        ad = FibonacciRatioAdapter(0, 1)
+        assert ad.env.h(0).eval(1.0) == math.inf
+        assert solve(ad.source, ad.env).argmax_min == 2
+        assert validate_envelope(ad.source, ad.env, 40) == []
 
 
 class TestValidateEnvelope:
@@ -1122,9 +1171,8 @@ class TestValidateEnvelope:
     @pytest.mark.parametrize("lam,d", [(0.9, 2), (0.99, 3), (0.999, 5)])
     def test_power_norm_upper_is_clean(self, lam, d):
         # The source carries both bounds, so this checks ``lower`` as well.
-        a = linsys.a_lambda(lam, d)
-        env = linsys.envelope_from_certificate(a, linsys.p_q(lam, d))
-        assert validate_envelope(linsys.power_norm_source(a), env, 300) == []
+        ls = linsys.LinearSystem(linsys.a_lambda(lam, d), linsys.p_q(lam, d))
+        assert validate_envelope(ls.source, ls.const_env, 300) == []
 
     @settings(max_examples=60, deadline=None)
     @given(stable_systems())

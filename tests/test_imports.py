@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private top-level name is used somewhere in the package.
 
-No linter ships with the project, so this stdlib check catches the
-imports a refactor leaves behind.  ``__init__.py`` is skipped: its imports
-are the public re-exports.
+No linter ships with the project, so these stdlib checks catch the imports
+and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
+import check: its imports are the public re-exports.
 """
 
 import ast
@@ -12,6 +13,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "peakseq"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +35,51 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined(stmt) -> list[str]:
+    """Names a top-level statement defines: a function, a class or assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _referenced(stmt) -> set[str]:
+    """Names a statement reads, by bare name, attribute or import."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private top-level name (one leading
+    underscore) that no statement of any module references, apart from the
+    statement that defines it."""
+    statements = [(module, stmt) for module, text in sources.items() for stmt in ast.parse(text).body]
+    refs = [_referenced(stmt) for _, stmt in statements]
+    unused = []
+    for i, (module, stmt) in enumerate(statements):
+        for name in _defined(stmt):
+            private = name.startswith("_") and not name.startswith("__")
+            if private and not any(name in r for j, r in enumerate(refs) if j != i):
+                unused.append(f"{module}.{name}")
+    return sorted(unused)
+
+
+def test_detects_unreferenced_private_name():
+    sources = {
+        "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n_CONST = 1\n_UNUSED = 2\n",
+        "b": "from .a import _used\nprint(_used(), _CONST)\n",
+    }
+    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._dead"]
+
+
+def test_no_unreferenced_private_names():
+    assert unreferenced_private_names({p.stem: p.read_text() for p in PACKAGE}) == []

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_power_norms, reference_product
+from helpers import reference_power_norms, reference_product, reference_row_norm_bounds
 from peakseq import (
     Envelope,
     Monotonicity,
@@ -328,6 +328,10 @@ class TestBenchmarkFamily:
         assert source.eval(7) == a_lambda_norm_sq_closed(0.9, 7)
         system, source, env = a_lambda_problem(0.9, d, 1e5, generic=True)
         assert source is system.source and env is system.env
+        assert source.upper is not None and source.lower is not None
+        # Only the system's source carries bounds; the bare walks have none.
+        for bare in (power_norm_source(system.a), a_lambda_source(0.9, d, generic=True)):
+            assert bare.upper is None and bare.lower is None
 
     def test_certificate_fields(self):
         system = LinearSystem(a_lambda(0.9), p_q(0.9))
@@ -385,11 +389,11 @@ class TestLinearSystem:
     def test_terms_are_the_generic_terms(self, name):
         a, p = SYSTEMS[name]()
         system, plain = LinearSystem(a, p), power_norm_source(a)
-        want = reference_power_norms(a, 80)
+        want, bounds = reference_power_norms(a, 80), reference_row_norm_bounds(a, 80)
         for k in range(81):
             assert system.source.eval(k).hex() == plain.eval(k).hex() == want[k].hex()
-            assert system.source.upper(k).hex() == plain.upper(k).hex()
-            assert system.source.lower(k).hex() == plain.lower(k).hex()
+            assert system.source.upper(k).hex() == bounds[k][0].hex()
+            assert system.source.lower(k).hex() == bounds[k][1].hex()
 
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_const_env_is_the_certificate_envelope(self, name):

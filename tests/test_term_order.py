@@ -140,12 +140,8 @@ class TestInOrderCost:
     def counted_solve(self, monkeypatch, anchored=False, **kwargs):
         """solve on ||A^k||^2 for a_lambda(0.9, 3) under the constant envelope
         or the anchored one: (solution, _product calls, _norm_sq calls)."""
-        a, p = linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3)
-        if anchored:
-            system = linsys.LinearSystem(a, p)
-            source, env = system.source, system.env
-        else:
-            source, env = linsys.power_norm_source(a), linsys.envelope_from_certificate(a, p)
+        system = linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3))
+        source, env = system.source, system.env if anchored else system.const_env
         calls = {"_product": 0, "_norm_sq": 0}
 
         def counting(name):
@@ -185,17 +181,12 @@ class TestInOrderCost:
         assert products == sol.terms_evaluated - 1
         assert norms == 3
 
-    @pytest.mark.parametrize("anchored", [False, True])
-    def test_power_norm_step_back_one_is_free(self, monkeypatch, anchored):
+    def test_power_norm_step_back_one_is_free(self, monkeypatch):
         # solve's look-ahead reads lower(k + 1) before eval(k): still one
         # product per index, one set of row norms for both bounds, and the
         # same bits as an in-order scan.
-        a = linsys.a_lambda(0.9, 3)
-
         def fresh():
-            if anchored:
-                return linsys.LinearSystem(a, linsys.p_q(0.9, 3)).source
-            return linsys.power_norm_source(a)
+            return linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3)).source
 
         want = bits(fresh().eval(k) for k in range(N))
         source = fresh()
