@@ -467,9 +467,9 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
     h_k is sampled once on the grid (from decreasing_from on).  A source with
     an ``upper`` or ``lower`` bound also has it checked against a finite u_k
     (kinds ``upper`` and ``lower``; a NaN bound fails).  A non-finite u_k,
-    or a NaN h_k(beta_k^k), is a ``membership`` finding.
-    Returns every finding in index order (empty list when clean).  A clean
-    result proves nothing beyond the horizon.
+    or a NaN h_k(beta_k^k), is a ``membership`` finding; a NaN grid sample
+    fails ``h-decrease`` and ``h-constant``.  Returns every finding in index
+    order (empty list when clean).  A clean result proves nothing beyond the horizon.
     """
     if horizon < 1:
         raise PreconditionViolated("horizon must be >= 1")
@@ -492,7 +492,7 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
             if b > prev_b + 1e-12:
                 findings.append(EnvelopeFinding(k, "beta-decrease", f"beta rises {prev_b!r} -> {b!r}"))
             for x, lhs, rhs in zip(_SAMPLE_GRID, ys, prev_ys):
-                if lhs > rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs)):
+                if not lhs <= rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs)):
                     findings.append(
                         EnvelopeFinding(k, "h-decrease", f"h_{k}({x}) = {lhs!r} > h_{k-1}({x}) = {rhs!r}")
                     )

@@ -7,10 +7,10 @@ certifies the constant envelope
 
 where ||A||_P is the operator norm induced by x -> sqrt(x^T P x) and is
 strictly below 1.  That envelope feeds the core solver, which turns the
-transient-growth question max_k ||A^k||_2^2 into a finite scan.  Re-anchored
-at the current power, the same certificate gives a decreasing family that
-follows the actual decay of A^k (:class:`LinearSystem`), and the scan stops
-sooner.
+transient-growth question max_k ||A^k||_2^2 into a finite scan.
+:class:`LinearSystem` checks the certificate in one pass, and re-anchored at
+the current power it gives a decreasing family that follows the actual decay
+of A^k, so the scan stops sooner.
 
 The module carries its own small dense kernel (multiplication, Cholesky,
 cyclic Jacobi eigenvalues) sized for the d <= ~50 matrices this problem
@@ -209,47 +209,36 @@ def _cholesky(rows, scales) -> list[list[float]] | None:
     return lower
 
 
-def _forward_solve(lower: list[list[float]], b) -> list[list[float]]:
-    """Solve L X = B for X with L lower triangular."""
-    d = len(b)
-    x = [[0.0] * d for _ in range(d)]
-    for col in range(d):
-        for i in range(d):
-            acc = b[i][col] - sum(lower[i][t] * x[t][col] for t in range(i))
-            x[i][col] = acc / lower[i][i]
-    return x
-
-
-def is_lyapunov(a: Matrix, p: Matrix) -> bool:
-    """True iff P > 0 and P - A^T P A > 0 (both via Cholesky).
-
-    A pivot of the residual is compared with P_ii + (A^T P A)_ii, the scale
-    its diagonal entry was formed at: as lambda -> 1 the residual's pivots
-    are many orders below P's largest entry and still exact to rounding.
-    """
+def _congruence(a: Matrix, p: Matrix, rejection: PeakseqError):
+    """(L, A^T P A) with P = L L^T, the step op_norm_sq and LinearSystem share;
+    raises ``rejection`` when P is not positive definite, before A^T P A is formed."""
     if a.dim != p.dim:
         raise PreconditionViolated("dimension mismatch")
-    if cholesky_lower(p) is None:
-        return False
-    m = _product(zip(*a.rows), _product(p.rows, a.rows))
-    residual = [[x - y for x, y in zip(rp, rm)] for rp, rm in zip(p.rows, m)]
-    scales = [abs(p.rows[i][i]) + abs(m[i][i]) for i in range(a.dim)]
-    return _cholesky(_symmetrize(residual).rows, scales) is not None
+    lower = cholesky_lower(p)
+    if lower is None:
+        raise rejection
+    return lower, _product(zip(*a.rows), _product(p.rows, a.rows))
+
+
+def _whitened_top(lower: list[list[float]], m) -> float:
+    """Largest eigenvalue of L^-1 M L^-T: forward substitution solves
+    L X = M, then L Y = X^T, and Y is symmetrised."""
+    d = len(m)
+    for _ in range(2):
+        x = [[0.0] * d for _ in range(d)]
+        for col in range(d):
+            for i in range(d):
+                acc = m[i][col] - sum(lower[i][t] * x[t][col] for t in range(i))
+                x[i][col] = acc / lower[i][i]
+        m = list(zip(*x))
+    return sym_eig_bounds(_symmetrize(x))[1]
 
 
 def op_norm_sq(a: Matrix, p: Matrix) -> float:
-    """Squared operator norm of A under the quadratic norm of P > 0.
-
-    Computed as the largest eigenvalue of L^-1 (A^T P A) L^-T with
-    P = L L^T, which whitens the generalized eigenproblem.
-    """
-    lower = cholesky_lower(p)
-    if lower is None:
-        raise NotPositiveDefinite("P must be positive definite")
-    m = _product(zip(*a.rows), _product(p.rows, a.rows))
-    half = _forward_solve(lower, m)
-    whitened = _forward_solve(lower, list(zip(*half)))
-    return sym_eig_bounds(_symmetrize(whitened))[1]
+    """Squared operator norm of A under the quadratic norm of P > 0, for A
+    and P of the same size: the largest eigenvalue of L^-1 (A^T P A) L^-T
+    with P = L L^T, which whitens the generalized eigenproblem."""
+    return _whitened_top(*_congruence(a, p, NotPositiveDefinite("P must be positive definite")))
 
 
 def _norm_sq(rows) -> float:
@@ -326,9 +315,15 @@ def _anchor(p: Matrix, lmin: float):
 class LinearSystem:
     """||A^k||_2^2 for a stable A with its certificate P, checked once.
 
-    The constructor raises :class:`NotLyapunov` unless P > 0,
-    P - A^T P A > 0 and beta = ||A||_P^2 lies in (0, 1).  It keeps ``p``,
-    P's extreme eigenvalues ``lambda_min`` and ``lambda_max``, ``beta`` and
+    The constructor is the one certificate check.  From one factor
+    P = L L^T and one A^T P A it raises :class:`NotLyapunov` unless P > 0,
+    P - A^T P A > 0 (by Cholesky) and beta = ||A||_P^2, the top eigenvalue
+    of L^-1 (A^T P A) L^-T, lies in (0, 1); A and P of different sizes
+    raise :class:`PreconditionViolated`.  A pivot of the residual is
+    compared with P_ii + (A^T P A)_ii, the scale its diagonal entry was
+    formed at: as lambda -> 1 the residual's pivots are many orders below
+    P's largest entry and still exact to rounding.  It keeps ``p``, P's
+    extreme eigenvalues ``lambda_min`` and ``lambda_max``, ``beta`` and
     ``slope`` = lambda_max / lambda_min.  ``source`` is the generic term
     source with the bounds that screen a scan: ``upper`` = ||A^k||_F^2,
     the sum of the squared row norms, and ``lower`` their max (||M||_2 >=
@@ -361,11 +356,15 @@ class LinearSystem:
     """
 
     def __init__(self, a: Matrix, p: Matrix):
-        if not is_lyapunov(a, p):
-            raise NotLyapunov("P fails P > 0 or P - A^T P A > 0")
+        rejection = NotLyapunov("P fails P > 0 or P - A^T P A > 0")
+        lower, m = _congruence(a, p, rejection)
+        residual = [[x - y for x, y in zip(rp, rm)] for rp, rm in zip(p.rows, m)]
+        scales = [abs(p.rows[i][i]) + abs(m[i][i]) for i in range(a.dim)]
+        if _cholesky(_symmetrize(residual).rows, scales) is None:
+            raise rejection
         self.a, self.p = a, p
         self.lambda_min, self.lambda_max = sym_eig_bounds(p)
-        self.beta = op_norm_sq(a, p)
+        self.beta = _whitened_top(lower, m)
         if not 0.0 < self.beta < 1.0:
             raise NotLyapunov(f"certified contraction ratio {self.beta!r} not in (0,1)")
         self.slope = self.lambda_max / self.lambda_min

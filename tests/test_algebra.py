@@ -190,6 +190,11 @@ class TestPromoteToDecreasing:
             assert promoted.beta(k) == pytest.approx(2.0 / 3.0)
         assert promoted.h(3).eval(1.0) == pytest.approx(ad.seq_env.h(3).eval(1.0))
 
+    def test_constant_start_inside_the_prefix_moves_past_it(self):
+        e = Envelope(h=lambda k: affine_fn(1.0, 0.0), beta=lambda k: 0.5,
+                     mono=Monotonicity.eventually_constant(2, 2))
+        assert promote_to_decreasing(e).mono == Monotonicity(0, 3)
+
     def test_membership_preserved(self):
         ad = FactorialRatioAdapter(5)
         promoted = promote_to_decreasing(ad.seq_env)

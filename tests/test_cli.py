@@ -528,6 +528,13 @@ class TestScanLimitEnv:
         with pytest.raises(SystemExit, match="is not a positive integer"):
             main(["solve", "factorial", "--a", "5"])
 
+    def test_zero_is_rejected(self, monkeypatch):
+        # A string exit code: the interpreter prints it and exits with status 1.
+        monkeypatch.setenv(SCAN_LIMIT_ENV, "0")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "factorial", "--a", "3"])
+        assert "is not a positive integer" in exc.value.code
+
     def test_each_main_call_parses_afresh(self, capsys, monkeypatch):
         argv = ["solve", "fibonacci", "--u0", "0", "--u1", "1"]
         monkeypatch.setenv(SCAN_LIMIT_ENV, "1")

@@ -63,6 +63,11 @@ class TestArgmaxBound:
         env = constant_env(affine_fn(1.0, 1.0), 0.5)
         assert not argmax_bound(0, src.eval(0), env).is_finite
 
+    def test_inverse_underflow_to_zero_is_infinite(self):
+        # h^-1(1e-300) = 1e-300 / 1e300 underflows to 0.0, where no beta^j reaches.
+        env = constant_env(affine_fn(1e300, 0.0), 0.5)
+        assert not argmax_bound(0, 1e-300, env).is_finite
+
     def test_constant_envelope_factorial_a2(self):
         ad = FactorialRatioAdapter(2)
         ub = argmax_bound(2, ad.source.eval(2), ad.const_env)
@@ -412,7 +417,10 @@ def stable_systems(draw, isometric=False):
     t_inv = _unit_upper_inverse(t)
     a = linsys.Matrix(linsys._product(linsys._product(t, b), t_inv))
     p = linsys.Matrix(linsys._product(list(zip(*t_inv)), t_inv))
-    assume(linsys.is_lyapunov(a, p))
+    try:
+        linsys.LinearSystem(a, p)
+    except linsys.NotLyapunov:
+        assume(False)
     return a, p
 
 
@@ -1041,7 +1049,32 @@ class TestNaNCertificate:
     def test_validation_reports_membership(self):
         source, env = self.nan_family()
         findings = validate_envelope(source, env, 10)
-        assert [(f.k, f.kind) for f in findings] == [(k, "membership") for k in range(11)]
+        assert [(f.k, f.kind) for f in findings] == [(0, "membership")] + [
+            (k, kind) for k in range(1, 11) for kind in ("h-decrease", "membership")
+        ]
+
+    @staticmethod
+    def nan_at_a_quarter():
+        """h(x) = x except h(0.25) = NaN."""
+        return EnvelopeFn(eval=lambda x: math.nan if x == 0.25 else x, inverse=lambda y: y, lo=0.0, hi=1.0)
+
+    def test_nan_sample_fails_the_decrease_check(self):
+        # h_1(0.25) = NaN: h_1 is not below h_0 there, nor h_2 below h_1.
+        fns = {1: self.nan_at_a_quarter()}
+        env = Envelope(h=lambda k: fns.get(k, affine_fn(1.0, 0.0)), beta=lambda k: 0.5,
+                       mono=Monotonicity.decreasing())
+        findings = validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 5)
+        assert [(f.k, f.kind) for f in findings] == [(1, "h-decrease"), (2, "h-decrease")]
+
+    def test_nan_sample_fails_both_grid_checks(self):
+        nan_fn, identity = self.nan_at_a_quarter(), affine_fn(1.0, 0.0)
+        env = Envelope(h=lambda k: nan_fn if k >= 1 else identity, beta=lambda k: 0.5,
+                       mono=Monotonicity.eventually_constant(0, 1))
+        findings = validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 5)
+        assert [(f.k, f.kind) for f in findings] == [
+            (1, "h-decrease"), (1, "h-constant"),
+            (2, "h-decrease"), (2, "membership"), (2, "h-constant"),
+        ] + [(k, kind) for k in range(3, 6) for kind in ("h-decrease", "h-constant")]
 
     def test_nan_bounds_are_findings(self):
         source = TermSource(eval=lambda k: 0.5**k, upper=lambda k: math.nan, lower=lambda k: math.nan)

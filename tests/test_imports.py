@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-private top-level name is used somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private top-level name is used somewhere in the package, and the package
+imports nothing from outside the standard library.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -7,6 +8,7 @@ import check: its imports are the public re-exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,27 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Top-level modules of the absolute imports that are not in the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - sys.stdlib_module_names)
+
+
+def test_detects_non_stdlib_import():
+    source = "import math, numpy.linalg\nfrom scipy import linalg\nfrom os import path\nfrom .core import solve\n"
+    assert non_stdlib_imports(source) == ["numpy", "scipy"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_stdlib_only(path):
+    assert non_stdlib_imports(path.read_text()) == []
 
 
 def _defined(stmt) -> list[str]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import json
@@ -38,7 +39,7 @@ from peakseq.linsys import (
     a_lambda_source,
     cholesky_lower,
     envelope_from_certificate,
-    is_lyapunov,
+    mat_mul,
     mat_pow,
     op_norm_sq,
     p_q,
@@ -115,19 +116,26 @@ class TestSymEig:
 
 class TestCholeskyAndLyapunov:
     def test_contraction(self):
-        assert is_lyapunov(Matrix.diagonal([0.5, 0.5]), Matrix.identity(2))
+        assert LinearSystem(Matrix.diagonal([0.5, 0.5]), Matrix.identity(2)).beta == 0.25
 
     def test_identity_map_is_not(self):
-        assert not is_lyapunov(Matrix.identity(2), Matrix.identity(2))
+        with pytest.raises(NotLyapunov, match="P fails"):
+            LinearSystem(Matrix.identity(2), Matrix.identity(2))
 
     def test_benchmark_default_q(self):
-        assert is_lyapunov(a_lambda(0.5), p_q(0.5))
+        LinearSystem(a_lambda(0.5), p_q(0.5))
 
     def test_threshold_q_fails(self):
         # det(P - A^T P A) = 0 exactly at the threshold.
         lam = 0.5
         p = Matrix.diagonal([1.0, q_threshold(lam)])
-        assert not is_lyapunov(a_lambda(lam), p)
+        with pytest.raises(NotLyapunov, match="P fails"):
+            LinearSystem(a_lambda(lam), p)
+
+    def test_zero_matrix_has_no_contraction_ratio(self):
+        # P - A^T P A = I > 0 passes, and beta = 0 is the rejection.
+        with pytest.raises(NotLyapunov, match=re.escape("certified contraction ratio 0.0 not in (0,1)")):
+            LinearSystem(Matrix.diagonal([0.0, 0.0]), Matrix.identity(2))
 
     def test_cholesky_rejects_indefinite(self):
         assert cholesky_lower(Matrix.from_rows([[1.0, 2.0], [2.0, 1.0]])) is None
@@ -136,7 +144,6 @@ class TestCholeskyAndLyapunov:
         # A = 2I is unstable, yet P = -I gives P - A^T P A = 3I > 0: only the
         # check of P itself rejects the pair.
         a, p = Matrix.diagonal([2.0, 2.0]), Matrix.diagonal([-1.0, -1.0])
-        assert not is_lyapunov(a, p)
         with pytest.raises(NotLyapunov, match="P fails"):
             LinearSystem(a, p)
 
@@ -155,14 +162,56 @@ class TestCholeskyAndLyapunov:
         # P_q = diag(1, .., 2e12 and up): the residual's pivots sit near 1 - lambda^2
         # and 1/(1 - lambda^2), far apart but both exact to rounding.
         a, p = a_lambda(lam, d), p_q(lam, d)
-        assert is_lyapunov(a, p)
         closed = a_lambda_op_norm_sq_closed(lam, p.rows[-1][-1])
         assert abs(LinearSystem(a, p).beta - closed) <= 2 * math.ulp(closed)
 
     def test_published_rows_still_certify(self):
         for lam in TABLE_LAMBDAS:
             for d in range(2, 7):
-                assert is_lyapunov(a_lambda(lam, d), p_q(lam, d))
+                LinearSystem(a_lambda(lam, d), p_q(lam, d))
+
+
+class TestOneCertificatePass:
+    """``LinearSystem(a, p)`` factors P and forms A^T P A once, and it shares
+    the size check with :func:`op_norm_sq`."""
+
+    @staticmethod
+    def counting(monkeypatch) -> dict:
+        """Count calls of the module globals cholesky_lower and _product."""
+        calls = {"cholesky_lower": 0, "_product": 0}
+        for name in calls:
+            inner = getattr(linsys, name)
+
+            def counted(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(linsys, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_factor_and_one_congruence(self, monkeypatch, d):
+        calls = self.counting(monkeypatch)
+        LinearSystem(a_lambda(0.9, d), p_q(0.9, d))
+        assert calls == {"cholesky_lower": 1, "_product": 2}
+
+    def test_indefinite_p_stops_at_its_factor(self, monkeypatch):
+        calls = self.counting(monkeypatch)
+        with pytest.raises(NotLyapunov, match="P fails"):
+            LinearSystem(Matrix.diagonal([0.5, 0.5]), Matrix.diagonal([1.0, -1.0]))
+        assert calls == {"cholesky_lower": 1, "_product": 0}
+
+    # Unchecked, op_norm_sq gave 0.3052493781056045 for the first pair and
+    # an IndexError for the second.
+    @pytest.mark.parametrize("a,p", [
+        (Matrix.from_rows([[0.5, 0.1], [0.0, 0.5]]), Matrix.identity(3)),
+        (a_lambda(0.5, 3), Matrix.identity(2)),
+    ], ids=["2x2-with-I3", "3x3-with-I2"])
+    def test_sizes_must_match(self, a, p):
+        with pytest.raises(PreconditionViolated, match="dimension mismatch"):
+            op_norm_sq(a, p)
+        with pytest.raises(PreconditionViolated, match="dimension mismatch"):
+            LinearSystem(a, p)
 
 
 class TestOpNormSq:
@@ -236,6 +285,17 @@ class TestKernelChecks:
     def test_unused_square_may_overflow(self):
         # 1e100^2 is the result; the next square (1e400) would never be used.
         assert mat_pow(Matrix.from_rows([[1e100]]), 2).rows == ((1e200,),)
+
+    def test_mat_mul_is_the_checked_row_product(self):
+        a = Matrix.from_rows([[0.5, -1.0], [2.0, 0.25]])
+        b = Matrix.from_rows([[3.0, 0.1], [-0.7, 1.5]])
+        assert mat_mul(a, b).rows == _product(a.rows, b.rows)
+        with pytest.raises(PreconditionViolated, match="dimension mismatch"):
+            mat_mul(Matrix.identity(2), Matrix.identity(3))
+
+    def test_negative_power_is_rejected(self):
+        with pytest.raises(PreconditionViolated, match="power must be >= 0"):
+            mat_pow(a_lambda(0.5), -1)
 
     def test_overflowing_power_raises(self):
         with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
