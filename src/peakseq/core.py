@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import eq, le
 from typing import Callable
 
 DEFAULT_SCAN_LIMIT = 10_000_000
@@ -143,7 +144,8 @@ def _cursor(start, step: Callable) -> Callable[[int], object]:
 class EnvelopeFn:
     """A strictly increasing continuous function on [0, 1] with an inverse.
 
-    ``inverse`` is only guaranteed on [lo, hi] = [eval(0), eval(1)].
+    ``inverse`` is only guaranteed on [lo, hi] = [eval(0), eval(1)].  Both
+    are pure: repeated calls with the same argument return the same value.
     """
 
     eval: Callable[[float], float]
@@ -463,12 +465,18 @@ _SAMPLE_GRID = tuple(i / 16.0 for i in range(17))
 def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[EnvelopeFinding]:
     """Check envelope membership and monotonicity metadata on [0, horizon].
 
-    One in-order pass: u_k, h_k and beta_k are evaluated once per index and
-    h_k is sampled once on the grid (from decreasing_from on).  A source with
-    an ``upper`` or ``lower`` bound also has it checked against a finite u_k
-    (kinds ``upper`` and ``lower``; a NaN bound fails).  A non-finite u_k,
-    or a NaN h_k(beta_k^k), is a ``membership`` finding; a NaN grid sample
-    fails ``h-decrease`` and ``h-constant``.  Returns every finding in index
+    One in-order pass: u_k, h_k and beta_k are evaluated once per index, and
+    from decreasing_from on h_k is sampled on the grid once per distinct
+    function object (``EnvelopeFn.eval`` is pure, so a family that hands back
+    the same object at every index is sampled once).  A source with an
+    ``upper`` or ``lower`` bound also has it checked against a finite u_k
+    (kinds ``upper`` and ``lower``; a NaN bound fails, and so does a
+    ``lower`` of +inf).  A non-finite u_k, or a NaN h_k(beta_k^k), is a
+    ``membership`` finding.  A grid sample passes ``h-decrease`` when it is
+    at most its predecessor, exactly or within the roundoff slack, so equal
+    infinities pass; it passes ``h-constant`` when it equals h_c's sample,
+    or both are finite and within the slack, so an infinity on one side
+    only fails.  A NaN sample fails both.  Returns every finding in index
     order (empty list when clean).  A clean result proves nothing beyond the horizon.
     """
     if horizon < 1:
@@ -478,25 +486,30 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
     c = env.mono.constant_from
     # (beta, samples) of index k-1 when it is due a decrease check, and of c.
     prev = base = None
+    # The function object sampled last and its grid samples.
+    sampled = ys = None
     for k in range(horizon + 1):
         u_k = source.eval(k)
         fn = env.h(k)
         b = env.beta(k)
-        # A list: CPython parks up to 2000 freed 17-tuples built by
-        # tuple(genexpr) on its free list, which tracemalloc counts as held.
-        ys = [fn.eval(x) for x in _SAMPLE_GRID] if k >= m else []
+        if k >= m and fn is not sampled:
+            # A list: CPython parks up to 2000 freed 17-tuples built by
+            # tuple(genexpr) on its free list, which tracemalloc counts as held.
+            sampled, ys = fn, [fn.eval(x) for x in _SAMPLE_GRID]
         if k == c:
             base = (b, ys)
         if prev is not None:
             prev_b, prev_ys = prev
             if b > prev_b + 1e-12:
                 findings.append(EnvelopeFinding(k, "beta-decrease", f"beta rises {prev_b!r} -> {b!r}"))
-            for x, lhs, rhs in zip(_SAMPLE_GRID, ys, prev_ys):
-                if not lhs <= rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs)):
-                    findings.append(
-                        EnvelopeFinding(k, "h-decrease", f"h_{k}({x}) = {lhs!r} > h_{k-1}({x}) = {rhs!r}")
-                    )
-                    break
+            # Exact first; the slack only decides samples that rose.
+            if not all(map(le, ys, prev_ys)):
+                for x, lhs, rhs in zip(_SAMPLE_GRID, ys, prev_ys):
+                    if not (lhs <= rhs or lhs <= rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs))):
+                        findings.append(
+                            EnvelopeFinding(k, "h-decrease", f"h_{k}({x}) = {lhs!r} > h_{k-1}({x}) = {rhs!r}")
+                        )
+                        break
         prev = None
         finite = math.isfinite(u_k)
         if source.upper is not None and finite:
@@ -505,7 +518,8 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
                 findings.append(EnvelopeFinding(k, "upper", f"u_k={u_k!r} > upper(k)={up!r}"))
         if source.lower is not None and finite:
             lo = source.lower(k)
-            if exceeds_certificate(lo, u_k):
+            # The slack scales with |lo|, so +inf would pass it.
+            if lo == math.inf or exceeds_certificate(lo, u_k):
                 findings.append(EnvelopeFinding(k, "lower", f"u_k={u_k!r} < lower(k)={lo!r}"))
         if not 0.0 < b < 1.0:
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
@@ -525,10 +539,13 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
                 findings.append(
                     EnvelopeFinding(k, "beta-constant", f"beta_k={b!r} != beta_c={base_b!r}")
                 )
-            for x, lhs, rhs in zip(_SAMPLE_GRID, ys, base_ys):
-                if not (lhs == rhs or abs(lhs - rhs) <= MEMBERSHIP_RTOL * max(1.0, abs(rhs))):
-                    findings.append(
-                        EnvelopeFinding(k, "h-constant", f"h_{k}({x}) = {lhs!r} != h_c({x}) = {rhs!r}")
-                    )
-                    break
+            # operator.eq, not list ==: list equality calls a shared NaN equal.
+            if not all(map(eq, ys, base_ys)):
+                for x, lhs, rhs in zip(_SAMPLE_GRID, ys, base_ys):
+                    if not (lhs == rhs or math.isfinite(rhs)
+                            and abs(lhs - rhs) <= MEMBERSHIP_RTOL * max(1.0, abs(rhs))):
+                        findings.append(
+                            EnvelopeFinding(k, "h-constant", f"h_{k}({x}) = {lhs!r} != h_c({x}) = {rhs!r}")
+                        )
+                        break
     return findings

@@ -195,3 +195,67 @@ def reference_row_norm_bounds(m: linsys.Matrix, n: int) -> list[tuple[float, flo
         norms = [sum(x * x for x in row) for row in power]
         bounds.append((sum(norms), max(norms)))
     return bounds
+
+
+def reference_findings(source: TermSource, env: Envelope, horizon: int) -> list[tuple[int, str, str]]:
+    """validate_envelope's findings as (k, kind, detail), from the per-sample
+    rules in one plain loop: h_k is sampled afresh at every index from
+    decreasing_from on, and every grid sample goes through its rule.
+
+    A sample passes the decrease check when it is at most its predecessor,
+    exactly or within the roundoff slack; it passes the constant check when
+    it equals h_c's sample, or both are finite and within the slack.  The
+    first failing sample of an index is its finding.
+    """
+    grid = [i / 16.0 for i in range(17)]
+    m, c = env.mono.decreasing_from, env.mono.constant_from
+
+    def slack(v):
+        return MEMBERSHIP_RTOL * max(1.0, abs(v))
+
+    def first_failure(ys, refs, passes):
+        return next(((x, y, r) for x, y, r in zip(grid, ys, refs) if not passes(y, r)), None)
+
+    out = []
+    prev = base = None
+    for k in range(horizon + 1):
+        u, fn, b = source.eval(k), env.h(k), env.beta(k)
+        ys = [fn.eval(x) for x in grid] if k >= m else None
+        if k == c:
+            base = (b, ys)
+        if prev is not None:
+            if b > prev[0] + 1e-12:
+                out.append((k, "beta-decrease", f"beta rises {prev[0]!r} -> {b!r}"))
+            bad = first_failure(ys, prev[1], lambda y, r: y <= r or y <= r + slack(r))
+            if bad:
+                x, y, r = bad
+                out.append((k, "h-decrease", f"h_{k}({x}) = {y!r} > h_{k-1}({x}) = {r!r}"))
+        prev = None
+        finite = math.isfinite(u)
+        if source.upper is not None and finite:
+            up = source.upper(k)
+            if not u <= up + slack(u):
+                out.append((k, "upper", f"u_k={u!r} > upper(k)={up!r}"))
+        if source.lower is not None and finite:
+            lo = source.lower(k)
+            if not (lo < math.inf and lo <= u + slack(lo)):
+                out.append((k, "lower", f"u_k={u!r} < lower(k)={lo!r}"))
+        if not 0.0 < b < 1.0:
+            out.append((k, "beta-range", f"beta_k={b!r} not in (0,1)"))
+            continue
+        cert = fn.eval(b**k)
+        if not finite:
+            out.append((k, "membership", f"u_k={u!r} is not finite"))
+        elif not u <= cert + slack(u):
+            out.append((k, "membership", f"u_k={u!r} > h_k(beta_k^k)={cert!r}"))
+        if k >= m:
+            prev = (b, ys)
+        if base is not None:
+            if abs(b - base[0]) > 1e-12:
+                out.append((k, "beta-constant", f"beta_k={b!r} != beta_c={base[0]!r}"))
+            bad = first_failure(
+                ys, base[1], lambda y, r: y == r or math.isfinite(r) and abs(y - r) <= slack(r))
+            if bad:
+                x, y, r = bad
+                out.append((k, "h-constant", f"h_{k}({x}) = {y!r} != h_c({x}) = {r!r}"))
+    return out

@@ -6,7 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from peakseq import (
@@ -25,13 +25,19 @@ from peakseq import (
     truncation_from,
     validate_envelope,
 )
-from peakseq.algebra import affine_fn, env_min, promote_to_decreasing
-from peakseq import core
+from peakseq.algebra import AffineParams, affine_fn, env_min, promote_to_decreasing
+from peakseq import algebra, core
 from peakseq.core import _SAMPLE_GRID
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
 from peakseq import linsys
 
-from helpers import InvalidTailBound, prefix_index_sets, reference_row_norm_bounds, stopping_index
+from helpers import (
+    InvalidTailBound,
+    prefix_index_sets,
+    reference_findings,
+    reference_row_norm_bounds,
+    stopping_index,
+)
 
 
 def constant_env(fn, beta):
@@ -1191,15 +1197,17 @@ class TestValidateEnvelope:
         assert findings[0].detail == "u_k=0.9 > upper(k)=0.5"
 
     def test_lower_above_the_term_is_caught(self):
-        # lower(k) = u_k except at k = 1 (far above) and k = 3 (one part in 1e9
-        # above, beyond the roundoff slack); k = 2 sits 1 ulp high, within it.
+        # lower(k) = u_k except at k = 1 (far above), k = 3 (one part in 1e9
+        # above, beyond the roundoff slack) and k = 4 (+inf, whose slack is
+        # infinite); k = 2 sits 1 ulp high, within it.
         terms = [1.0, 0.9, 0.8, 0.7, 0.6]
-        lowers = [1.0, 1.5, math.nextafter(0.8, 1.0), 0.7 * (1 + 1e-9), 0.6]
+        lowers = [1.0, 1.5, math.nextafter(0.8, 1.0), 0.7 * (1 + 1e-9), math.inf]
         source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity.constant(), terms)
         high = TermSource(eval=source.eval, lower=lambda k: lowers[k])
         findings = validate_envelope(high, env, 4)
-        assert [(f.k, f.kind) for f in findings] == [(1, "lower"), (3, "lower")]
+        assert [(f.k, f.kind) for f in findings] == [(1, "lower"), (3, "lower"), (4, "lower")]
         assert findings[0].detail == "u_k=0.9 < lower(k)=1.5"
+        assert findings[2].detail == "u_k=0.6 < lower(k)=inf"
 
     @pytest.mark.parametrize("lam,d", [(0.9, 2), (0.99, 3), (0.999, 5)])
     def test_power_norm_upper_is_clean(self, lam, d):
@@ -1237,6 +1245,133 @@ class TestValidateEnvelope:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+def table_fn(ys):
+    """An EnvelopeFn whose grid samples are ys, and 1.0 off the grid."""
+    table = dict(zip(_SAMPLE_GRID, ys))
+    return EnvelopeFn(eval=lambda x: table.get(x, 1.0), inverse=lambda y: y, lo=0.0, hi=1.0)
+
+
+# Neighbours one ulp and 1e-12 relative apart, infinities, a fresh NaN and
+# the shared math.nan object.
+GRID_TWEAKS = (
+    lambda y: math.nextafter(y, math.inf),
+    lambda y: math.nextafter(y, -math.inf),
+    lambda y: y * (1 + 1e-12),
+    lambda y: y * (1 - 1e-12),
+    lambda y: y + 1e-12,
+    lambda y: math.inf,
+    lambda y: -math.inf,
+    lambda y: math.nan,
+    lambda y: float("nan"),
+)
+
+EDGE_VALUES = (0.0, 0.25, 1.0, 3.0, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def grid_families(draw):
+    """(source, envelope, horizon) over a few grid tables that differ from
+    one base table at a few samples, handed back shared or fresh per index."""
+    horizon = draw(st.integers(1, 6))
+    base = draw(st.lists(st.floats(-4.0, 4.0, allow_subnormal=False), min_size=17, max_size=17))
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        ys = list(base)
+        for i in draw(st.lists(st.integers(0, 16), max_size=3)):
+            ys[i] = draw(st.sampled_from(GRID_TWEAKS))(ys[i])
+        tables.append(ys)
+    pick = draw(st.lists(st.integers(0, len(tables) - 1), min_size=horizon + 1, max_size=horizon + 1))
+    if draw(st.booleans()):
+        fns = [table_fn(ys) for ys in tables]
+        h = lambda k: fns[pick[k]]
+    else:
+        h = lambda k: table_fn(tables[pick[k]])
+    betas = draw(st.lists(st.sampled_from([0.5, 0.5, 0.5 + 1e-13, 0.6, 1.5]),
+                          min_size=horizon + 1, max_size=horizon + 1))
+    m = draw(st.integers(0, 2))
+    c = draw(st.one_of(st.none(), st.integers(m, m + 3)))
+
+    def listed():
+        values = draw(st.lists(st.sampled_from(EDGE_VALUES), min_size=horizon + 1, max_size=horizon + 1))
+        return lambda k: values[k]
+
+    terms = listed()
+    upper = draw(st.sampled_from([None, terms, listed()]))
+    lower = draw(st.sampled_from([None, terms, listed()]))
+    source = TermSource(eval=terms, upper=upper, lower=lower)
+    return source, Envelope(h=h, beta=lambda k: betas[k], mono=Monotonicity(m, c)), horizon
+
+
+def shared_nan_family():
+    """A constant family whose one shared function is NaN at x = 0.3125, no
+    power of beta = 0.5: every index must fail both grid checks there."""
+    ys = list(_SAMPLE_GRID)
+    ys[5] = math.nan
+    fn = table_fn(ys)
+    env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity.constant())
+    return TermSource(eval=lambda k: 0.5**k), env, 5
+
+
+class TestGridRules:
+    """The grid checks compare exactly first and sample each function object
+    once; their findings are those of the per-sample rules."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(grid_families())
+    @example(shared_nan_family())
+    def test_matches_the_reference(self, family):
+        source, env, horizon = family
+        got = [(f.k, f.kind, f.detail) for f in validate_envelope(source, env, horizon)]
+        assert got == reference_findings(source, env, horizon)
+
+    @staticmethod
+    def minus_inf_at_zero(rise=0.0):
+        """h(x) = -inf at x = 0 and (1 + x)(1 + rise) elsewhere."""
+        return EnvelopeFn(eval=lambda x: -math.inf if x == 0.0 else (1.0 + x) * (1.0 + rise),
+                          inverse=lambda y: y / (1.0 + rise) - 1.0, lo=-math.inf, hi=2.0 * (1.0 + rise))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "fresh"])
+    def test_equal_minus_infinities_do_not_rise(self, shared):
+        fn = self.minus_inf_at_zero()
+        env = Envelope(h=lambda k: fn if shared else self.minus_inf_at_zero(), beta=lambda k: 0.5,
+                       mono=Monotonicity.decreasing())
+        assert validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 20) == []
+
+    def test_minus_infinity_passes_the_slack_loop(self):
+        # h_k rises by 1e-15 relative at every index: within the slack, but
+        # not exactly, so every index goes through the per-sample loop.
+        env = Envelope(h=lambda k: self.minus_inf_at_zero(k * 1e-15), beta=lambda k: 0.5,
+                       mono=Monotonicity.decreasing())
+        assert validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 20) == []
+
+    def test_infinity_turned_finite_breaks_constancy(self):
+        top = EnvelopeFn(eval=lambda x: math.inf if x == 1.0 else 4.0 * x,
+                         inverse=lambda y: y / 4.0, lo=0.0, hi=math.inf)
+        env = Envelope(h=lambda k: top if k < 2 else affine_fn(4.0, 0.0), beta=lambda k: 0.5,
+                       mono=Monotonicity.eventually_constant(0, 1))
+        findings = validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 4)
+        assert [(f.k, f.kind) for f in findings] == [(k, "h-constant") for k in (2, 3, 4)]
+        assert findings[0].detail == "h_2(1.0) = 4.0 != h_c(1.0) = inf"
+
+    def test_constant_family_is_sampled_once(self, monkeypatch):
+        calls = []
+
+        def counted_affine(a, c):
+            fn = affine_fn(a, c)
+
+            def ev(x):
+                calls.append(x)
+                return fn.eval(x)
+            return EnvelopeFn(eval=ev, inverse=fn.inverse, lo=fn.lo, hi=fn.hi)
+
+        monkeypatch.setattr(algebra, "affine_fn", counted_affine)
+        env = AffineParams(2.0, 0.5, 0.0).constant_envelope()
+        horizon = 30
+        assert validate_envelope(TermSource(eval=lambda k: 0.5**k), env, horizon) == []
+        # The grid once, then h_k(beta^k) at every index.
+        assert calls == list(_SAMPLE_GRID) + [0.5**k for k in range(horizon + 1)]
 
 
 def test_monotonicity_validation():
