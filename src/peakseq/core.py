@@ -173,6 +173,11 @@ class Monotonicity:
     constant_from: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.decreasing_from, int) or not isinstance(self.constant_from, (int, type(None))):
+            raise PreconditionViolated(
+                f"indices must be ints, got decreasing_from={self.decreasing_from!r}, "
+                f"constant_from={self.constant_from!r}"
+            )
         if self.decreasing_from < 0:
             raise PreconditionViolated("decreasing_from must be >= 0")
         if self.constant_from is not None and self.constant_from < self.decreasing_from:

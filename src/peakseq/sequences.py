@@ -60,7 +60,7 @@ class FactorialRatioAdapter:
     """
 
     def __init__(self, a: int):
-        if a < 1:
+        if not isinstance(a, int) or a < 1:
             raise PreconditionViolated("factorial ratio needs integer a >= 1")
         if a > 712:
             # The slope peaks at n = a and a + 1, near e^(a+1)/sqrt(2 pi (a+1)),
@@ -176,9 +176,14 @@ def fibonacci_solve(u0: int, u1: int, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution
 class LogisticAdapter:
     """The logistic iteration y_{n+1} = r * y_n * (1 - y_n) for r in (0, 1).
 
-    The closed-form bound y_n <= y0 / (t^-1 + n*y0) at t = r^n gives a
-    decreasing envelope whose first function attains y0 at its right
-    endpoint, so the peak sits at index 0.  For r in [1, 4] the only
+    Since y_{n+1} <= r * y_n, the affine certificate AffineParams(y0, r, 0)
+    gives y_n <= y0 * r^n; its constant envelope h(t) = y0 * t attains y0
+    at index 0, so the peak sits there.  The source is the float
+    recurrence, and it meets the bound as well: fl(fl(r*y) * fl(1-y)) <=
+    r*y*(1-y)*(1+u)^3 with u = 2^-53, which is <= r*y once y is at least
+    about 3u.  Below that level the iterate lies under the 1e-12 absolute
+    floor of ``MEMBERSHIP_RTOL``, which admits it under any bound, and
+    fl(r*y) <= y, so it never climbs back out.  For r in [1, 4] the only
     ready-made bound is constant above the whole sequence and carries no
     index information, hence that regime is rejected.
     """
@@ -196,27 +201,10 @@ class LogisticAdapter:
         self.y0 = y0
         self._ys = _cursor(y0, lambda y: r * y * (1.0 - y))
         self.source = TermSource(eval=self.term, description=f"logistic r={r} y0={y0}")
-        self.env = Envelope(
-            h=self._fn, beta=lambda n: r, mono=Monotonicity.decreasing()
-        )
+        self.env = AffineParams(y0, r, 0.0).constant_envelope()
 
     def term(self, n: int) -> float:
         return self._ys(n)
-
-    def _fn(self, n: int) -> EnvelopeFn:
-        y0 = self.y0
-
-        def forward(t: float) -> float:
-            if t == 0.0:
-                return 0.0
-            return y0 / (1.0 / t + n * y0)
-
-        def inverse(y: float) -> float:
-            if y <= 0.0:
-                return 0.0
-            return y / (y0 * (1.0 - n * y))
-
-        return EnvelopeFn(eval=forward, inverse=inverse, lo=0.0, hi=y0 / (1.0 + n * y0))
 
 
 def logistic_solve(r: float, y0: float, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:

@@ -103,7 +103,7 @@ def test_round_trip_across_bundled_envelope_functions():
         affine_fn(0.01, -3.0),
         FactorialRatioAdapter(5).seq_env.h(3),
         FactorialRatioAdapter(5).const_env.h(0),
-        LogisticAdapter(0.7, 0.4)._fn(4),
+        LogisticAdapter(0.7, 0.4).env.h(4),
         envelope_fn_from_forward(lambda x: x**3 + 0.5 * x),
     ]
     for fn in functions:

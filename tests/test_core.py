@@ -1377,5 +1377,8 @@ class TestGridRules:
 def test_monotonicity_validation():
     with pytest.raises(PreconditionViolated):
         Monotonicity(3, 1)
+    for bad in ((2.5, None), (0, 2.0), (1.0, None)):
+        with pytest.raises(PreconditionViolated, match="must be ints"):
+            Monotonicity(*bad)
     assert Monotonicity.constant().constant_from == 0
     assert Monotonicity.decreasing().decreasing_from == 0

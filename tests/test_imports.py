@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, every
-private top-level name is used somewhere in the package, and the package
-imports nothing from outside the standard library.
+private top-level or class-body name is used somewhere in the package,
+and the package imports nothing from outside the standard library.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -61,17 +61,30 @@ def test_stdlib_only(path):
 
 
 def _defined(stmt) -> list[str]:
-    """Names a top-level statement defines: a function, a class or assignment targets."""
+    """Names a statement defines: a function, a class or assignment targets."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return [stmt.name]
     targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _referenced(stmt) -> set[str]:
-    """Names a statement reads, by bare name, attribute or import."""
+def _units(module: str, text: str):
+    """(owner, defined names, nodes) for each top-level statement; a class
+    statement splits into its header and one unit per body statement, so
+    a member is checked against the rest of its own class."""
+    for stmt in ast.parse(text).body:
+        if isinstance(stmt, ast.ClassDef):
+            yield module, [stmt.name], [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+            for member in stmt.body:
+                yield f"{module}.{stmt.name}", _defined(member), [member]
+        else:
+            yield module, _defined(stmt), [stmt]
+
+
+def _referenced(nodes) -> set[str]:
+    """Names the nodes read, by bare name, attribute or import."""
     names = set()
-    for node in ast.walk(stmt):
+    for node in (n for root in nodes for n in ast.walk(root)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -83,16 +96,16 @@ def _referenced(stmt) -> set[str]:
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each private top-level name (one leading
-    underscore) that no statement of any module references, apart from the
-    statement that defines it."""
-    statements = [(module, stmt) for module, text in sources.items() for stmt in ast.parse(text).body]
-    refs = [_referenced(stmt) for _, stmt in statements]
+    underscore), and ``module.Class.name`` for each private name a class
+    body defines, that no other statement of any module references."""
+    units = [unit for module, text in sources.items() for unit in _units(module, text)]
+    refs = [_referenced(nodes) for _, _, nodes in units]
     unused = []
-    for i, (module, stmt) in enumerate(statements):
-        for name in _defined(stmt):
+    for i, (owner, names, _) in enumerate(units):
+        for name in names:
             private = name.startswith("_") and not name.startswith("__")
             if private and not any(name in r for j, r in enumerate(refs) if j != i):
-                unused.append(f"{module}.{name}")
+                unused.append(f"{owner}.{name}")
     return sorted(unused)
 
 
@@ -100,8 +113,10 @@ def test_detects_unreferenced_private_name():
     sources = {
         "a": "def _used():\n    pass\n\ndef _dead():\n    return _dead()\n_CONST = 1\n_UNUSED = 2\n",
         "b": "from .a import _used\nprint(_used(), _CONST)\n",
+        "c": ("class K:\n    def __init__(self):\n        self._live()\n\n    def _live(self):\n        pass\n\n"
+              "    def _stale(self):\n        return self._stale()\n"),
     }
-    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._dead"]
+    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._dead", "c.K._stale"]
 
 
 def test_no_unreferenced_private_names():

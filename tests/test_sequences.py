@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from peakseq import (
+    Monotonicity,
     PreconditionViolated,
     brute_force_peak,
     validate_envelope,
 )
+from peakseq.core import exceeds_certificate
 from peakseq.sequences import (
     PHI,
     FactorialRatioAdapter,
@@ -72,6 +74,11 @@ class TestFactorialRatio:
     def test_rejects_a0(self):
         with pytest.raises(PreconditionViolated):
             FactorialRatioAdapter(0)
+
+    @pytest.mark.parametrize("a", [2.5, 3.0])
+    def test_rejects_non_integer_a(self, a):
+        with pytest.raises(PreconditionViolated, match="integer a >= 1"):
+            FactorialRatioAdapter(a)
 
 
 class TestFibonacciRatio:
@@ -138,11 +145,42 @@ class TestLogistic:
          (0.6, 0.7), (0.7, 0.3), (0.8, 0.8), (0.9, 0.1), (0.95, 0.6)],
     )
     def test_closed_form_bound(self, r, y0):
-        ad = LogisticAdapter(r, y0)
+        env = LogisticAdapter(r, y0).env
         y = y0
         for n in range(0, 201):
-            assert y <= y0 / (r**-n + n * y0) + 1e-15
+            assert not exceeds_certificate(y, env.h(n).eval(env.beta(n) ** n))
             y = r * y * (1.0 - y)
+
+    def test_affine_constant_family(self):
+        env = LogisticAdapter(0.7, 0.4).env
+        assert env.mono == Monotonicity.constant()
+        assert env.h(5) is env.h(0)
+        assert env.h(0).eval(1.0) == 0.4 and env.beta(7) == 0.7
+
+    # The float iterate passes y0 * r^n in the subnormal tail: by 1.1e-322
+    # against 5e-324 at n = 2679 in the first case.
+    @pytest.mark.parametrize(
+        "r,y0", [(0.9780755946774611, 4.506254038368488e-298), (0.999999, 1e-300), (0.9, 5e-324)]
+    )
+    def test_float_tail_within_certificate(self, r, y0):
+        ad = LogisticAdapter(r, y0)
+        bounds = [ad.env.h(n).eval(ad.env.beta(n) ** n) for n in range(3001)]
+        assert any(ad.term(n) > b for n, b in enumerate(bounds))
+        assert not any(exceeds_certificate(ad.term(n), b) for n, b in enumerate(bounds))
+        assert validate_envelope(ad.source, ad.env, 3000) == []
+
+    def test_float_iterate_within_ulps_of_normal_bounds(self):
+        rng = random.Random(22)
+        pairs = [(0.999999, 0.999999), (1e-9, 0.5), (0.5, 0.999999)]
+        pairs += [(rng.uniform(1e-9, 1.0), rng.uniform(1e-9, 1.0)) for _ in range(40)]
+        pairs += [(1.0 - 10.0 ** rng.uniform(-9, -1), 10.0 ** rng.uniform(-15, 0)) for _ in range(40)]
+        for r, y0 in pairs:
+            ad = LogisticAdapter(r, y0)
+            for n in range(3001):
+                bound = ad.env.h(n).eval(ad.env.beta(n) ** n)
+                if bound < 1e-15:
+                    break
+                assert ad.term(n) <= bound + 4 * math.ulp(bound), (r, y0, n)
 
     def test_solve(self):
         sol = logistic_solve(0.5, 0.5)
