@@ -181,11 +181,15 @@ class LogisticAdapter:
     at index 0, so the peak sits there.  The source is the float
     recurrence, and it meets the bound as well: fl(fl(r*y) * fl(1-y)) <=
     r*y*(1-y)*(1+u)^3 with u = 2^-53, which is <= r*y once y is at least
-    about 3u.  Below that level the iterate lies under the 1e-12 absolute
-    floor of ``MEMBERSHIP_RTOL``, which admits it under any bound, and
-    fl(r*y) <= y, so it never climbs back out.  For r in [1, 4] the only
-    ready-made bound is constant above the whole sequence and carries no
-    index information, hence that regime is rejected.
+    about 3u, so down to that level every iterate is at most the exact
+    y0 * r^n.  The bound as computed, y0 * r**n in floats, may round an
+    ulp or so below that exact value; every term is below 1, so the 1e-12
+    absolute floor of ``MEMBERSHIP_RTOL`` absorbs that rounding at every
+    level.  Below about 3u the iterate itself lies under that floor, which
+    admits it under any bound, and fl(r*y) <= y, so it never climbs back
+    out.  For r in [1, 4] the only ready-made bound is constant above the
+    whole sequence and carries no index information, hence that regime is
+    rejected.
     """
 
     def __init__(self, r: float, y0: float):

@@ -69,16 +69,19 @@ def _defined(stmt) -> list[str]:
 
 
 def _units(module: str, text: str):
-    """(owner, defined names, nodes) for each top-level statement; a class
-    statement splits into its header and one unit per body statement, so
-    a member is checked against the rest of its own class."""
-    for stmt in ast.parse(text).body:
+    """(owner, defined names, nodes, scope) for each top-level statement; a
+    class statement splits into its header and one unit per body statement,
+    so a member is checked against the rest of its own class.  ``scope`` is
+    (module, statement index) with the member index appended for a member:
+    a unit's own references are those whose scope starts with its own, so
+    the class's name is checked against everything outside the class."""
+    for i, stmt in enumerate(ast.parse(text).body):
         if isinstance(stmt, ast.ClassDef):
-            yield module, [stmt.name], [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
-            for member in stmt.body:
-                yield f"{module}.{stmt.name}", _defined(member), [member]
+            yield module, [stmt.name], [*stmt.decorator_list, *stmt.bases, *stmt.keywords], (module, i)
+            for j, member in enumerate(stmt.body):
+                yield f"{module}.{stmt.name}", _defined(member), [member], (module, i, j)
         else:
-            yield module, _defined(stmt), [stmt]
+            yield module, _defined(stmt), [stmt], (module, i)
 
 
 def _referenced(nodes) -> set[str]:
@@ -99,12 +102,13 @@ def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     underscore), and ``module.Class.name`` for each private name a class
     body defines, that no other statement of any module references."""
     units = [unit for module, text in sources.items() for unit in _units(module, text)]
-    refs = [_referenced(nodes) for _, _, nodes in units]
+    refs = [(scope, _referenced(nodes)) for _, _, nodes, scope in units]
     unused = []
-    for i, (owner, names, _) in enumerate(units):
+    for owner, names, _, own in units:
+        outside = [r for scope, r in refs if scope[: len(own)] != own]
         for name in names:
             private = name.startswith("_") and not name.startswith("__")
-            if private and not any(name in r for j, r in enumerate(refs) if j != i):
+            if private and not any(name in r for r in outside):
                 unused.append(f"{owner}.{name}")
     return sorted(unused)
 
@@ -115,8 +119,9 @@ def test_detects_unreferenced_private_name():
         "b": "from .a import _used\nprint(_used(), _CONST)\n",
         "c": ("class K:\n    def __init__(self):\n        self._live()\n\n    def _live(self):\n        pass\n\n"
               "    def _stale(self):\n        return self._stale()\n"),
+        "d": "class _Dead:\n    def make(self):\n        return _Dead()\n",
     }
-    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._dead", "c.K._stale"]
+    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._dead", "c.K._stale", "d._Dead"]
 
 
 def test_no_unreferenced_private_names():
