@@ -27,6 +27,7 @@ from functools import cached_property
 from operator import mul
 
 from .core import (
+    FLOOR_GUARD,
     Envelope,
     Monotonicity,
     PeakSolution,
@@ -35,6 +36,7 @@ from .core import (
     TermSource,
     Tie,
     _cursor,
+    argmax_bound,
     solve,
     truncation_from,
 )
@@ -500,9 +502,13 @@ def table_run(lambdas, d: int = 2, q: float | None = None, generic: bool = False
             raise PreconditionViolated(f"lambda={lam!r} must lie in (0, 1)")
         system, source, env = a_lambda_problem(lam, d, q, generic)
         sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX)
-        # The generic scan's cursor is past k_s; a fresh source re-steps the power alone.
-        plain = power_norm_source(system.a) if generic else source
-        f_floor = truncation_from(sol.argmax_min, plain, system.const_env)
+        if generic:
+            # The scan's cursor is past k_s, and under the max-argmax rule
+            # sup_value is u_(k_s) to the bit, so no power is stepped again.
+            ub = argmax_bound(sol.argmax_min, sol.sup_value, system.const_env)
+            f_floor = math.floor(ub.value + FLOOR_GUARD) if ub.is_finite else None
+        else:
+            f_floor = truncation_from(sol.argmax_min, source, system.const_env)
         rows.append(TableRow(lam=lam, k_s=sol.argmax_min, max_norm_sq=sol.sup_value, f_floor=f_floor))
     return rows
 

@@ -5,9 +5,11 @@ certificates are known in closed form: the factorial ratio a^n/n!, the ratio
 of consecutive terms of generalized Fibonacci sequences, logistic iterations
 with r < 1, and the accelerated Syracuse iteration (terms only; the only
 envelope statement available there is conjecture-equivalent, so it is
-exposed as a finite-horizon checker).  The recurrences (Fibonacci, logistic,
-Syracuse) step their terms forward from the last index asked for, so an
-in-order scan pays one step per term.
+exposed as a finite-horizon checker).  Every bundled envelope is affine:
+the factorial's tight family is one ``affine_fn`` per index, and each
+constant envelope is an ``AffineParams`` certificate's.  The recurrences
+(Fibonacci, logistic, Syracuse) step their terms forward from the last index
+asked for, so an in-order scan pays one step per term.
 """
 
 from __future__ import annotations
@@ -113,32 +115,30 @@ def factorial_solve(a: int, envelope: str = "sequence", tie: Tie = Tie.MIN_ARGMA
 class FibonacciRatioAdapter:
     """Ratios w_n = u_{n+1}/u_n of the recurrence u_{n+2} = u_{n+1} + u_n.
 
-    Requires u1 > u0 * phi, which makes the ratios oscillate around phi
-    (below for odd n, above for even n >= 2).  Terms come from exact
-    integer arithmetic; the constant envelope is the rational function
-    whose even-index values match the ratios exactly, with ratio phi^-2.
+    Terms come from exact integer arithmetic, with w_0 = 0 when u0 = 0.
+    With psi = -1/phi, u_{n+1} - phi*u_n = psi^n * (u1 - phi*u0), so for
+    u1 > u0*phi the ratios lie below phi at odd n and above it at even n.
+    For u0 > 0, u_n - phi^n*u0 = (u1 - phi*u0) * (phi^n - psi^n) / sqrt(5)
+    >= 0 bounds the excess at even n: w_n - phi <= (w_0 - phi) * phi^-2n,
+    with equality at n = 0.  That is the affine certificate
+    AffineParams(w_0 - phi, phi^-2, phi), whose constant envelope attains
+    w_0 at index 0.  For u0 = 0 the ratios are those of (0, 1), u_n is
+    u1 * F_n, and F_n >= phi^(n-2) gives the scale phi^2 instead, tight at
+    n = 2 where w_2 = 2.  The scale must be positive in floats, so u0 > 0
+    needs u1 / u0 > phi as computed; the bound as computed rounds an ulp or
+    so off the exact one, which the ``MEMBERSHIP_RTOL`` slack absorbs.
     """
 
     def __init__(self, u0: int, u1: int):
         if u0 < 0 or u1 < 1:
             raise PreconditionViolated("need u0 >= 0 and u1 >= 1")
-        if u1 <= u0 * PHI:
-            raise PreconditionViolated(f"need u1 > u0*phi, got {u1} <= {u0 * PHI!r}")
+        if u0 > 0 and not u1 / u0 > PHI:
+            raise PreconditionViolated(f"need u1/u0 > phi, got {u1 / u0!r} <= {PHI!r}")
         self.u0 = u0
         self.u1 = u1
         self._pairs = _cursor((u0, u1), lambda p: (p[1], p[0] + p[1]))
-        denom = 1.0 + PHI * PHI
-        self.A = (u0 + u1 * PHI) / denom
-        self.B = (u0 * PHI - u1) * PHI / denom
-        # Cancellation-free form of -(B*phi^-2 + B); positive when B < 0.
-        self.C = (u1 - u0 * PHI) / PHI
-        hi = u1 / u0 if u0 > 0 else math.inf
-        fn = EnvelopeFn(eval=self._h, inverse=self._h_inv, lo=PHI, hi=hi)
-        self.env = Envelope(
-            h=lambda n: fn,
-            beta=lambda n: PHI**-2,
-            mono=Monotonicity.constant(),
-        )
+        scale = u1 / u0 - PHI if u0 > 0 else PHI * PHI
+        self.env = AffineParams(scale, PHI**-2, PHI).constant_envelope()
         self.source = TermSource(eval=self.ratio, description=f"fibonacci ratio u0={u0} u1={u1}")
 
     def term_pair(self, n: int) -> tuple[int, int]:
@@ -150,21 +150,6 @@ class FibonacciRatioAdapter:
             return self.u1 / self.u0 if self.u0 > 0 else 0.0
         a, b = self.term_pair(n)
         return b / a
-
-    def _h(self, x: float) -> float:
-        if x == 0.0:
-            return PHI
-        denom = self.A / x + self.B
-        if denom <= 0.0:
-            # u0 = 0 puts the pole exactly at x = 1.
-            return math.inf
-        return PHI * (1.0 + self.C / denom)
-
-    def _h_inv(self, y: float) -> float:
-        if y <= PHI:
-            return 0.0
-        d = self.C * PHI / (y - PHI)
-        return self.A / (d - self.B)
 
 
 def fibonacci_solve(u0: int, u1: int, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:

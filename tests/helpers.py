@@ -13,17 +13,43 @@ from dataclasses import dataclass
 
 from peakseq import (
     Envelope,
+    EnvelopeFn,
     PeakseqError,
     PreconditionViolated,
     TermSource,
 )
 from peakseq.core import MEMBERSHIP_RTOL
 from peakseq.sequences import (
+    PHI,
     FactorialRatioAdapter,
     FibonacciRatioAdapter,
     LogisticAdapter,
 )
 from peakseq import linsys
+
+
+def fibonacci_rational_fn() -> EnvelopeFn:
+    """h(x) = phi + x / (a (1 - x)) with a = phi / (1 + phi^2), and its inverse.
+
+    With beta = phi^-2, h(beta^k) equals the ratio F_(k+1)/F_k of the
+    Fibonacci numbers at every even k >= 2, and h has its pole at x = 1, so
+    at k = 0 it certifies nothing finite: a rational envelope function whose
+    right endpoint is +inf.
+    """
+    a = PHI / (1.0 + PHI * PHI)
+
+    def inverse(y: float) -> float:
+        if y <= PHI:
+            return 0.0
+        t = a * (y - PHI)
+        return t / (1.0 + t)
+
+    return EnvelopeFn(
+        eval=lambda x: PHI + x / (a * (1.0 - x)) if x < 1.0 else math.inf,
+        inverse=inverse,
+        lo=PHI,
+        hi=math.inf,
+    )
 
 
 class InvalidTailBound(PeakseqError):

@@ -25,6 +25,8 @@ from peakseq.algebra import EmptyFamily, InvalidBracket, OutOfRange
 from peakseq.core import Envelope
 from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter
 
+from helpers import fibonacci_rational_fn
+
 
 class TestAffineFn:
     def test_identity(self):
@@ -63,8 +65,8 @@ class TestInvertNumeric:
         assert invert_numeric(lambda x: x * x, 0.04) == pytest.approx(0.2, abs=1e-12)
 
     def test_fibonacci_rational_branch(self):
-        ad = FibonacciRatioAdapter(0, 1)
-        x = invert_numeric(ad._h, 2.0)
+        # A rational function with its pole at the right endpoint, h(phi^-4) = 2.
+        x = invert_numeric(fibonacci_rational_fn().eval, 2.0)
         assert x == pytest.approx(PHI**-4, abs=1e-10)
 
     def test_out_of_range(self):
@@ -94,8 +96,7 @@ class TestInvertNumeric:
 
 def test_round_trip_across_bundled_envelope_functions():
     # Every constructed envelope function inverts its own values to 1e-10
-    # on a 100-point grid (the Fibonacci family is sampled short of its
-    # pole at the right endpoint).
+    # on a 100-point grid.
     from peakseq.sequences import LogisticAdapter
 
     functions = [
@@ -103,6 +104,8 @@ def test_round_trip_across_bundled_envelope_functions():
         affine_fn(0.01, -3.0),
         FactorialRatioAdapter(5).seq_env.h(3),
         FactorialRatioAdapter(5).const_env.h(0),
+        FibonacciRatioAdapter(0, 1).env.h(0),
+        FibonacciRatioAdapter(3, 5).env.h(0),
         LogisticAdapter(0.7, 0.4).env.h(4),
         envelope_fn_from_forward(lambda x: x**3 + 0.5 * x),
     ]
@@ -110,10 +113,6 @@ def test_round_trip_across_bundled_envelope_functions():
         for i in range(100):
             x = i / 99.0
             assert abs(fn.inverse(fn.eval(x)) - x) <= 1e-10
-    fib = FibonacciRatioAdapter(0, 1).env.h(0)
-    for i in range(100):
-        x = 0.97 * i / 99.0
-        assert abs(fib.inverse(fib.eval(x)) - x) <= 1e-10
 
 
 def _const_env(fn, beta):

@@ -28,11 +28,12 @@ from peakseq import (
 from peakseq.algebra import AffineParams, affine_fn, env_min, promote_to_decreasing
 from peakseq import algebra, core
 from peakseq.core import _SAMPLE_GRID
-from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
+from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
 from peakseq import linsys
 
 from helpers import (
     InvalidTailBound,
+    fibonacci_rational_fn,
     prefix_index_sets,
     reference_findings,
     reference_row_norm_bounds,
@@ -1090,11 +1091,14 @@ class TestNaNCertificate:
         ]
 
     def test_infinite_certificate_is_accepted(self):
-        # u_0 = 0: the ratio family certifies nothing finite at k = 0.
-        ad = FibonacciRatioAdapter(0, 1)
-        assert ad.env.h(0).eval(1.0) == math.inf
-        assert solve(ad.source, ad.env).argmax_min == 2
-        assert validate_envelope(ad.source, ad.env, 40) == []
+        # A rational envelope of the Fibonacci ratios with its pole at x = 1
+        # certifies nothing finite at k = 0.
+        fn = fibonacci_rational_fn()
+        env = constant_env(fn, PHI**-2)
+        source = FibonacciRatioAdapter(0, 1).source
+        assert fn.eval(1.0) == math.inf
+        assert solve(source, env).argmax_min == 2
+        assert validate_envelope(source, env, 40) == []
 
 
 class TestValidateEnvelope:

@@ -69,46 +69,51 @@ def _defined(stmt) -> list[str]:
 
 
 def _units(module: str, text: str):
-    """(owner, defined names, nodes, scope) for each top-level statement; a
-    class statement splits into its header and one unit per body statement,
-    so a member is checked against the rest of its own class.  ``scope`` is
-    (module, statement index) with the member index appended for a member:
-    a unit's own references are those whose scope starts with its own, so
-    the class's name is checked against everything outside the class."""
+    """(owner, defined names, reference kind, nodes, scope) for each
+    top-level statement; a class statement splits into its header and one
+    unit per body statement, so a member is checked against the rest of its
+    own class.  A top-level name is referenced as a ``"name"`` and a member
+    as an ``"attr"``.  ``scope`` is (module, statement index) with the
+    member index appended for a member: a unit's own references are those
+    whose scope starts with its own, so the class's name is checked against
+    everything outside the class."""
     for i, stmt in enumerate(ast.parse(text).body):
         if isinstance(stmt, ast.ClassDef):
-            yield module, [stmt.name], [*stmt.decorator_list, *stmt.bases, *stmt.keywords], (module, i)
+            header = [*stmt.decorator_list, *stmt.bases, *stmt.keywords]
+            yield module, [stmt.name], "name", header, (module, i)
             for j, member in enumerate(stmt.body):
-                yield f"{module}.{stmt.name}", _defined(member), [member], (module, i, j)
+                yield f"{module}.{stmt.name}", _defined(member), "attr", [member], (module, i, j)
         else:
-            yield module, _defined(stmt), [stmt], (module, i)
+            yield module, _defined(stmt), "name", [stmt], (module, i)
 
 
-def _referenced(nodes) -> set[str]:
-    """Names the nodes read, by bare name, attribute or import."""
-    names = set()
+def _referenced(nodes) -> set[tuple[str, str]]:
+    """(kind, name) for each name the nodes read: ``"name"`` for a bare
+    name or an import, ``"attr"`` for an attribute."""
+    refs = set()
     for node in (n for root in nodes for n in ast.walk(root)):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            refs.add(("name", node.id))
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            refs.add(("attr", node.attr))
         elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
-    return names
+            refs.update(("name", alias.name) for alias in node.names)
+    return refs
 
 
 def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
     """``module.name`` for each private top-level name (one leading
-    underscore), and ``module.Class.name`` for each private name a class
-    body defines, that no other statement of any module references."""
+    underscore) that no other statement of any module reads as a bare name
+    or imports, and ``module.Class.name`` for each private name a class body
+    defines that no other statement reads as an attribute."""
     units = [unit for module, text in sources.items() for unit in _units(module, text)]
-    refs = [(scope, _referenced(nodes)) for _, _, nodes, scope in units]
+    refs = [(scope, _referenced(nodes)) for _, _, _, nodes, scope in units]
     unused = []
-    for owner, names, _, own in units:
+    for owner, names, kind, _, own in units:
         outside = [r for scope, r in refs if scope[: len(own)] != own]
         for name in names:
             private = name.startswith("_") and not name.startswith("__")
-            if private and not any(name in r for r in outside):
+            if private and not any((kind, name) in r for r in outside):
                 unused.append(f"{owner}.{name}")
     return sorted(unused)
 
@@ -120,8 +125,11 @@ def test_detects_unreferenced_private_name():
         "c": ("class K:\n    def __init__(self):\n        self._live()\n\n    def _live(self):\n        pass\n\n"
               "    def _stale(self):\n        return self._stale()\n"),
         "d": "class _Dead:\n    def make(self):\n        return _Dead()\n",
+        "e": "class K2:\n    def _dead(self):\n        pass\n",
     }
-    assert unreferenced_private_names(sources) == ["a._UNUSED", "a._dead", "c.K._stale", "d._Dead"]
+    assert unreferenced_private_names(sources) == [
+        "a._UNUSED", "a._dead", "c.K._stale", "d._Dead", "e.K2._dead",
+    ]
 
 
 def test_no_unreferenced_private_names():

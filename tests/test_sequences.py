@@ -1,7 +1,9 @@
 """Adapters: factorial ratio, Fibonacci ratio, logistic, Syracuse."""
 
+import decimal
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,7 +11,9 @@ import pytest
 from peakseq import (
     Monotonicity,
     PreconditionViolated,
+    Tie,
     brute_force_peak,
+    solve,
     validate_envelope,
 )
 from peakseq.core import exceeds_certificate
@@ -105,11 +109,11 @@ class TestFibonacciRatio:
                 assert w < PHI + 1e-15
 
     def test_even_terms_meet_envelope(self):
-        ad = FibonacciRatioAdapter(0, 1)
-        for k in range(1, 16):
-            w = ad.ratio(2 * k)
-            certified = ad.env.h(2 * k).eval(ad.env.beta(2 * k) ** (2 * k))
-            assert abs(w - certified) <= 1e-12 * abs(w)
+        # From u0 = 0 the bound is tight at the peak, w_2 = 2.
+        for u1 in (1, 2, 7, 10**6):
+            ad = FibonacciRatioAdapter(0, u1)
+            assert ad.ratio(2) == 2.0
+            assert ad.env.h(2).eval(ad.env.beta(2) ** 2) == 2.0
 
     def test_solve_zero_start(self):
         sol = fibonacci_solve(0, 1)
@@ -127,11 +131,61 @@ class TestFibonacciRatio:
     def test_right_endpoint_equality(self):
         for u0, u1 in [(1, 2), (2, 4), (3, 5), (7, 12)]:
             ad = FibonacciRatioAdapter(u0, u1)
-            assert abs(ad.ratio(0) - ad._h(1.0)) <= 1e-12 * ad.ratio(0)
+            assert ad.env.h(0).eval(1.0) == ad.ratio(0)
 
     def test_precondition(self):
-        with pytest.raises(PreconditionViolated):
-            fibonacci_solve(1, 1)
+        # The last pair has u1 > u0 * phi, even against the float PHI, but
+        # u1 / u0 rounds to PHI: the certificate's scale would be 0.
+        for u0, u1 in [(1, 1), (5, 8), (10**17, 161803398874989491)]:
+            assert not u1 / u0 > PHI
+            with pytest.raises(PreconditionViolated, match="u1/u0 > phi"):
+                fibonacci_solve(u0, u1)
+
+    @pytest.mark.parametrize("tie", list(Tie))
+    def test_ratio_an_ulp_above_phi_answers_at_once(self, tie):
+        # u1 / u0 is one ulp above PHI, so the scale is about 2e-16; the
+        # limit makes a search for a useful index fail fast.
+        ad = FibonacciRatioAdapter(10**17, 161803398874989505)
+        sol = solve(ad.source, ad.env, tie=tie, scan_limit=100)
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.6180339887498951, 0, 0)
+        assert sol.terms_evaluated == 1
+
+    @pytest.mark.parametrize("u0,u1", [(5, 1000009), (57, 1000093)])
+    def test_large_first_ratio_meets_its_bound(self, u0, u1):
+        # w_0 is large, and h_0(1) must still meet it within the
+        # MEMBERSHIP_RTOL slack, or k = 0 reads as an envelope violation.
+        ad = FibonacciRatioAdapter(u0, u1)
+        assert ad.env.h(0).eval(1.0) == ad.ratio(0)
+        assert validate_envelope(ad.source, ad.env, 40) == []
+        sol = fibonacci_solve(u0, u1)
+        assert (sol.sup_value, sol.argmax_min, sol.terms_evaluated) == (u1 / u0, 0, 1)
+
+    def test_certificate_holds_in_exact_arithmetic(self):
+        # w_n - phi <= scale * phi^(-2n) for n <= 200, with scale = w_0 - phi
+        # (phi^2 from u0 = 0), so the float envelope needs MEMBERSHIP_RTOL
+        # for its rounding only.  200 digits keep at least 60 significant
+        # digits of w_n - phi at n = 200, where it is near 1e-84 * scale.
+        with decimal.localcontext(decimal.Context(prec=200)):
+            phi = (1 + Decimal(5).sqrt()) / 2
+            fib = [0, 1]
+            while len(fib) < 72:
+                fib.append(fib[-1] + fib[-2])
+            pairs = [(0, 1), (0, 2), (0, 7), (10**17, 161803398874989505), (10**12, 1618033988750)]
+            pairs += [(u0, int(u0 * phi) + 1 + j) for u0 in range(1, 21) for j in (0, 1, 2, 5, 40)]
+            pairs += [(fib[n], fib[n + 1] + j) for n in range(1, 70) for j in (0, 1, 2)]
+            checked = 0
+            for u0, u1 in pairs:
+                if u0 > 0 and not u1 / u0 > PHI:
+                    continue
+                ad = FibonacciRatioAdapter(u0, u1)
+                scale = Decimal(u1) / u0 - phi if u0 else phi * phi
+                for n in range(201):
+                    a, b = ad.term_pair(n)
+                    excess = (Decimal(b) / a if a else 0) - phi
+                    bound = scale / phi ** (2 * n)
+                    assert excess <= bound * (1 + Decimal("1e-60")), (u0, u1, n)
+                checked += 1
+        assert checked > 100
 
     def test_membership_on_prefix(self):
         ad = FibonacciRatioAdapter(0, 1)
