@@ -96,8 +96,10 @@ def envelope_fn_from_forward(f) -> EnvelopeFn:
 
 
 def _min_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
+    evals = tuple(fn.eval for fn in fns)
+
     def forward(x: float) -> float:
-        return min(fn.eval(x) for fn in fns)
+        return min([f(x) for f in evals])
 
     def inverse(y: float) -> float:
         # Only functions whose range reaches down to y may be inverted;
@@ -116,8 +118,10 @@ def _min_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
 
 
 def _max_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
+    evals = tuple(fn.eval for fn in fns)
+
     def forward(x: float) -> float:
-        return max(fn.eval(x) for fn in fns)
+        return max([f(x) for f in evals])
 
     def inverse(y: float) -> float:
         eligible = [fn for fn in fns if y <= fn.hi]

@@ -12,10 +12,12 @@ dominates every maximizer of u.  The solver scans terms while shrinking the
 bound until the scan index passes it, which pins down the supremum and a
 maximizer after finitely many term evaluations.
 
-Everything in this module is deterministic and its types are immutable after
-construction.  Term sources are required to be pure: a source may keep a
-private cursor to step a recurrence forward from the last index it was asked
-for, but its value at k depends on k alone, so sharing across threads is safe.
+Everything in this module is deterministic.  Not every type is frozen:
+``EnvelopeFn`` is a plain class with slots, and code that shares one must
+not assign to it.  Term sources and envelope functions are required to be
+pure: a source may keep a private cursor to step a recurrence forward
+from the last index it was asked for, but its value at k depends on k alone,
+so sharing across threads is safe.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ FLOOR_GUARD = 1e-9
 # The margin also dominates the MEMBERSHIP_RTOL slack a trusted bound or
 # envelope may carry.  solve computes the index bound only where the running
 # max exceeds h_k(beta_k^(k+1)) less this margin; below that level the bound
-# is at least k + 1.  b**k, the product by b, the division and the log behind
-# the bound are each off by a few ulp, together under ~1e-13 relative for
+# is at least k + 1.  b**k, b**(k+1), the division and the log behind the
+# bound are each off by a few ulp, together under ~1e-13 relative for
 # |log x| <= 745, far inside the margin.  An envelope whose inverse is less
 # accurate than the margin can only make the scan longer.
 SCREEN_RTOL = 1e-9
@@ -140,22 +142,31 @@ def _cursor(start, step: Callable) -> Callable[[int], object]:
     return state
 
 
-@dataclass(frozen=True)
 class EnvelopeFn:
     """A strictly increasing continuous function on [0, 1] with an inverse.
 
     ``inverse`` is only guaranteed on [lo, hi] = [eval(0), eval(1)].  Both
     are pure: repeated calls with the same argument return the same value.
+    A plain class with slots, not a dataclass: families built per index make
+    one for every index they scan, and a slotted class is built in under
+    half the time of a frozen dataclass.
     """
 
-    eval: Callable[[float], float]
-    inverse: Callable[[float], float]
-    lo: float
-    hi: float
+    __slots__ = ("eval", "inverse", "lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise PreconditionViolated(f"need lo < hi, got [{self.lo!r}, {self.hi!r}]")
+    def __init__(
+        self,
+        eval: Callable[[float], float],
+        inverse: Callable[[float], float],
+        lo: float,
+        hi: float,
+    ) -> None:
+        if not lo < hi:
+            raise PreconditionViolated(f"need lo < hi, got [{lo!r}, {hi!r}]")
+        self.eval = eval
+        self.inverse = inverse
+        self.lo = lo
+        self.hi = hi
 
 
 @dataclass(frozen=True)
@@ -351,7 +362,11 @@ def solve(
     (h_k, beta_k) is read at every index up to constant_from and kept after
     it, and a beta_k outside (0, 1) raises where it is read.  Every
     evaluated term is checked against h_k(beta_k^k), and a NaN
-    h_k(beta_k^k) fails the check.  The index bound is
+    h_k(beta_k^k) fails the check.  Where the pair at k is the pair at
+    k - 1 (the same h object and an equal beta, or any index past
+    constant_from), h(beta^k) computed at k - 1 is the certificate at k,
+    so h_k is evaluated once per index (``EnvelopeFn.eval`` is pure).  The
+    index bound is
     taken at the running max vmax: every later maximizer j has u_j >= vmax,
     so j is bounded through h_k as well as through u_k, and tighter.  It is
     computed while no bound exists and then only where vmax exceeds
@@ -405,6 +420,7 @@ def solve(
             on_step(k, u_k, None, None)
 
     trunc: int | None = None
+    fn = b = nxt = None
     k = m
     while trunc is None or k <= trunc:
         if trunc is None and k > m + scan_limit:
@@ -413,13 +429,17 @@ def solve(
                 "increase the scan limit only if the envelope is known useful"
             )
         if c is None or k <= c:
-            fn = env.h(k)
-            b = env.beta(k)
-            if not 0.0 < b < 1.0:
-                raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
-        bk = b**k
-        cert = fn.eval(bk)
-        nxt = fn.eval(bk * b)
+            h_k = env.h(k)
+            beta_k = env.beta(k)
+            if not 0.0 < beta_k < 1.0:
+                raise PreconditionViolated(f"beta_k={beta_k!r} at k={k} not in (0,1)")
+            if h_k is not fn or beta_k != b:
+                fn, b = h_k, beta_k
+                nxt = fn.eval(b**k)
+        # nxt is h_k(beta_k^k): computed just above for a new pair, or at
+        # k - 1 as h(beta^((k-1)+1)) for the same one.
+        cert = nxt
+        nxt = fn.eval(b ** (k + 1))
         if upper is not None and trunc is not None and _screened(
                 k, upper(k), cert, nxt, vmax, lower, trunc):
             u_k = None

@@ -41,14 +41,54 @@ class UnsupportedParameter(PeakseqError):
     """The parameter regime has no useful envelope in this library."""
 
 
-def _pow_over_factorial(base: int, n: int) -> float:
-    """base^n / n! correctly rounded, without the exact integers once it underflows."""
-    # The value stays far above underflow for n <= 2*base, so short scans pay
-    # one integer compare; -760 sits below ln(2^-1075) ~ -745.1 by a margin
-    # covering the float error of the log estimate.
-    if n > 2 * base and n * math.log(base) - math.lgamma(n + 1) < -760.0:
-        return 0.0
-    return base**n / math.factorial(n)
+def _underflow_from(base: int) -> int:
+    """The first n past 2*base whose log estimate puts base^n / n! below underflow.
+
+    The value stays far above underflow for n <= 2*base.  Past it the
+    estimate n*log(base) - lgamma(n+1) falls by more than log 2 per index,
+    far more than its float error, so once it is below -760 it stays there:
+    -760 sits below ln(2^-1075) ~ -745.1 by a margin covering that error.
+    Doubling and then bisection find the first such n.
+    """
+    def under(n: int) -> bool:
+        return n * math.log(base) - math.lgamma(n + 1) < -760.0
+
+    lo, hi = 2 * base, 2 * base + 1
+    while not under(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if under(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class _PowOverFactorial:
+    """n -> base^n / n! correctly rounded, and 0.0 from ``_underflow_from(base)`` on.
+
+    That index is found on the first n past 2*base asked for; from then on
+    a term past it costs one integer compare and builds no exact integers.
+    A slotted object and its bound ``term``, not a closure: both are
+    smaller and the call is as fast.
+    """
+
+    __slots__ = ("base", "zero_from")
+
+    def __init__(self, base: int):
+        self.base = base
+        self.zero_from = math.inf
+
+    def term(self, n: int) -> float:
+        if n >= self.zero_from:
+            return 0.0
+        base = self.base
+        if self.zero_from == math.inf and n > 2 * base:
+            self.zero_from = _underflow_from(base)
+            if n >= self.zero_from:
+                return 0.0
+        return base**n / math.factorial(n)
 
 
 class FactorialRatioAdapter:
@@ -73,10 +113,8 @@ class FactorialRatioAdapter:
             )
         self.a = a
         self.beta = a / (a + 1)
-        self.source = TermSource(
-            eval=lambda n: _pow_over_factorial(a, n),
-            description=f"a^n/n!, a={a}",
-        )
+        self.source = TermSource(eval=_PowOverFactorial(a).term, description=f"a^n/n!, a={a}")
+        self._slope = _PowOverFactorial(a + 1).term
         self.seq_env = Envelope(
             h=self._seq_fn,
             beta=lambda n: self.beta,
@@ -97,7 +135,7 @@ class FactorialRatioAdapter:
 
     def _seq_fn(self, n: int) -> EnvelopeFn:
         # Clamped where the exact slope underflows, so lo < hi still holds.
-        return affine_fn(max(_pow_over_factorial(self.a + 1, n), math.ulp(0.0)), 0.0)
+        return affine_fn(max(self._slope(n), math.ulp(0.0)), 0.0)
 
 
 def factorial_solve(a: int, envelope: str = "sequence", tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:

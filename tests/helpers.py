@@ -14,11 +14,15 @@ from dataclasses import dataclass
 from peakseq import (
     Envelope,
     EnvelopeFn,
+    EnvelopeViolation,
     PeakseqError,
+    PeakSolution,
     PreconditionViolated,
     TermSource,
+    Tie,
+    argmax_bound,
 )
-from peakseq.core import MEMBERSHIP_RTOL
+from peakseq.core import FLOOR_GUARD, MEMBERSHIP_RTOL, SCREEN_RTOL
 from peakseq.sequences import (
     PHI,
     FactorialRatioAdapter,
@@ -50,6 +54,14 @@ def fibonacci_rational_fn() -> EnvelopeFn:
         lo=PHI,
         hi=math.inf,
     )
+
+
+def reference_pow_over_factorial(base: int, n: int) -> float:
+    """base^n / n! as the factorial adapter first computed it: the log test
+    at every n past 2*base, then the exact integers."""
+    if n > 2 * base and n * math.log(base) - math.lgamma(n + 1) < -760.0:
+        return 0.0
+    return base**n / math.factorial(n)
 
 
 class InvalidTailBound(PeakseqError):
@@ -285,3 +297,52 @@ def reference_findings(source: TermSource, env: Envelope, horizon: int) -> list[
                 x, y, r = bad
                 out.append((k, "h-constant", f"h_{k}({x}) = {y!r} != h_c({x}) = {r!r}"))
     return out
+
+
+def reference_solve(source: TermSource, env: Envelope, tie: Tie = Tie.MIN_ARGMAX,
+                    on_step=None) -> PeakSolution:
+    """solve's scan rule in one plain per-index loop, with no screening and
+    no carry: from decreasing_from on, (h_k, beta_k) is read at every index
+    up to constant_from, and h_k is evaluated afresh at beta_k^k and at
+    beta_k^k * beta_k.  Every term is evaluated, and there is no scan
+    limit."""
+    m, c = env.mono.decreasing_from, env.mono.constant_from
+    vmax, first, last = -math.inf, 0, 0
+
+    def take(k, u):
+        nonlocal vmax, first, last
+        if not math.isfinite(u):
+            raise PreconditionViolated(f"non-finite term at k={k}: u_k={u!r}")
+        if u > vmax:
+            vmax, first, last = u, k, k
+        elif u == vmax:
+            last = k
+
+    for k in range(m):
+        u = source.eval(k)
+        take(k, u)
+        if on_step is not None:
+            on_step(k, u, None, None)
+    trunc, k = None, m
+    while trunc is None or k <= trunc:
+        if c is None or k <= c:
+            fn, b = env.h(k), env.beta(k)
+            if not 0.0 < b < 1.0:
+                raise PreconditionViolated(f"beta_k={b!r} at k={k} not in (0,1)")
+        bk = b**k
+        cert, nxt = fn.eval(bk), fn.eval(bk * b)
+        u = source.eval(k)
+        take(k, u)
+        if not u <= cert + MEMBERSHIP_RTOL * max(1.0, abs(u)):
+            raise EnvelopeViolation(k, u, cert)
+        bound = None
+        if trunc is None or vmax > nxt - SCREEN_RTOL * abs(nxt):
+            bound = argmax_bound(k, min(vmax, cert), env, fn)
+            if bound.is_finite:
+                step = max(k, math.floor(bound.value + FLOOR_GUARD))
+                trunc = step if trunc is None else min(trunc, step)
+        if on_step is not None:
+            on_step(k, u, bound, trunc)
+        k += 1
+    max_tie = tie is Tie.MAX_ARGMAX
+    return PeakSolution(vmax, last if max_tie else first, trunc, k, max_tie)

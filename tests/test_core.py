@@ -37,12 +37,20 @@ from helpers import (
     prefix_index_sets,
     reference_findings,
     reference_row_norm_bounds,
+    reference_solve,
     stopping_index,
 )
 
 
 def constant_env(fn, beta):
     return Envelope(h=lambda k: fn, beta=lambda k: beta, mono=Monotonicity.constant())
+
+
+class TestEnvelopeFn:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.nan)])
+    def test_rejects_an_empty_or_nan_range(self, lo, hi):
+        with pytest.raises(PreconditionViolated, match=re.escape(f"need lo < hi, got [{lo!r}, {hi!r}]")):
+            EnvelopeFn(eval=abs, inverse=abs, lo=lo, hi=hi)
 
 
 class TestUpperBoundValue:
@@ -473,6 +481,23 @@ def screened_sequences(draw):
     return term, upper, lower, env
 
 
+def held(draw, f):
+    """f held over stretches of a drawn length from 1 to 4: k -> f(s) for the
+    first index s of k's stretch, built once, so a family hands back the
+    same h_k object, or the same beta_k, over each stretch.  Held over a
+    stretch, a decreasing family stays decreasing and above the original."""
+    span = draw(st.integers(1, 4))
+    built = {}
+
+    def at(k):
+        s = k - k % span
+        if s not in built:
+            built[s] = f(s)
+        return built[s]
+
+    return at
+
+
 @st.composite
 def decreasing_families(draw):
     """(term, upper, lower, envelope, n): ``listed_terms`` from 0.3 under a
@@ -480,8 +505,9 @@ def decreasing_families(draw):
 
     From m on, h_k(t) = (2 + D/(k+1)) t + C/(k+1) and beta_k = b + (1-b) E/(k+2)
     with b = 0.5^(1/n), so h_k(beta_k^k) >= 2 b^k >= 1 on every k <= n; below
-    m slopes and ratios are random but as large.  The family is used as is,
-    promoted to a decreasing one, or met with a constant envelope."""
+    m slopes and ratios are random but as large.  h_k and beta_k are each
+    ``held`` over stretches.  The family is used as is, promoted to a
+    decreasing one, or met with a constant envelope."""
     n = draw(st.integers(1, 30))
     m = draw(st.integers(0, 5))
     term, upper, lower = listed_terms(draw, n, 0.3)
@@ -496,7 +522,7 @@ def decreasing_families(draw):
     def beta(k):
         return base + (1.0 - base) * (0.99 if k < m and bumps[k] > 1.5 else fast / (k + 2))
 
-    env = Envelope(h=h, beta=beta, mono=Monotonicity.eventually_decreasing(m))
+    env = Envelope(h=held(draw, h), beta=held(draw, beta), mono=Monotonicity.eventually_decreasing(m))
     combine = draw(st.sampled_from(["plain", "promote", "env_min"]))
     if combine == "promote":
         env = promote_to_decreasing(env)
@@ -513,9 +539,10 @@ def eventually_constant_families(draw):
     From c on the pair is frozen at h(t) = 2t + C and beta = b = 0.5^(1/n),
     so h(beta^k) >= 1 on every k <= n; on [m, c) slope, offset and ratio
     step down towards those values, and below m they are random but as
-    large.  Every h_k(0) stays below 0.3, so each nonzero term from m on is
-    informative.  m and c are placed around the first maximizer p, so that
-    the peak lies before m, in [m, c) or from c on."""
+    large; before c, h_k and beta_k are each ``held`` over stretches.  Every
+    h_k(0) stays below 0.3, so each nonzero term from m on is informative.
+    m and c are placed around the first maximizer p, so that the peak lies
+    before m, in [m, c) or from c on."""
     n = draw(st.integers(1, 30))
     term, upper, lower = listed_terms(draw, n, 0.3)
     values = [term(k) for k in range(n)]
@@ -537,16 +564,20 @@ def eventually_constant_families(draw):
     base = 0.5 ** (1.0 / n)
     frozen = affine_fn(2.0, off)
 
-    def h(k):
-        if k >= c:
-            return frozen
+    def stepped_h(k):
         left = (c - k) / (c + 1)
         return affine_fn(2.0 + big * left + (bumps[k] if k < m else 0.0), off * (1.0 + left))
 
-    def beta(k):
-        if k >= c:
-            return base
+    def stepped_beta(k):
         return base + (1.0 - base) * (0.99 if k < m and bumps[k] > 1.5 else fast * (c - k) / (c + 1))
+
+    held_h, held_beta = held(draw, stepped_h), held(draw, stepped_beta)
+
+    def h(k):
+        return frozen if k >= c else held_h(k)
+
+    def beta(k):
+        return base if k >= c else held_beta(k)
 
     env = Envelope(h=h, beta=beta, mono=Monotonicity.eventually_constant(m, c))
     return term, upper, lower, env, n
@@ -654,13 +685,19 @@ class TestScreening:
 
 def solve_six_ways(term, upper, lower, env, tie):
     """solve with no bound, with ``upper`` alone and with ``upper`` and
-    ``lower``, each with and without a no-op ``on_step``; all six agree."""
+    ``lower``, each with and without a no-op ``on_step``; all six agree, and
+    agree with ``reference_solve``, on_step call for on_step call."""
     runs = [solve(TermSource(eval=term, upper=up, lower=low), env, tie=tie, on_step=step)
             for up, low in ((None, None), (upper, None), (upper, lower))
             for step in (None, lambda *args: None)]
     for other in runs[1:]:
         same_solution(other, runs[0])
     sol = runs[0]
+    steps, reference_steps = [], []
+    solve(TermSource(eval=term), env, tie=tie, on_step=lambda *step: steps.append(step))
+    same_solution(reference_solve(TermSource(eval=term), env, tie, lambda *step: reference_steps.append(step)),
+                  sol)
+    assert steps == reference_steps
     assert sol.truncation_index >= sol.argmax_min
     assert sol.terms_evaluated == sol.truncation_index + 1
     return sol
@@ -824,6 +861,75 @@ class TestConstantTail:
         for step in (None, lambda *args: None):
             with pytest.raises(PreconditionViolated, match="at k=2 "):
                 solve(src, env, on_step=step)
+
+
+def counted_fn(fn, evals):
+    """fn with every call of ``eval`` appended to the list ``evals``."""
+    return EnvelopeFn(eval=lambda x: evals.append(x) or fn.eval(x), inverse=fn.inverse, lo=fn.lo, hi=fn.hi)
+
+
+class TestCarry:
+    """Where the family hands back the same h object and beta, h(beta^(k+1))
+    computed at k is the certificate at k + 1: h is evaluated once per
+    index, and nowhere else is anything carried."""
+
+    def test_constant_family_evaluates_h_once_per_index(self, monkeypatch):
+        source, const = long_row()
+        expected = solve(source, const, tie=Tie.MAX_ARGMAX)
+        evals, bounds = [], []
+        fn = counted_fn(const.h(0), evals)
+        real = core.argmax_bound
+        monkeypatch.setattr(core, "argmax_bound", lambda k, *args: bounds.append(k) or real(k, *args))
+        sol = solve(source, Envelope(h=lambda k: fn, beta=const.beta, mono=const.mono), tie=Tie.MAX_ARGMAX)
+        same_solution(sol, expected)
+        # One h(beta^(k+1)) per index 0..K, the certificate at 0, one per bound.
+        assert len(evals) == sol.truncation_index + 2 + len(bounds)
+
+    def test_promoted_prefix_evaluates_once_per_index(self, monkeypatch):
+        ad = FactorialRatioAdapter(142)
+        promoted = promote_to_decreasing(ad.seq_env)
+        expected = solve(ad.source, promoted)
+        evals, bounds = [], []
+        prefix = counted_fn(promoted.h(0), evals)
+        env = Envelope(h=lambda k: prefix if k <= 142 else promoted.h(k), beta=promoted.beta,
+                       mono=promoted.mono)
+        real = core.argmax_bound
+        monkeypatch.setattr(core, "argmax_bound", lambda k, *args: bounds.append(k) or real(k, *args))
+        sol = solve(ad.source, env)
+        same_solution(sol, expected)
+        scanned = min(sol.truncation_index, 142) + 1
+        assert len(evals) == scanned + 1 + sum(k <= 142 for k in bounds)
+
+    @pytest.mark.parametrize("u_3, violates", [(0.3, True), (0.1, False)])
+    def test_same_object_with_a_new_beta(self, u_3, violates):
+        # h(t) = t throughout, beta 0.9 before k = 3 and 0.5 from it: the
+        # certificate at 3 is 0.5^3 = 0.125, not 0.9^3 = 0.729.
+        fn = affine_fn(1.0, 0.0)
+        env = Envelope(h=lambda k: fn, beta=lambda k: 0.9 if k < 3 else 0.5, mono=Monotonicity.decreasing())
+        self.check(lambda k: (0.5, 0.6, 0.7, u_3)[k] if k < 4 else 0.0, env, violates)
+
+    @pytest.mark.parametrize("u_3, violates", [(0.7, True), (0.5, False)])
+    def test_shared_object_then_a_new_one_at_constant_from(self, u_3, violates):
+        # h(t) = 2t on [0, 3), h(t) = t from c = 3 on, beta 0.8: the
+        # certificate at 3 is 0.8^3 = 0.512, not 2 * 0.8^3 = 1.024.
+        fns = (affine_fn(2.0, 0.0), affine_fn(1.0, 0.0))
+        env = Envelope(h=lambda k: fns[k >= 3], beta=lambda k: 0.8,
+                       mono=Monotonicity.eventually_constant(0, 3))
+        self.check(lambda k: (0.5, 0.6, 0.7, u_3)[k] if k < 4 else 0.0, env, violates)
+
+    @staticmethod
+    def check(term, env, violates):
+        if violates:
+            for step in (None, lambda *args: None):
+                with pytest.raises(EnvelopeViolation) as err:
+                    solve(TermSource(eval=term), env, on_step=step)
+                assert (err.value.k, err.value.term) == (3, term(3))
+            with pytest.raises(EnvelopeViolation):
+                reference_solve(TermSource(eval=term), env)
+            return
+        for tie in Tie:
+            sol = solve_six_ways(term, term, term, env, tie)
+            agrees_with_brute_force(sol, term, max(sol.truncation_index, 4), tie)
 
 
 def recorded(calls, f):
