@@ -303,8 +303,8 @@ def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None
     Returns the infinite branch when u_k <= h_k(0) (the strict inequality
     is exact, no epsilon).  Raises :class:`EnvelopeViolation` when u_k
     exceeds h_k(beta_k^k) beyond a 1e-12 relative slack, or h_k(beta_k^k)
-    is NaN; membership is assumed, not trusted.  A non-finite u_k or a
-    beta_k outside (0, 1) raises :class:`PreconditionViolated`.
+    is NaN; membership is assumed, not trusted.  A non-finite u_k, a
+    beta_k outside (0, 1) or a NaN h_k^-1 raises :class:`PreconditionViolated`.
     """
     if not math.isfinite(u_k):
         raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
@@ -318,7 +318,11 @@ def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None
         raise EnvelopeViolation(k, u_k, cert)
     if u_k <= fn.lo:
         return UpperBoundValue.infinite()
-    x = fn.inverse(min(u_k, fn.hi))
+    y = min(u_k, fn.hi)
+    x = fn.inverse(y)
+    if math.isnan(x):
+        # max(0.0, nan) below would be a bound of 0, ending the scan here.
+        raise PreconditionViolated(f"h_k^-1({y!r}) at k={k} is nan")
     # Roundoff can put x just past either end of (0, 1]: a nonpositive x has
     # no log, and any x >= 1 is a bound of 0 (+0.0, never -0.0 from log(1)).
     if x <= 0.0:
@@ -333,13 +337,15 @@ def truncation_from(k: int, source: TermSource, env: Envelope) -> int | None:
 
 
 def brute_force_peak(source: TermSource, n: int) -> tuple[float, int, int]:
-    """Exhaustive max over u_0..u_n: (max, first argmax, last argmax)."""
+    """Exhaustive max over u_0..u_n: (max, first argmax, last argmax); non-finite terms raise."""
     if n < 0:
         raise PreconditionViolated("prefix length must be >= 0")
-    best = source.eval(0)
+    best = -math.inf
     first = last = 0
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         u = source.eval(k)
+        if not math.isfinite(u):
+            raise PreconditionViolated(f"non-finite term at k={k}: u_k={u!r}")
         if u > best:
             best, first, last = u, k, k
         elif u == best:

@@ -8,8 +8,8 @@ envelope statement available there is conjecture-equivalent, so it is
 exposed as a finite-horizon checker).  Every bundled envelope is affine:
 the factorial's tight family is one ``affine_fn`` per index, and each
 constant envelope is an ``AffineParams`` certificate's.  The recurrences
-(Fibonacci, logistic, Syracuse) step their terms forward from the last index
-asked for, so an in-order scan pays one step per term.
+(factorial, Fibonacci, logistic, Syracuse) step their terms forward from the
+last index asked for, so an in-order scan pays one step per term.
 """
 
 from __future__ import annotations
@@ -41,54 +41,45 @@ class UnsupportedParameter(PeakseqError):
     """The parameter regime has no useful envelope in this library."""
 
 
-def _underflow_from(base: int) -> int:
-    """The first n past 2*base whose log estimate puts base^n / n! below underflow.
-
-    The value stays far above underflow for n <= 2*base.  Past it the
-    estimate n*log(base) - lgamma(n+1) falls by more than log 2 per index,
-    far more than its float error, so once it is below -760 it stays there:
-    -760 sits below ln(2^-1075) ~ -745.1 by a margin covering that error.
-    Doubling and then bisection find the first such n.
-    """
-    def under(n: int) -> bool:
-        return n * math.log(base) - math.lgamma(n + 1) < -760.0
-
-    lo, hi = 2 * base, 2 * base + 1
-    while not under(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if under(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 class _PowOverFactorial:
-    """n -> base^n / n! correctly rounded, and 0.0 from ``_underflow_from(base)`` on.
+    """n -> base^n / n! correctly rounded, stepping the exact pair (base^k, k!).
 
-    That index is found on the first n past 2*base asked for; from then on
-    a term past it costs one integer compare and builds no exact integers.
-    A slotted object and its bound ``term``, not a closure: both are
-    smaller and the call is as fast.
+    The pair steps forward from the last n asked for, or from k = 0 when n
+    lies behind it, so an in-order scan pays one step per term.  It is taken
+    out of its slot while it steps: a concurrent caller that finds none
+    walks from 0.  Once den has 1077 bits more than num the term is below
+    2^-1076, past the peak (every term up to n = base is at least 1), where
+    the terms fall: that index is ``zero_from``, the pair is dropped, and a
+    term from there on costs one compare and rounds to 0.0.  A slotted
+    object and its bound ``term``, not a closure: both are smaller and the
+    call is as fast.
     """
 
-    __slots__ = ("base", "zero_from")
+    __slots__ = ("base", "zero_from", "pair")
 
     def __init__(self, base: int):
         self.base = base
         self.zero_from = math.inf
+        self.pair = None
 
     def term(self, n: int) -> float:
         if n >= self.zero_from:
             return 0.0
+        pair, self.pair = self.pair, None
+        k, num, den = pair if pair is not None and pair[0] <= n else (0, 1, 1)
+        # No second pair is alive at once: the tuple goes before the walk,
+        # and num is stepped (its old value freed) before den.
+        del pair
         base = self.base
-        if self.zero_from == math.inf and n > 2 * base:
-            self.zero_from = _underflow_from(base)
-            if n >= self.zero_from:
+        while k < n:
+            if den.bit_length() - num.bit_length() > 1076:
+                self.zero_from = k
                 return 0.0
-        return base**n / math.factorial(n)
+            k += 1
+            num *= base
+            den *= k
+        self.pair = (k, num, den)
+        return num / den
 
 
 class FactorialRatioAdapter:

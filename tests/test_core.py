@@ -1065,6 +1065,20 @@ class TestBruteForce:
         src = TermSource(eval=lambda k: 1.0, description="ones")
         assert brute_force_peak(src, 10) == (1.0, 0, 10)
 
+    @pytest.mark.parametrize(
+        "terms, k",
+        [((math.nan, 1.0, 2.0), 0), ((1.0, math.nan, 0.5), 1), ((1.0, math.inf, 0.5), 1)],
+        ids=["nan-first", "nan-skipped", "inf"],
+    )
+    def test_non_finite_term_raises_as_in_solve(self, terms, k):
+        # Unchecked, these gave (nan, 0, 0), (1.0, 0, 0) past the NaN and (inf, 1, 1).
+        src = TermSource(eval=lambda j: terms[j])
+        message = re.escape(f"non-finite term at k={k}: u_k={terms[k]!r}")
+        with pytest.raises(PreconditionViolated, match=message):
+            brute_force_peak(src, 2)
+        with pytest.raises(PreconditionViolated, match=message):
+            solve(src, constant_env(affine_fn(4.0, 0.0), 0.5))
+
     def test_factorial(self):
         ad = FactorialRatioAdapter(5)
         mx, first, last = brute_force_peak(ad.source, 50)
@@ -1165,6 +1179,28 @@ class TestNaNCertificate:
         assert [(f.k, f.kind) for f in findings] == [(0, "membership")] + [
             (k, kind) for k in range(1, 11) for kind in ("h-decrease", "membership")
         ]
+
+    def test_nan_inverse_raises(self):
+        # Under h(x) = 2x, beta = 0.9 these terms solve to (0.4, 3) with
+        # K = 15.  A NaN inverse gave the bound max(0.0, nan) = 0.0, and the
+        # scan ended at (0.1, 0) after one term.
+        terms = (0.1, 0.2, 0.3, 0.4, 0.2)
+        source = TermSource(eval=lambda k: terms[k] if k < len(terms) else 0.0)
+        fn = affine_fn(2.0, 0.0)
+        sol = solve(source, constant_env(fn, 0.9))
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (0.4, 3, 15)
+        nan_fn = EnvelopeFn(eval=fn.eval, inverse=lambda y: math.nan, lo=fn.lo, hi=fn.hi)
+        env = constant_env(nan_fn, 0.9)
+        message = re.escape("h_k^-1(0.1) at k=0 is nan")
+        for step in (None, lambda *args: None):
+            with pytest.raises(PreconditionViolated, match=message):
+                solve(source, env, on_step=step)
+        with pytest.raises(PreconditionViolated, match=message):
+            argmax_bound(0, 0.1, env)
+        # The pointwise min passes the NaN of its first branch through.
+        both = env_min([env, constant_env(affine_fn(3.0, 0.0), 0.9)])
+        with pytest.raises(PreconditionViolated, match=message):
+            solve(source, both)
 
     @staticmethod
     def nan_at_a_quarter():

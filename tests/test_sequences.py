@@ -1,6 +1,7 @@
 """Adapters: factorial ratio, Fibonacci ratio, logistic, Syracuse."""
 
 import decimal
+import itertools
 import math
 import random
 from decimal import Decimal
@@ -29,7 +30,6 @@ from peakseq.sequences import (
     fibonacci_solve,
     logistic_solve,
     syracuse_excursion,
-    _underflow_from,
 )
 
 from helpers import reference_pow_over_factorial
@@ -69,22 +69,23 @@ class TestFactorialRatio:
 
     @pytest.mark.parametrize("a", [1, 2, 20, 30, 142, 712])
     @pytest.mark.parametrize("first", ["below", "above"])
-    def test_terms_past_the_underflow_index_are_bit_identical(self, a, first):
+    def test_terms_around_the_walk_stop_are_bit_identical(self, a, first):
         # The source (base a) and the sequence envelope's slope (base a+1)
-        # return 0.0 from _underflow_from(base) on; the first query falls
-        # below that index or past it, and the window is read both ways.
+        # step (base^k, k!) until the term is below 2^-1076 and return 0.0
+        # from that index on.  The window spans the first zero; the first
+        # query falls below it or past it, and it is read both ways.
         ad = FactorialRatioAdapter(a)
         slope = lambda n: ad.seq_env.h(n).eval(1.0)
-        for base, term in ((a, ad.source.eval), (a + 1, slope)):
-            z = _underflow_from(base)
-            assert z == next(n for n in range(2 * base + 1, 10 * z)
-                             if n * math.log(base) - math.lgamma(n + 1) < -760.0)
+        for base, term, walk in ((a, ad.source.eval, ad.source.eval.__self__),
+                                 (a + 1, slope, ad._slope.__self__)):
+            z = next(n for n in itertools.count(base) if reference_pow_over_factorial(base, n) == 0.0)
             window = list(range(z - 40, z + 41))
             for n in window if first == "below" else window[::-1]:
                 want = reference_pow_over_factorial(base, n)
                 if term is slope:
                     want = max(want, math.ulp(0.0))
                 assert term(n).hex() == want.hex(), (base, n)
+            assert z <= walk.zero_from <= z + 40
 
     def test_constant_envelope_a100(self):
         sol = factorial_solve(100, envelope="constant")

@@ -1,6 +1,7 @@
 """Recurrence sources: the value at k depends on k alone, and an in-order scan
 costs O(1) per term however the source keeps its place."""
 
+import math
 import random
 import sys
 import threading
@@ -10,6 +11,7 @@ import pytest
 from peakseq import linsys, solve
 from peakseq.sequences import (
     U128_MAX,
+    FactorialRatioAdapter,
     FibonacciRatioAdapter,
     LogisticAdapter,
     SyracuseAdapter,
@@ -50,12 +52,17 @@ def naive_syracuse(n0):
     return term
 
 
+def naive_pow_over_factorial(a):
+    return lambda k: a**k / math.factorial(k)
+
+
 # name -> (fresh source factory, naive from-index-0 iterator or None)
 SOURCES = {
     "fibonacci-u0=0": (lambda: FibonacciRatioAdapter(0, 1).source, naive_fibonacci(0, 1)),
     "fibonacci-u0>0": (lambda: FibonacciRatioAdapter(3, 7).source, naive_fibonacci(3, 7)),
     "logistic": (lambda: LogisticAdapter(0.9, 0.3).source, naive_logistic(0.9, 0.3)),
     "syracuse": (lambda: SyracuseAdapter(27).source, naive_syracuse(27)),
+    "factorial": (lambda: FactorialRatioAdapter(20).source, naive_pow_over_factorial(20)),
     "power-norm": (lambda: linsys.power_norm_source(linsys.a_lambda(0.9, 3)), None),
 }
 
@@ -223,6 +230,29 @@ class TestInOrderCost:
         for k in range(N + 1):
             adapter.term(k)
         assert len(calls) == N
+
+    def test_factorial_one_step_per_term(self):
+        # (20^k, k!) steps by num * a, which an int subclass on the right
+        # answers with __rmul__.
+        calls = []
+
+        class Base(int):
+            def __rmul__(self, other):
+                calls.append(1)
+                return other * int(self)
+
+        source = FactorialRatioAdapter(Base(20)).source
+        ks = range(N + 1)
+        assert [source.eval(k) for k in ks] == [20**k / math.factorial(k) for k in ks]
+        assert len(calls) == N
+
+    def test_factorial_first_query_past_underflow(self):
+        # The walk stops where the term falls below 2^-1076 and holds no pair.
+        adapter = FactorialRatioAdapter(20)
+        walks = (adapter.source.eval.__self__, adapter._slope.__self__)
+        assert adapter.source.eval(10**7) == 0.0
+        assert adapter.seq_env.h(10**7).eval(1.0) == math.ulp(0.0)
+        assert all(w.pair is None and w.zero_from < 10**7 for w in walks)
 
 
 def test_syracuse_overflow_leaves_a_valid_cursor():
