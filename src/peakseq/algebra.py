@@ -22,7 +22,6 @@ from .core import (
     exceeds_certificate,
 )
 
-BISECTION_MAX_ITER = 200
 BISECTION_TOL = 1e-14
 
 
@@ -59,10 +58,10 @@ def invert_numeric(f, y: float) -> float:
     """Invert a strictly increasing f: [0, 1] -> R at y by bisection.
 
     Monotonicity is the only structure assumed, so bisection rather than a
-    derivative method; the bracket is narrowed to width ``BISECTION_TOL``
-    (absolute on x), in at most ``BISECTION_MAX_ITER`` halvings, and the
-    midpoint returned.  Values outside [f(0), f(1)] beyond a 1e-12 slack
-    raise :class:`OutOfRange`; within the slack they clamp.
+    derivative method; the bracket [0, 1] is halved exactly until its width
+    is at most ``BISECTION_TOL`` (absolute on x), which takes 47 halvings,
+    and the midpoint returned.  Values outside [f(0), f(1)] beyond a 1e-12
+    slack raise :class:`OutOfRange`; within the slack they clamp.
     """
     f0 = f(0.0)
     f1 = f(1.0)
@@ -74,9 +73,7 @@ def invert_numeric(f, y: float) -> float:
     if y >= f1:
         return 1.0
     lo, hi = 0.0, 1.0
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo <= BISECTION_TOL:
-            break
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) < y:
             lo = mid
@@ -104,10 +101,11 @@ def _min_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
     def inverse(y: float) -> float:
         # Only functions whose range reaches down to y may be inverted;
         # the min's inverse is the max of those inverses.
-        eligible = [fn for fn in fns if fn.lo <= y]
-        if not eligible:
+        xs = [min(fn.inverse(y), 1.0) for fn in fns if fn.lo <= y]
+        if not xs:
             raise OutOfRange(f"{y!r} below every branch of the pointwise min")
-        return max(min(fn.inverse(y), 1.0) for fn in eligible)
+        # max skips a NaN that is not its first item, dropping that branch.
+        return math.nan if any(map(math.isnan, xs)) else max(xs)
 
     return EnvelopeFn(
         eval=forward,
@@ -124,10 +122,10 @@ def _max_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
         return max([f(x) for f in evals])
 
     def inverse(y: float) -> float:
-        eligible = [fn for fn in fns if y <= fn.hi]
-        if not eligible:
+        xs = [max(fn.inverse(y), 0.0) for fn in fns if y <= fn.hi]
+        if not xs:
             raise OutOfRange(f"{y!r} above every branch of the pointwise max")
-        return min(max(fn.inverse(y), 0.0) for fn in eligible)
+        return math.nan if any(map(math.isnan, xs)) else min(xs)
 
     return EnvelopeFn(
         eval=forward,

@@ -142,7 +142,7 @@ def scan_limit_from_env() -> int:
 
 
 def _trace_recorder(trace: list):
-    def on_step(k: int, u_k: float, bound: UpperBoundValue | None, running_k: int | None):
+    def on_step(k: int, u_k: float | None, bound: UpperBoundValue | None, running_k: int | None):
         if bound is None:
             encoded = None
         elif bound.is_finite:
@@ -242,7 +242,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tie", choices=["min", "max"], default="min",
                         help="which maximizer to report on ties")
     parser.add_argument("--trace", action="store_true",
-                        help="record one entry per evaluated term (off by default; long runs emit many lines)")
+                        help="add one entry per scanned index to the report's one JSON line, "
+                             "u_k null where the term was screened (off by default)")
     parser.add_argument("--format", choices=["json", "text"], default="json")
 
 

@@ -100,11 +100,10 @@ class TermSource:
     for every k, up to roundoff of relative size MEMBERSHIP_RTOL; ``lower``
     likewise has lower(k) <= eval(k).  Both are pure in the same sense,
     trusted like an envelope and checked by :func:`validate_envelope`.
-    :func:`solve` uses them, once a truncation bound exists and with no
-    ``on_step``, to skip terms that cannot reach the running max (``upper``)
-    or the next term (``upper`` against ``lower`` one index on); a skipped
-    index still gets its bound where one can end the scan.  ``lower`` alone
-    screens nothing.
+    :func:`solve` uses them, once a truncation bound exists, to skip terms
+    that cannot reach the running max (``upper``) or the next term
+    (``upper`` against ``lower`` one index on); a skipped index still gets
+    its bound where one can end the scan.  ``lower`` alone screens nothing.
     """
 
     eval: Callable[[int], float]
@@ -278,21 +277,22 @@ def _below(ub: float, v: float) -> bool:
     return math.isfinite(v) and ub < v - SCREEN_RTOL * abs(v)
 
 
-def _screened(k: int, ub: float, cert: float, nxt: float, vmax: float, lower, trunc: int) -> bool:
+def _screened(k: int, ub: float, cert: float, level: float, vmax: float, lower, trunc: int) -> bool:
     """solve's screening rule at index k: the term under its upper bound ub
     cannot reach the running max vmax or lower(k+1) <= u_(k+1).
 
-    cert = h_k(beta_k^k) and nxt = h_k(beta_k^(k+1)).  lower(k+1) is read
-    only where index k+1 is due to be scanned: k < trunc, and neither vmax
-    nor ub reaches nxt, the level above which a bound taken at k falls below
-    k + 1.  On a decreasing family u_(k+1) <= nxt, so the look-ahead cannot
-    succeed there anyway.
+    cert = h_k(beta_k^k); level is h_k(beta_k^(k+1)) less SCREEN_RTOL
+    relative, which the running max must exceed for solve to take a bound
+    at k.  lower(k+1) is read only where index k+1 is due to be scanned and
+    no bound is taken at k with the term or without it: k < trunc, and
+    neither vmax nor ub exceeds level.  On a decreasing family u_(k+1) is
+    at most h_k(beta_k^(k+1)), so the look-ahead cannot succeed above it.
     """
     if not (math.isfinite(ub) and ub <= cert):
         return False
     if _below(ub, vmax):
         return True
-    return lower is not None and k < trunc and ub < nxt and vmax <= nxt and _below(ub, lower(k + 1))
+    return lower is not None and k < trunc and max(ub, vmax) <= level and _below(ub, lower(k + 1))
 
 
 def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None) -> UpperBoundValue:
@@ -358,7 +358,7 @@ def solve(
     env: Envelope,
     tie: Tie = Tie.MIN_ARGMAX,
     scan_limit: int = DEFAULT_SCAN_LIMIT,
-    on_step: Callable[[int, float, UpperBoundValue | None, int | None], None] | None = None,
+    on_step: Callable[[int, float | None, UpperBoundValue | None, int | None], None] | None = None,
 ) -> PeakSolution:
     """Compute sup u and a maximizer in finite time from a certified envelope.
 
@@ -385,32 +385,30 @@ def solve(
     ``truncation_index`` is at least the argmax and ``terms_evaluated`` is
     ``truncation_index + 1``.
 
-    Screening, once a truncation bound exists and with no ``on_step``: a
-    term whose ``source.upper(k)`` is finite, at most at h_k(beta_k^k) and
-    below v = max(vmax, lower(k+1)) by more than SCREEN_RTOL relative is
-    skipped; a non-finite ``lower`` counts as absent.  Below vmax such a
-    term can neither improve nor tie the max, nor move the bound.  Below
-    lower(k+1), which is read only where index k+1 is due to be scanned (see
-    :func:`_screened`), the term lies under u_(k+1), so it is no maximizer
-    either, and the running max it would have set stays below
-    h_k(beta_k^(k+1)) by the margin, where no bound is taken.  So the result
-    is the one of the full scan, before the peak as after it.  Equal terms
-    are always evaluated.
+    Screening, once a truncation bound exists: a term whose
+    ``source.upper(k)`` is finite, at most at h_k(beta_k^k) and below
+    v = max(vmax, lower(k+1)) by more than SCREEN_RTOL relative is skipped;
+    a non-finite ``lower`` counts as absent.  Below vmax such a term can
+    neither improve nor tie the max, nor move the bound.  Below lower(k+1),
+    read only where index k+1 is due to be scanned and no bound is taken at
+    k with the term or without it (see :func:`_screened`), the term lies
+    under u_(k+1), so it is no maximizer either, and the running max is the
+    same from k + 1 on.  So the result and every bound are the ones of the
+    full scan, before the peak as after it.  Equal terms are always evaluated.
 
     The reported supremum and maximizer cover the whole scanned prefix
     u_0..u_K; a non-finite term raises :class:`PreconditionViolated`.
     ``terms_evaluated`` counts the indices scanned, K + 1, screened ones
     included.  ``on_step`` receives (k, u_k, bound, running K) once per
-    term; the bound argument is None where no bound was computed and the
-    infinite variant when it carries no information.  It turns screening
-    off, so it sees every exact term and the bounds of the scan without it.
+    scanned index; u_k is None where the term was screened, the bound None
+    where no bound was computed and the infinite variant where it carries
+    no information.  It only observes: traced or not, the scan evaluates
+    the same terms, and (k, bound, K) is that of a source without bounds.
     """
     m = env.mono.decreasing_from
     c = env.mono.constant_from
     max_tie = tie is Tie.MAX_ARGMAX
-    # A trace must see every exact term.
-    upper = source.upper if on_step is None else None
-    lower = source.lower if upper is not None else None
+    upper, lower = source.upper, source.lower
 
     vmax = -math.inf
     first = last = 0
@@ -446,8 +444,9 @@ def solve(
         # k - 1 as h(beta^((k-1)+1)) for the same one.
         cert = nxt
         nxt = fn.eval(b ** (k + 1))
+        level = nxt - SCREEN_RTOL * abs(nxt)
         if upper is not None and trunc is not None and _screened(
-                k, upper(k), cert, nxt, vmax, lower, trunc):
+                k, upper(k), cert, level, vmax, lower, trunc):
             u_k = None
         else:
             u_k = source.eval(k)
@@ -460,7 +459,7 @@ def solve(
             elif u_k == vmax:
                 last = k
         bound = None
-        if trunc is None or vmax > nxt - SCREEN_RTOL * abs(nxt):
+        if trunc is None or vmax > level:
             # min: above h_k(beta_k^k) the bound is below k either way.
             bound = argmax_bound(k, min(vmax, cert), env, fn)
             if bound.is_finite:

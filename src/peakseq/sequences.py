@@ -175,10 +175,8 @@ class FibonacciRatioAdapter:
         return self._pairs(n)
 
     def ratio(self, n: int) -> float:
-        if n == 0:
-            return self.u1 / self.u0 if self.u0 > 0 else 0.0
         a, b = self.term_pair(n)
-        return b / a
+        return b / a if a else 0.0
 
 
 def fibonacci_solve(u0: int, u1: int, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:

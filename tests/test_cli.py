@@ -223,19 +223,21 @@ class TestReportLayout:
         )
 
     def test_generic_trace_bytes(self, capsys):
-        # The trace lists every term exactly, none screened.  The anchored
-        # family needs a bound at k = 0 and then only at k = 5, where
-        # beta * w_5 falls below the running max and the scan ends.
+        # The trace is the scan without it: u_k is null at the terms the row
+        # norm bounds screen, before the peak (below the next term) and after
+        # it (below the running max).  The anchored family needs a bound at
+        # k = 0 and then only at k = 5, where beta * w_5 falls below the
+        # running max and the scan ends.
         code, out, _ = run(capsys, "solve", "linsys", "--lam", "0.75", "--generic", "--trace",
                            "--tie", "max")
         assert code == 0
         terms = [
             (0, "1", "14.707881338191539", 14),
-            (1, "1.9638878188659974", "null", 14),
-            (2, "2.84765625", "null", 14),
+            (1, "null", "null", 14),
+            (2, "null", "null", 14),
             (3, "3.1936948785130337", "null", 14),
-            (4, "3.0445901441251171", "null", 14),
-            (5, "2.6142368508331701", "5", 5),
+            (4, "null", "null", 14),
+            (5, "null", "5", 5),
         ]
         trace = ", ".join(f'{{"k": {k}, "u_k": {u}, "bound": {b}, "K": {K}}}' for k, u, b, K in terms)
         assert mask_elapsed(out) == (
@@ -584,3 +586,12 @@ class TestReadmeExamples:
         assert code == 0, err
         for key, value in README_CLAIMS.get(line, {}).items():
             assert json.loads(out)["solution"][key] == value
+
+    def test_library_use_runs(self, capsys):
+        # The "Library use" block runs as written and prints what its
+        # closing comment claims, up to the "...".
+        block = re.search(r"## Library use\n\n```python\n(.*?)```", README.read_text(), re.S).group(1)
+        claim = re.search(r"^# (PeakSolution\(.*), \.\.\.\)$", block, re.M).group(1)
+        assert claim == "PeakSolution(sup_value=1.0, argmax_min=0, truncation_index=0"
+        exec(compile(block, str(README), "exec"), {})
+        assert capsys.readouterr().out.startswith(claim + ", ")

@@ -675,29 +675,34 @@ class TestScreening:
             agrees_with_brute_force(solve_six_ways(term, upper, term, env, tie), term, 20, tie)
 
     def test_upper_unused(self):
-        calls = []
-        ad = FactorialRatioAdapter(20)
-        src = TermSource(eval=ad.source.eval, upper=lambda k: calls.append(k) or 0.0)
-        sol = solve(src, ad.const_env, on_step=lambda *step: None)
-        assert sol.argmax_min == 19
-        assert calls == []
+        # u_0..u_2 lie at or below h(0) = 0.5, so the first bound is the one
+        # at u_3 = 1, (1 - 0.5)/8 = 0.5^4: K = 4.  No index before it reads
+        # ``upper``, traced or not, and k = 4 is screened below the max.
+        terms = [0.1, 0.2, 0.5, 1.0, 0.25]
+        term = lambda k: terms[k] if k < len(terms) else 0.0
+        env = constant_env(affine_fn(8.0, 0.5), 0.5)
+        for step in (None, lambda *args: None):
+            calls = []
+            sol = solve(TermSource(eval=term, upper=recorded(calls, term)), env, on_step=step)
+            assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.0, 3, 4)
+            assert calls == [4]
 
 
 def solve_six_ways(term, upper, lower, env, tie):
     """solve with no bound, with ``upper`` alone and with ``upper`` and
-    ``lower``, each with and without a no-op ``on_step``; all six agree, and
-    agree with ``reference_solve``, on_step call for on_step call."""
-    runs = [solve(TermSource(eval=term, upper=up, lower=low), env, tie=tie, on_step=step)
-            for up, low in ((None, None), (upper, None), (upper, lower))
-            for step in (None, lambda *args: None)]
-    for other in runs[1:]:
-        same_solution(other, runs[0])
-    sol = runs[0]
-    steps, reference_steps = [], []
-    solve(TermSource(eval=term), env, tie=tie, on_step=lambda *step: steps.append(step))
-    same_solution(reference_solve(TermSource(eval=term), env, tie, lambda *step: reference_steps.append(step)),
-                  sol)
-    assert steps == reference_steps
+    ``lower``, each with and without an ``on_step`` hook; all six agree with
+    ``reference_solve``.  Every hook sees the reference's steps, except that
+    u_k is None where a bound screened the term."""
+    reference_steps = []
+    sol = reference_solve(TermSource(eval=term), env, tie, lambda *step: reference_steps.append(step))
+    for up, low in ((None, None), (upper, None), (upper, lower)):
+        source = TermSource(eval=term, upper=up, lower=low)
+        same_solution(solve(source, env, tie=tie), sol)
+        steps = []
+        same_solution(solve(source, env, tie=tie, on_step=lambda *step: steps.append(step)), sol)
+        assert len(steps) == len(reference_steps)
+        for step, ref in zip(steps, reference_steps):
+            assert step == ref or up is not None and step == (ref[0], None, *ref[2:])
     assert sol.truncation_index >= sol.argmax_min
     assert sol.terms_evaluated == sol.truncation_index + 1
     return sol
@@ -829,9 +834,8 @@ class TestConstantTail:
         env = Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity.constant())
         top = fn.eval(b**10 * b) * (1.0 - 5e-12)
         src = TermSource(eval=lambda k: top / 2 if k == 0 else top if k == 1 else top / 4)
-        for step in (None, lambda *args: None):
-            sol = solve(src, env, on_step=step)
-            assert (sol.argmax_min, sol.truncation_index) == (1, 10)
+        sol = solve(src, env)
+        assert (sol.argmax_min, sol.truncation_index) == (1, 10)
 
     @pytest.mark.parametrize("tie", list(Tie))
     def test_tail_membership_at_a_max_tie(self, tie):
@@ -844,10 +848,9 @@ class TestConstantTail:
         env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
                        mono=Monotonicity.eventually_constant(1, 1))
         for up in (None, term):
-            for step in (None, lambda *args: None):
-                with pytest.raises(EnvelopeViolation) as err:
-                    solve(TermSource(eval=term, upper=up), env, tie=tie, on_step=step)
-                assert err.value.k == 1
+            with pytest.raises(EnvelopeViolation) as err:
+                solve(TermSource(eval=term, upper=up), env, tie=tie)
+            assert err.value.k == 1
 
     @pytest.mark.parametrize("rises", [True, False])
     def test_tail_beta_out_of_range_raises_where_it_is_read(self, rises):
@@ -858,9 +861,8 @@ class TestConstantTail:
         src = TermSource(eval=lambda k: values[k] if k < 4 else 0.05)
         env = Envelope(h=lambda k: affine_fn(4.0, 0.01), beta=lambda k: 0.5 if k < 2 else 1.5,
                        mono=Monotonicity.eventually_constant(0, 2))
-        for step in (None, lambda *args: None):
-            with pytest.raises(PreconditionViolated, match="at k=2 "):
-                solve(src, env, on_step=step)
+        with pytest.raises(PreconditionViolated, match="at k=2 "):
+            solve(src, env)
 
 
 def counted_fn(fn, evals):
@@ -920,10 +922,9 @@ class TestCarry:
     @staticmethod
     def check(term, env, violates):
         if violates:
-            for step in (None, lambda *args: None):
-                with pytest.raises(EnvelopeViolation) as err:
-                    solve(TermSource(eval=term), env, on_step=step)
-                assert (err.value.k, err.value.term) == (3, term(3))
+            with pytest.raises(EnvelopeViolation) as err:
+                solve(TermSource(eval=term), env)
+            assert (err.value.k, err.value.term) == (3, term(3))
             with pytest.raises(EnvelopeViolation):
                 reference_solve(TermSource(eval=term), env)
             return
@@ -964,10 +965,30 @@ class TestLookAhead:
         # Near the threshold the constant envelope runs to ~1e9 terms.
         assume(family == "env" or constant_scan_length(system, lam) < 600)
         env = getattr(system, family)
-        exact = solve(system.source, env, tie=tie, on_step=lambda *step: None)
-        same_solution(solve(system.source, env, tie=tie), exact)
         source = system.source
+        exact = solve(TermSource(eval=source.eval), env, tie=tie)
+        same_solution(solve(source, env, tie=tie), exact)
         same_solution(solve(TermSource(eval=source.eval, upper=source.upper), env, tie=tie), exact)
+
+    def test_trace_observes_the_screened_scan(self):
+        # The generic lambda = 0.999 row: traced or not, the scan computes the
+        # same two exact terms of 1,513, at 0 and at the peak.  The trace has
+        # the (k, bound, K) of the bound-free scan, and u_k is None at exactly
+        # the other indices.
+        _, source, env = linsys.a_lambda_problem(0.999, 2, None, True)
+        runs, steps = [], []
+        for on_step in (None, lambda *step: steps.append(step)):
+            evaluated = []
+            recording = TermSource(eval=recorded(evaluated, source.eval), upper=source.upper,
+                                   lower=source.lower)
+            runs.append((solve(recording, env, tie=Tie.MAX_ARGMAX, on_step=on_step), evaluated))
+        (sol, evaluated), (traced, traced_evaluated) = runs
+        assert traced == sol and sol.terms_evaluated == 1513
+        assert traced_evaluated == evaluated == [0, sol.argmax_min]
+        exact = []
+        solve(TermSource(eval=source.eval), env, tie=Tie.MAX_ARGMAX, on_step=lambda *step: exact.append(step))
+        assert [(k, b, K) for k, _, b, K in steps] == [(k, b, K) for k, _, b, K in exact]
+        assert [k for k, u, *_ in steps if u is not None] == sorted(set(evaluated))
 
     RISING = [0.25, 0.5, 0.75, 1.0, 0.5, 0.25]
 
@@ -1029,6 +1050,24 @@ class TestLookAhead:
         assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (0, 1, 2)
         assert lowered == []
 
+    def test_no_look_ahead_where_the_full_scan_takes_a_bound(self):
+        # h(t) = 1e-6 t, beta 0.5: K = 3 from u_0 = h(0.5^3).  u_1 lies
+        # 5e-10 relative below h(0.5^2), inside the margin, so the full scan
+        # takes a bound at k = 1; u_2 lies 2e-9 relative above h(0.5^2),
+        # within the 1e-12 absolute membership slack.  lower(2) = u_2 lies
+        # above u_1 by more than the margin, but skipping u_1 would leave the
+        # running max at u_0, take no bound at k = 1 and part the trace from
+        # the full scan's, so the look-ahead must not skip it.
+        s = 1e-6
+        term = self.listed([s / 8, s / 4 * (1 - 5e-10), s / 4 * (1 + 2e-9)])
+        env = constant_env(affine_fn(s, 0.0), 0.5)
+        exact, steps = [], []
+        sol = solve(TermSource(eval=term), env, on_step=lambda *step: exact.append(step))
+        assert solve(TermSource(eval=term, upper=term, lower=term), env,
+                     on_step=lambda *step: steps.append(step)) == sol
+        assert steps == exact
+        assert [K for *_, K in steps] == [3, 2, 2]
+
     def test_anchored_scan_never_looks_past_its_end(self):
         # The bound at k = 0 allows more terms than the scan takes; the one
         # that ends it at K is taken at K itself.
@@ -1045,19 +1084,22 @@ class TestLookAhead:
         # A^k = c^k [[1, 0], [1, 0]] with c = 1e22: u_k = 2 c^2k, and each row
         # norm c^2k stays finite up to k = 7, where the Gram entry 2 c^14 =
         # 2e308 overflows.  Every earlier term lies below the next row norm,
-        # so the look-ahead skips them all and the scan still raises at 7.
+        # so the look-ahead skips them all and the scan still raises at 7,
+        # traced or not: a trace sees u_k = None at the skipped indices.
         # A has no certificate, so the row-norm bounds are formed here.
         a = linsys.Matrix.from_rows([[1e22, 0.0], [1e22, 0.0]])
         env = constant_env(affine_fn(1e300, 0.0), 0.5)
         bounds = reference_row_norm_bounds(a, 8)
         assert math.isfinite(bounds[7][1]) and bounds[7][0] == math.inf
-        for on_step, want in ((None, [0, 7]), (lambda *step: None, list(range(8)))):
+        steps = []
+        for on_step in (None, lambda *step: steps.append(step)):
             evaluated = []
             source = TermSource(eval=recorded(evaluated, linsys.power_norm_source(a).eval),
                                 upper=lambda k: bounds[k][0], lower=lambda k: bounds[k][1])
             with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
                 solve(source, env, on_step=on_step)
-            assert evaluated == want
+            assert evaluated == [0, 7]
+        assert [(k, u is None) for k, u, *_ in steps] == [(0, False)] + [(k, True) for k in range(1, 7)]
 
 
 class TestBruteForce:
@@ -1161,10 +1203,9 @@ class TestNaNCertificate:
     def test_solve_raises(self):
         source, env = self.nan_family()
         for src in (source, TermSource(eval=source.eval, upper=source.eval, lower=source.eval)):
-            for step in (None, lambda *args: None):
-                with pytest.raises(EnvelopeViolation) as err:
-                    solve(src, env, on_step=step)
-                assert err.value.k == 0
+            with pytest.raises(EnvelopeViolation) as err:
+                solve(src, env)
+            assert err.value.k == 0
 
     def test_bound_and_truncation_raise(self):
         source, env = self.nan_family()
@@ -1192,15 +1233,32 @@ class TestNaNCertificate:
         nan_fn = EnvelopeFn(eval=fn.eval, inverse=lambda y: math.nan, lo=fn.lo, hi=fn.hi)
         env = constant_env(nan_fn, 0.9)
         message = re.escape("h_k^-1(0.1) at k=0 is nan")
-        for step in (None, lambda *args: None):
-            with pytest.raises(PreconditionViolated, match=message):
-                solve(source, env, on_step=step)
+        with pytest.raises(PreconditionViolated, match=message):
+            solve(source, env)
         with pytest.raises(PreconditionViolated, match=message):
             argmax_bound(0, 0.1, env)
         # The pointwise min passes the NaN of its first branch through.
         both = env_min([env, constant_env(affine_fn(3.0, 0.0), 0.9)])
         with pytest.raises(PreconditionViolated, match=message):
             solve(source, both)
+
+    @pytest.mark.parametrize("combine", ["min", "max"])
+    @pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+    def test_nan_branch_inverse_raises_in_either_order(self, combine, bad_first):
+        # The pointwise min (env_min) and max (promote_to_decreasing's prefix)
+        # of h(x) = 2x and the same h with a NaN inverse.  min and max skip a
+        # NaN that is not their first item, so a NaN branch second in line was
+        # dropped: the max's inverse at 0.5 was 0.25, a bound of 13.2.
+        good = affine_fn(2.0, 0.0)
+        bad = EnvelopeFn(eval=good.eval, inverse=lambda y: math.nan, lo=good.lo, hi=good.hi)
+        fns = [bad, good] if bad_first else [good, bad]
+        if combine == "min":
+            env = env_min([constant_env(fn, 0.9) for fn in fns])
+        else:
+            env = promote_to_decreasing(Envelope(h=lambda k: fns[min(k, 1)], beta=lambda k: 0.9,
+                                                 mono=Monotonicity.eventually_decreasing(1)))
+        with pytest.raises(PreconditionViolated, match=re.escape("h_k^-1(0.5) at k=0 is nan")):
+            argmax_bound(0, 0.5, env)
 
     @staticmethod
     def nan_at_a_quarter():

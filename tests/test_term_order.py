@@ -173,10 +173,18 @@ class TestInOrderCost:
         assert products == sol.terms_evaluated - 1
         assert norms == 3
 
-    def test_solve_with_on_step_evaluates_every_term(self, monkeypatch):
+    def test_traced_and_untraced_scans_evaluate_the_same_terms(self, monkeypatch):
+        # on_step observes the screened scan: the same products and
+        # eigensolves, one step per index, u_k None where it was screened.
+        # u_0 = ||I||^2 = 1 is exact and needs no eigensolve.
+        sol, products, norms = self.counted_solve(monkeypatch)
         steps = []
-        sol, products, norms = self.counted_solve(monkeypatch, on_step=lambda *s: steps.append(s))
-        assert products == norms == sol.terms_evaluated - 1 == len(steps) - 1
+        traced, traced_products, traced_norms = self.counted_solve(
+            monkeypatch, on_step=lambda *s: steps.append(s))
+        assert traced == sol
+        assert (traced_products, traced_norms) == (products, norms) == (sol.terms_evaluated - 1, 3)
+        assert [k for k, *_ in steps] == list(range(sol.terms_evaluated))
+        assert sum(u is not None for _, u, *_ in steps) == norms + 1
 
     def test_anchored_solve_screens_past_the_eigensolve(self, monkeypatch):
         # h_k reads the power from the cursor the terms step, and a diagonal
