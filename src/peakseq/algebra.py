@@ -38,14 +38,20 @@ class InvalidBracket(PeakseqError):
 
 
 def affine_fn(a: float, c: float) -> EnvelopeFn:
-    """The envelope function x -> a*x + c on [0, 1] with its exact inverse."""
-    if a <= 0.0:
-        raise PreconditionViolated("affine scale must be positive")
+    """The envelope function x -> a*x + c on [0, 1] with its exact inverse.
+
+    a must be positive and finite and c finite: with a = inf every inverse
+    is 0 and every index bound infinite, so a scan would run to its limit.
+    """
+    if not 0.0 < a < math.inf:
+        raise PreconditionViolated(f"affine scale must be positive and finite, got {a!r}")
     if c == 0.0 and type(a) is float:
         # x -> a*x through the float's own methods, without two closures:
         # families built per index (the factorial and linear-system ones)
         # make one of these for every index they scan.
-        return EnvelopeFn(eval=a.__mul__, inverse=a.__rtruediv__, lo=0.0, hi=a)
+        return EnvelopeFn(a.__mul__, a.__rtruediv__, 0.0, a, a)
+    if not math.isfinite(c):
+        raise PreconditionViolated(f"affine offset must be finite, got {c!r}")
     return EnvelopeFn(
         eval=lambda x: a * x + c,
         inverse=lambda y: (y - c) / a,
@@ -93,6 +99,17 @@ def envelope_fn_from_forward(f) -> EnvelopeFn:
 
 
 def _min_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
+    """Pointwise min of fns, inverted as the max of the branch inverses.
+
+    When every branch is a line through 0 (``slope`` set), the min is the
+    flattest branch itself, bit for bit: for x >= 0 and finite slopes
+    a > 0, fl(a*x) does not decrease as a grows and fl(y/a) for y >= 0
+    does not increase, so eval on [0, 1], inverse on [lo, hi], lo and hi
+    all agree with the general combinator below.
+    """
+    slopes = [fn.slope for fn in fns]
+    if None not in slopes:
+        return fns[slopes.index(min(slopes))]
     evals = tuple(fn.eval for fn in fns)
 
     def forward(x: float) -> float:
@@ -116,6 +133,14 @@ def _min_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
 
 
 def _max_fn(fns: list[EnvelopeFn]) -> EnvelopeFn:
+    """Pointwise max of fns, inverted as the min of the branch inverses.
+
+    When every branch is a line through 0, the max is the steepest branch
+    itself, bit for bit, by the monotonicity argument of :func:`_min_fn`.
+    """
+    slopes = [fn.slope for fn in fns]
+    if None not in slopes:
+        return fns[slopes.index(max(slopes))]
     evals = tuple(fn.eval for fn in fns)
 
     def forward(x: float) -> float:
@@ -142,7 +167,9 @@ def env_min(envs: list[Envelope]) -> Envelope:
     the max over branches defined at the queried value, and beta_k =
     max_i beta_(i),k, which stays valid for every branch simultaneously.
     The result decreases from the largest of the inputs' decreasing-from
-    indices; it is constant-from only when every input is.
+    indices; it is constant-from only when every input is.  Where every
+    h_(i),k is a line through 0 (as ``affine_fn(a, 0.0)`` builds it), h_k
+    is the flattest of them, at O(1) cost per evaluation and inverse.
     """
     if not envs:
         raise EmptyFamily("env_min of an empty family")
@@ -165,7 +192,9 @@ def promote_to_decreasing(env: Envelope) -> Envelope:
     prefix functions (inverse: min over branches whose range reaches the
     value) and the max of the prefix ratios; later indices are unchanged.
     Usefulness is preserved; the index bound can only grow on the replaced
-    prefix.
+    prefix.  Where every prefix function is a line through 0 (the factorial
+    ``seq_env``, or an :func:`env_min` of such families), the prefix is the
+    steepest of them, so it costs O(1) per evaluation and inverse.
     """
     m = env.mono.decreasing_from
     if m == 0:

@@ -10,11 +10,14 @@ significant digits so reruns are bit-comparable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import time
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -141,29 +144,65 @@ def scan_limit_from_env() -> int:
     return limit
 
 
-def _trace_recorder(trace: list):
-    def on_step(k: int, u_k: float | None, bound: UpperBoundValue | None, running_k: int | None):
-        if bound is None:
-            encoded = None
-        elif bound.is_finite:
-            encoded = bound.value
-        else:
-            encoded = "inf"
-        trace.append({"k": k, "u_k": u_k, "bound": encoded, "K": running_k})
+class _TraceSpool:
+    """The `--trace` hook: one entry per scanned index, held out of memory.
 
-    return on_step
+    For JSON each entry is serialized as it arrives to ``fh``, an anonymous
+    temporary file, and :func:`_print_report` copies the entries out after
+    the solution, so a long scan's trace costs flat memory and the bytes are
+    those of the entries as a list.  With ``fh`` None (``--format text``,
+    which shows only the count) the entries are only counted.
+    """
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.count = 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __call__(self, k: int, u_k: float | None, bound: UpperBoundValue | None,
+                 running_k: int | None) -> None:
+        if self.fh is not None:
+            if bound is None:
+                encoded = None
+            elif bound.is_finite:
+                encoded = bound.value
+            else:
+                encoded = "inf"
+            entry = _dumps({"k": k, "u_k": u_k, "bound": encoded, "K": running_k})
+            self.fh.write(f", {entry}" if self.count else entry)
+        self.count += 1
+
+    def copy_to(self, out) -> None:
+        out.write("[")
+        self.fh.seek(0)
+        shutil.copyfileobj(self.fh, out)
+        out.write("]")
 
 
 def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(_dumps(report))
+        # _dumps of the dict, key by key, so that a spooled trace is copied
+        # out in place instead of read back into one string.
+        out = sys.stdout
+        sep = ""
+        out.write("{")
+        for key, value in report.items():
+            out.write(f"{sep}{json.dumps(str(key))}: ")
+            if isinstance(value, _TraceSpool):
+                value.copy_to(out)
+            else:
+                out.write(_dumps(value))
+            sep = ", "
+        out.write("}\n")
         return
     for key, value in report.items():
         if isinstance(value, dict):
             print(f"{key}:")
             for k2, v2 in value.items():
                 print(f"  {k2}: {v2}")
-        elif isinstance(value, list):
+        elif isinstance(value, (list, _TraceSpool)):
             print(f"{key}: [{len(value)} entries]")
             if key == "findings":  # at most ten; a trace is only counted
                 for entry in value:
@@ -178,21 +217,24 @@ def _print_adapter_report(args, argv: list[str], body: dict) -> None:
 
 def _run_solve(args, argv: list[str]) -> int:
     started = time.perf_counter()
-    if args.adapter == "syracuse":
-        mx, arg, cycled = syracuse_excursion(args.n0, args.max_steps)
-        body = {
-            "parameters": {"n0": args.n0, "max_steps": args.max_steps},
-            "excursion": {"max": mx, "argmax_min": arg, "reached_cycle": cycled},
-        }
-    else:
-        scan_limit = scan_limit_from_env()
-        trace: list | None = [] if args.trace else None
-        source, env, params = _ADAPTERS[args.adapter].build(args)
-        sol = solve(source, env, tie=Tie(args.tie), scan_limit=scan_limit,
-                    on_step=None if trace is None else _trace_recorder(trace))
-        body = {"parameters": params, "solution": asdict(sol), "trace": trace}
-    body["elapsed_seconds"] = time.perf_counter() - started
-    _print_adapter_report(args, argv, body)
+    with contextlib.ExitStack() as stack:
+        if args.adapter == "syracuse":
+            mx, arg, cycled = syracuse_excursion(args.n0, args.max_steps)
+            body = {
+                "parameters": {"n0": args.n0, "max_steps": args.max_steps},
+                "excursion": {"max": mx, "argmax_min": arg, "reached_cycle": cycled},
+            }
+        else:
+            scan_limit = scan_limit_from_env()
+            trace = None
+            if args.trace:
+                spool = stack.enter_context(tempfile.TemporaryFile("w+")) if args.format == "json" else None
+                trace = _TraceSpool(spool)
+            source, env, params = _ADAPTERS[args.adapter].build(args)
+            sol = solve(source, env, tie=Tie(args.tie), scan_limit=scan_limit, on_step=trace)
+            body = {"parameters": params, "solution": asdict(sol), "trace": trace}
+        body["elapsed_seconds"] = time.perf_counter() - started
+        _print_adapter_report(args, argv, body)
     return EXIT_OK
 
 

@@ -149,9 +149,15 @@ class EnvelopeFn:
     A plain class with slots, not a dataclass: families built per index make
     one for every index they scan, and a slotted class is built in under
     half the time of a frozen dataclass.
+
+    ``slope`` is a finite a > 0 when the function is the line x -> a*x
+    through 0, evaluated as ``a.__mul__`` and inverted as
+    ``a.__rtruediv__``, and None otherwise.  Only ``algebra.affine_fn``
+    passes it; the combinators read it to replace a max or min of such lines
+    by the steepest or flattest one.  It must not be assigned.
     """
 
-    __slots__ = ("eval", "inverse", "lo", "hi")
+    __slots__ = ("eval", "inverse", "lo", "hi", "slope")
 
     def __init__(
         self,
@@ -159,6 +165,7 @@ class EnvelopeFn:
         inverse: Callable[[float], float],
         lo: float,
         hi: float,
+        slope: float | None = None,
     ) -> None:
         if not lo < hi:
             raise PreconditionViolated(f"need lo < hi, got [{lo!r}, {hi!r}]")
@@ -166,6 +173,7 @@ class EnvelopeFn:
         self.inverse = inverse
         self.lo = lo
         self.hi = hi
+        self.slope = slope
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from peakseq import (
     AffineParams,
     Monotonicity,
     PreconditionViolated,
+    Tie,
     TermSource,
     affine_fn,
     argmax_bound,
@@ -19,10 +20,11 @@ from peakseq import (
     nonconstant_decreasing_family,
     optimal_affine_certificate,
     promote_to_decreasing,
+    solve,
     validate_envelope,
 )
-from peakseq.algebra import EmptyFamily, InvalidBracket, OutOfRange
-from peakseq.core import Envelope
+from peakseq.algebra import EmptyFamily, InvalidBracket, OutOfRange, _max_fn, _min_fn
+from peakseq.core import Envelope, EnvelopeFn
 from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter
 
 from helpers import fibonacci_rational_fn
@@ -46,6 +48,25 @@ class TestAffineFn:
     def test_rejects_nonpositive_scale(self):
         with pytest.raises(PreconditionViolated):
             affine_fn(0.0, 1.0)
+
+    @pytest.mark.parametrize("a, c", [(math.inf, 0.0), (math.inf, 1.0), (math.nan, 0.0),
+                                      (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_rejects_non_finite_scale_or_offset(self, a, c):
+        with pytest.raises(PreconditionViolated, match="must be positive and finite|must be finite"):
+            affine_fn(a, c)
+
+    def test_infinite_certificate_scale_is_rejected_before_the_scan(self):
+        # y / inf = 0 made every index bound infinite, so solve scanned its
+        # whole limit (10^7 terms) and then raised NoUsefulIndex.
+        source = TermSource(eval=lambda k: 1 / (k + 1))
+        with pytest.raises(PreconditionViolated, match="positive and finite"):
+            solve(source, AffineParams(math.inf, 0.5, 0.0).constant_envelope())
+
+    def test_slope_only_on_float_lines_through_zero(self):
+        assert affine_fn(2.5, 0.0).slope == 2.5
+        assert affine_fn(2.5, 1.0).slope is None
+        assert affine_fn(2, 0.0).slope is None
+        assert envelope_fn_from_forward(lambda x: x).slope is None
 
     @given(
         a=st.floats(min_value=1e-3, max_value=1e3),
@@ -214,6 +235,102 @@ class TestPromoteToDecreasing:
         for i in range(1, 50):
             y = fn.lo + (fn.hi - fn.lo) * i / 50.0
             assert abs(fn.inverse(y) - invert_numeric(fn.eval, y)) <= 1e-10
+
+
+def _without_slope(fn: EnvelopeFn) -> EnvelopeFn:
+    """fn with its slope dropped, so the combinators take their general path."""
+    return EnvelopeFn(fn.eval, fn.inverse, fn.lo, fn.hi)
+
+
+def _stripped(env: Envelope) -> Envelope:
+    return Envelope(h=lambda k: _without_slope(env.h(k)), beta=env.beta, mono=env.mono)
+
+
+_SUBNORMALS = (math.ulp(0.0), 2 * math.ulp(0.0), 1e-310, math.nextafter(2.0**-1022, 0.0))
+_X_GRID = (0.0, *_SUBNORMALS, 2.0**-1022, 1e-300, 1e-17,
+           *(i / 16 for i in range(1, 16)), math.nextafter(1.0, 0.0), 1.0)
+
+
+def _positive_slopes():
+    finite = st.floats(min_value=math.ulp(0.0), max_value=1e300, allow_nan=False,
+                       allow_infinity=False)
+    slope = st.one_of(st.just(math.ulp(0.0)), finite)
+    # A slope and its neighbour one ulp up.
+    pair = finite.map(lambda a: [a, math.nextafter(a, math.inf)])
+    return st.one_of(
+        st.lists(slope, min_size=1, max_size=5),
+        st.tuples(pair, st.lists(slope, max_size=3)).map(lambda t: t[0] + t[1]),
+    ).flatmap(st.permutations)
+
+
+class TestLinesThroughZero:
+    """A max or min of lines x -> a*x is one line, to the bit."""
+
+    @staticmethod
+    def assert_same_bits(fast, general):
+        assert fast.lo.hex() == general.lo.hex() and fast.hi.hex() == general.hi.hex()
+        for x in _X_GRID:
+            assert fast.eval(x).hex() == general.eval(x).hex(), x
+        ys = {fast.lo, fast.hi, math.nextafter(fast.hi, 0.0), *_SUBNORMALS,
+              *(fast.hi * i / 16 for i in range(17)), *(fast.eval(x) for x in _X_GRID)}
+        for y in sorted(v for v in ys if fast.lo <= v <= fast.hi):
+            assert fast.inverse(y).hex() == general.inverse(y).hex(), y
+
+    @settings(max_examples=200)
+    @given(slopes=_positive_slopes())
+    def test_max_and_min_match_the_general_combinator(self, slopes):
+        fns = [affine_fn(a, 0.0) for a in slopes]
+        general = [_without_slope(fn) for fn in fns]
+        for combine, pick in ((_max_fn, max), (_min_fn, min)):
+            fast = combine(fns)
+            assert fast.slope == pick(slopes)
+            self.assert_same_bits(fast, combine(general))
+
+    @pytest.mark.parametrize("combine", [_max_fn, _min_fn])
+    def test_any_other_branch_keeps_the_general_path(self, combine):
+        line = affine_fn(2.0, 0.0)
+        for other in (affine_fn(1.0, 0.5), _without_slope(affine_fn(1.0, 0.0))):
+            fn = combine([line, other])
+            assert fn.slope is None and fn is not line and fn is not other
+            pick = max if combine is _max_fn else min
+            assert fn.eval(0.75) == pick(line.eval(0.75), other.eval(0.75))
+        # The general max raises above every branch; one line would not.
+        with pytest.raises(OutOfRange):
+            _max_fn([line, _without_slope(affine_fn(1.0, 0.0))]).inverse(3.0)
+
+    @pytest.mark.parametrize("tie", list(Tie))
+    @pytest.mark.parametrize("a", [1, 2, 20, 142, 712])
+    def test_promoted_factorial_scan_is_that_of_the_general_family(self, a, tie):
+        ad = FactorialRatioAdapter(a)
+        fast = promote_to_decreasing(ad.seq_env)
+        general = promote_to_decreasing(_stripped(ad.seq_env))
+        assert fast.h(0).slope is not None and general.h(0).slope is None
+        assert self.scan(FactorialRatioAdapter(a).source, fast, tie) == self.scan(
+            FactorialRatioAdapter(a).source, general, tie)
+
+    @pytest.mark.parametrize("tie", list(Tie))
+    @pytest.mark.parametrize("a", [1, 2, 20, 142])
+    def test_env_min_factorial_scan_is_that_of_the_general_family(self, a, tie):
+        ad = FactorialRatioAdapter(a)
+        fast = env_min([ad.seq_env, ad.const_env])
+        general = env_min([_stripped(ad.seq_env), _stripped(ad.const_env)])
+        assert fast.h(a).slope is not None and general.h(a).slope is None
+        assert self.scan(FactorialRatioAdapter(a).source, fast, tie) == self.scan(
+            FactorialRatioAdapter(a).source, general, tie)
+
+    @staticmethod
+    def scan(source, env, tie):
+        """The solution and every on_step call, as reprs (exact for floats)."""
+        steps = []
+        sol = solve(source, env, tie=tie, on_step=lambda *step: steps.append(repr(step)))
+        return repr(sol), steps
+
+    def test_promote_of_env_min_collapses_again(self):
+        ad = FactorialRatioAdapter(20)
+        promoted = promote_to_decreasing(env_min([ad.seq_env, ad.const_env]))
+        fn = promoted.h(0)
+        assert fn.slope == max(ad.seq_env.h(k).slope for k in range(21))
+        assert fn.inverse(fn.hi) == 1.0
 
 
 GEOMETRIC = TermSource(eval=lambda k: 0.5**k, description="0.5^k")
