@@ -57,55 +57,96 @@ class _Parser(argparse.ArgumentParser):
 
 def _factorial(args):
     adapter = FactorialRatioAdapter(args.a)
-    env = adapter.const_env if args.envelope == "constant" else adapter.seq_env
-    return adapter.source, env, {"a": args.a, "envelope": args.envelope}
+    return adapter.source, adapter.envelope(args.envelope)
 
 
 def _fibonacci(args):
     adapter = FibonacciRatioAdapter(args.u0, args.u1)
-    return adapter.source, adapter.env, {"u0": args.u0, "u1": args.u1}
+    return adapter.source, adapter.env
 
 
 def _logistic(args):
     adapter = LogisticAdapter(args.r, args.y0)
-    return adapter.source, adapter.env, {"r": args.r, "y0": args.y0}
+    return adapter.source, adapter.env
 
 
 def _linsys(args):
-    _, source, env = linsys.a_lambda_problem(args.lam, args.d, args.q, args.generic)
-    return source, env, {"lambda": args.lam, "d": args.d, "q": args.q, "generic": args.generic}
+    return linsys.a_lambda_problem(args.lam, args.d, args.q, args.generic)[1:]
+
+
+# (report key, flags, add_argument kwargs); args holds the value under the key
+# or under kwargs["dest"].
+_Flag = tuple[str, tuple[str, ...], dict]
 
 
 class _Adapter(NamedTuple):
-    params: list[tuple[tuple[str, ...], dict]]  # add_argument(*flags, **kwargs) pairs
+    params: list[_Flag]  # also the report's `parameters`, in this order
     horizon: int  # default validation horizon
-    build: Callable  # args -> (source, envelope, report parameters)
+    build: Callable  # args -> (source, envelope)
 
 
 # Every adapter with a certified envelope; both `solve` and `validate` are
-# wired from this table.  Syracuse has no envelope and is wired by hand.
+# wired from this table.  Syracuse has no envelope and its own flag lists.
 _ADAPTERS = {
     "factorial": _Adapter(
-        [(("--a",), {"type": int, "required": True}),
-         (("--envelope",), {"choices": ["sequence", "constant"], "default": "sequence"})],
+        [("a", ("--a",), {"type": int, "required": True}),
+         ("envelope", ("--envelope",), {"choices": ["sequence", "constant"], "default": "sequence"})],
         100, _factorial),
     "fibonacci": _Adapter(
-        [(("--u0",), {"type": int, "required": True}),
-         (("--u1",), {"type": int, "required": True})],
+        [("u0", ("--u0",), {"type": int, "required": True}),
+         ("u1", ("--u1",), {"type": int, "required": True})],
         40, _fibonacci),
     "logistic": _Adapter(
-        [(("--r",), {"type": float, "required": True}),
-         (("--y0",), {"type": float, "required": True})],
+        [("r", ("--r",), {"type": float, "required": True}),
+         ("y0", ("--y0",), {"type": float, "required": True})],
         100, _logistic),
     "linsys": _Adapter(
-        [(("--lam", "--lambda"), {"dest": "lam", "type": float, "required": True}),
-         (("--d",), {"type": int, "default": 2}),
-         (("--q",), {"type": float, "default": None}),
-         (("--generic",), {"action": "store_true",
-                           "help": "use the generic matrix-power kernel and the anchored envelope "
-                                   "instead of the closed form"})],
+        [("lambda", ("--lam", "--lambda"), {"dest": "lam", "type": float, "required": True}),
+         ("d", ("--d",), {"type": int, "default": 2}),
+         ("q", ("--q",), {"type": float, "default": None}),
+         ("generic", ("--generic",), {"action": "store_true",
+                                      "help": "use the generic matrix-power kernel and the anchored "
+                                              "envelope instead of the closed form"})],
         50, _linsys),
 }
+
+_N0: _Flag = ("n0", ("--n0",), {"type": int, "required": True})
+_SYRACUSE_SOLVE = [_N0, ("max_steps", ("--max-steps",), {"type": int, "default": 1_000_000})]
+_SYRACUSE_VALIDATE = [_N0, *((x, (f"--{x}",), {"type": float, "required": True}) for x in "abc"),
+                      ("horizon", ("--horizon",), {"type": int, "required": True})]
+
+
+def _lambda_list(text: str) -> list[float]:
+    """The `--lambdas` type: comma-separated floats, blank entries skipped."""
+    lambdas = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            lambdas.append(float(part))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid lambda {part!r}") from None
+    if not lambdas:
+        raise argparse.ArgumentTypeError("empty lambda list")
+    return lambdas
+
+
+_FORMAT: _Flag = ("format", ("--format",), {"choices": ["json", "text"], "default": "json"})
+_SOLVER_FLAGS = [
+    ("tie", ("--tie",), {"choices": ["min", "max"], "default": "min",
+                         "help": "which maximizer to report on ties"}),
+    ("trace", ("--trace",), {"action": "store_true",
+                             "help": "add one entry per scanned index to the report's one JSON "
+                                     "line, u_k null where the term was screened (off by default)"}),
+    _FORMAT,
+]
+_TABLE_FLAGS = [
+    ("lambdas", ("--lambdas", "--lambda"),
+     {"type": _lambda_list, "default": linsys.TABLE_LAMBDAS,
+      "help": "comma-separated lambda values (default: the 8 benchmark values)"}),
+    ("d", ("--d",), {"type": int, "default": 2}),
+    ("q", ("--q",), {"type": float, "default": None}),
+    ("generic", ("--generic",), {"action": "store_true"}),
+    ("format", ("--format",), {"choices": ["json", "csv"], "default": "json"}),
+]
 
 
 def _dumps(value) -> str:
@@ -181,8 +222,10 @@ class _TraceSpool:
         out.write("]")
 
 
-def _print_report(report: dict, fmt: str) -> None:
-    if fmt == "json":
+def _print_report(args, argv: list[str], body: dict) -> None:
+    """One `solve` or `validate` report: the command and adapter, then ``body``."""
+    report = {"command": " ".join(argv), "adapter": args.adapter, **body}
+    if args.format == "json":
         # _dumps of the dict, key by key, so that a spooled trace is copied
         # out in place instead of read back into one string.
         out = sys.stdout
@@ -211,49 +254,31 @@ def _print_report(report: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _print_adapter_report(args, argv: list[str], body: dict) -> None:
-    _print_report({"command": " ".join(argv), "adapter": args.adapter, **body}, args.format)
-
-
 def _run_solve(args, argv: list[str]) -> int:
     started = time.perf_counter()
     with contextlib.ExitStack() as stack:
         if args.adapter == "syracuse":
+            params = _SYRACUSE_SOLVE
             mx, arg, cycled = syracuse_excursion(args.n0, args.max_steps)
-            body = {
-                "parameters": {"n0": args.n0, "max_steps": args.max_steps},
-                "excursion": {"max": mx, "argmax_min": arg, "reached_cycle": cycled},
-            }
+            result = {"excursion": {"max": mx, "argmax_min": arg, "reached_cycle": cycled}}
         else:
             scan_limit = scan_limit_from_env()
             trace = None
             if args.trace:
                 spool = stack.enter_context(tempfile.TemporaryFile("w+")) if args.format == "json" else None
                 trace = _TraceSpool(spool)
-            source, env, params = _ADAPTERS[args.adapter].build(args)
-            sol = solve(source, env, tie=Tie(args.tie), scan_limit=scan_limit, on_step=trace)
-            body = {"parameters": params, "solution": asdict(sol), "trace": trace}
-        body["elapsed_seconds"] = time.perf_counter() - started
-        _print_adapter_report(args, argv, body)
+            adapter = _ADAPTERS[args.adapter]
+            params = adapter.params
+            sol = solve(*adapter.build(args), tie=Tie(args.tie), scan_limit=scan_limit, on_step=trace)
+            result = {"solution": asdict(sol), "trace": trace}
+        parameters = {key: getattr(args, kwargs.get("dest", key)) for key, _, kwargs in params}
+        _print_report(args, argv, {"parameters": parameters, **result,
+                                   "elapsed_seconds": time.perf_counter() - started})
     return EXIT_OK
 
 
 def _run_table(args, argv: list[str]) -> int:
-    if args.lambdas is None:
-        lambdas = list(linsys.TABLE_LAMBDAS)
-    else:
-        parts = [p for p in args.lambdas.split(",") if p.strip()]
-        if not parts:
-            print("peakseq table: error: empty lambda list", file=sys.stderr)
-            return EXIT_USAGE
-        lambdas = []
-        for p in parts:
-            try:
-                lambdas.append(float(p))
-            except ValueError:
-                print(f"peakseq table: error: invalid lambda {p.strip()!r}", file=sys.stderr)
-                return EXIT_USAGE
-    rows = linsys.table_run(lambdas, d=args.d, q=args.q, generic=args.generic)
+    rows = linsys.table_run(args.lambdas, d=args.d, q=args.q, generic=args.generic)
     if args.format == "csv":
         sys.stdout.write(linsys.rows_to_csv(rows))
     else:
@@ -267,26 +292,18 @@ def _run_validate(args, argv: list[str]) -> int:
         passed = check.consistent
         body = {**asdict(check), "horizon": args.horizon}
     else:
-        source, env, _ = _ADAPTERS[args.adapter].build(args)
+        source, env = _ADAPTERS[args.adapter].build(args)
         findings = validate_envelope(source, env, args.horizon)
         passed = not findings
-        body = {
-            "clean": passed,
-            "horizon": args.horizon,
-            "findings": [asdict(f) for f in findings[:10]],
-            "finding_count": len(findings),
-        }
-    _print_adapter_report(args, argv, body)
+        body = {"clean": passed, "horizon": args.horizon,
+                "findings": [asdict(f) for f in findings[:10]], "finding_count": len(findings)}
+    _print_report(args, argv, body)
     return EXIT_OK if passed else EXIT_VIOLATION
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tie", choices=["min", "max"], default="min",
-                        help="which maximizer to report on ties")
-    parser.add_argument("--trace", action="store_true",
-                        help="add one entry per scanned index to the report's one JSON line, "
-                             "u_k null where the term was screened (off by default)")
-    parser.add_argument("--format", choices=["json", "text"], default="json")
+def _add_flags(parser: argparse.ArgumentParser, flags: list[_Flag]) -> None:
+    for _, names, kwargs in flags:
+        parser.add_argument(*names, **kwargs)
 
 
 @functools.cache
@@ -298,43 +315,20 @@ def build_parser() -> _Parser:
     """
     parser = _Parser(prog="peakseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
     p_solve = sub.add_parser("solve", help="compute the peak of a bundled sequence")
     solve_sub = p_solve.add_subparsers(dest="adapter", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("table", help="benchmark rows for the lambda*Id + U family")
-    p.add_argument("--lambdas", "--lambda", dest="lambdas", type=str, default=None,
-                   help="comma-separated lambda values (default: the 8 benchmark values)")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--q", type=float, default=None)
-    p.add_argument("--generic", action="store_true")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-
+    _add_flags(sub.add_parser("table", help="benchmark rows for the lambda*Id + U family"),
+               _TABLE_FLAGS)
     p_val = sub.add_parser("validate", help="check an envelope against its sequence on a horizon")
     val_sub = p_val.add_subparsers(dest="adapter", required=True, parser_class=_Parser)
 
     for name, adapter in _ADAPTERS.items():
-        p_s, p_v = solve_sub.add_parser(name), val_sub.add_parser(name)
-        for flags, kwargs in adapter.params:
-            p_s.add_argument(*flags, **kwargs)
-            p_v.add_argument(*flags, **kwargs)
-        _add_common(p_s)
-        p_v.add_argument("--horizon", type=int, default=adapter.horizon)
-        p_v.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = solve_sub.add_parser("syracuse")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=1_000_000)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-
-    p = val_sub.add_parser("syracuse", help="finite-horizon geometric-bound check")
-    p.add_argument("--n0", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-
+        _add_flags(solve_sub.add_parser(name), adapter.params + _SOLVER_FLAGS)
+        horizon = ("horizon", ("--horizon",), {"type": int, "default": adapter.horizon})
+        _add_flags(val_sub.add_parser(name), adapter.params + [horizon, _FORMAT])
+    _add_flags(solve_sub.add_parser("syracuse"), _SYRACUSE_SOLVE + [_FORMAT])
+    _add_flags(val_sub.add_parser("syracuse", help="finite-horizon geometric-bound check"),
+               _SYRACUSE_VALIDATE + [_FORMAT])
     return parser
 
 

@@ -34,8 +34,8 @@ DEFAULT_SCAN_LIMIT = 10_000_000
 # with equality by construction.
 MEMBERSHIP_RTOL = 1e-12
 
-# Added before flooring the index bound; only ever enlarges the truncation,
-# which is the safe direction.
+# Added by UpperBoundValue.floor before flooring the index bound; only ever
+# enlarges the truncation, which is the safe direction.
 FLOOR_GUARD = 1e-9
 
 # Relative margin by which a term's upper bound must undercut the running max,
@@ -250,6 +250,10 @@ class UpperBoundValue:
     def is_finite(self) -> bool:
         return self.value is not None
 
+    def floor(self) -> int | None:
+        """The last index the bound admits, or None on the infinite branch."""
+        return math.floor(self.value + FLOOR_GUARD) if self.value is not None else None
+
 
 class Tie(Enum):
     """Which maximizer to report when the supremum is attained more than once."""
@@ -340,8 +344,7 @@ def argmax_bound(k: int, u_k: float, env: Envelope, fn: EnvelopeFn | None = None
 
 def truncation_from(k: int, source: TermSource, env: Envelope) -> int | None:
     """Floor of the index bound at k, or None on the infinite branch."""
-    ub = argmax_bound(k, source.eval(k), env)
-    return math.floor(ub.value + FLOOR_GUARD) if ub.is_finite else None
+    return argmax_bound(k, source.eval(k), env).floor()
 
 
 def brute_force_peak(source: TermSource, n: int) -> tuple[float, int, int]:
@@ -470,8 +473,8 @@ def solve(
         if trunc is None or vmax > level:
             # min: above h_k(beta_k^k) the bound is below k either way.
             bound = argmax_bound(k, min(vmax, cert), env, fn)
-            if bound.is_finite:
-                step = math.floor(bound.value + FLOOR_GUARD)
+            step = bound.floor()
+            if step is not None:
                 if step < k:
                     step = k
                 trunc = step if trunc is None else min(trunc, step)

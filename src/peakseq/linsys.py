@@ -27,7 +27,6 @@ from functools import cached_property
 from operator import mul
 
 from .core import (
-    FLOOR_GUARD,
     Envelope,
     Monotonicity,
     PeakSolution,
@@ -505,8 +504,7 @@ def table_run(lambdas, d: int = 2, q: float | None = None, generic: bool = False
         if generic:
             # The scan's cursor is past k_s, and under the max-argmax rule
             # sup_value is u_(k_s) to the bit, so no power is stepped again.
-            ub = argmax_bound(sol.argmax_min, sol.sup_value, system.const_env)
-            f_floor = math.floor(ub.value + FLOOR_GUARD) if ub.is_finite else None
+            f_floor = argmax_bound(sol.argmax_min, sol.sup_value, system.const_env).floor()
         else:
             f_floor = truncation_from(sol.argmax_min, source, system.const_env)
         rows.append(TableRow(lam=lam, k_s=sol.argmax_min, max_norm_sq=sol.sup_value, f_floor=f_floor))

@@ -124,6 +124,12 @@ class FactorialRatioAdapter:
             ) from None
         return AffineParams(scale, self.beta, 0.0).constant_envelope()
 
+    def envelope(self, name: str) -> Envelope:
+        """``seq_env`` for "sequence", ``const_env`` for "constant"."""
+        if name not in ("sequence", "constant"):
+            raise PreconditionViolated(f"unknown envelope choice {name!r}")
+        return self.seq_env if name == "sequence" else self.const_env
+
     def _seq_fn(self, n: int) -> EnvelopeFn:
         # Clamped where the exact slope underflows, so lo < hi still holds.
         return affine_fn(max(self._slope(n), math.ulp(0.0)), 0.0)
@@ -132,13 +138,7 @@ class FactorialRatioAdapter:
 def factorial_solve(a: int, envelope: str = "sequence", tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:
     """Peak of a^n/n! via the tight family ("sequence") or the frozen one ("constant")."""
     adapter = FactorialRatioAdapter(a)
-    if envelope == "sequence":
-        env = adapter.seq_env
-    elif envelope == "constant":
-        env = adapter.const_env
-    else:
-        raise PreconditionViolated(f"unknown envelope choice {envelope!r}")
-    return solve(adapter.source, env, tie=tie)
+    return solve(adapter.source, adapter.envelope(envelope), tie=tie)
 
 
 class FibonacciRatioAdapter:
@@ -232,9 +232,10 @@ def logistic_solve(r: float, y0: float, tie: Tie = Tie.MIN_ARGMAX) -> PeakSoluti
 class SyracuseAdapter:
     """Accelerated Syracuse iteration: y/2 on even terms, (3y+1)/2 on odd.
 
-    Terms are exact unsigned integers; anything past 128 bits is reported
-    as overflow rather than silently carried (trajectories stay tiny in
-    practice, the cap mirrors a fixed-width implementation contract).
+    Terms are exact unsigned integers.  A computed term past 128 bits is
+    reported as overflow rather than silently carried (trajectories stay
+    tiny in practice, the cap mirrors a fixed-width implementation
+    contract); the start n0 itself is taken as given, whatever its size.
     """
 
     def __init__(self, n0: int):

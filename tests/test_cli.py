@@ -26,7 +26,7 @@ def halved_ratio(args):
     """Build the tight factorial family with its ratio halved: it undercuts u_3 = 4.5."""
     ad = FactorialRatioAdapter(args.a)
     bad = Envelope(h=ad.seq_env.h, beta=lambda n: ad.beta / 2.0, mono=ad.seq_env.mono)
-    return ad.source, bad, {"a": args.a}
+    return ad.source, bad
 
 
 class TestSolveCommand:
@@ -412,15 +412,20 @@ class TestTableCommand:
         assert by_lam[0.99995]["f_floor"] == 44617
 
     def test_empty_lambda_list_exit_1(self, capsys):
-        code, out, err = run(capsys, "table", "--lambdas", "")
-        assert code == 1
-        assert "empty lambda list" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--lambdas", ""])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("usage: peakseq table ")
+        assert "peakseq table: error: argument --lambdas/--lambda: empty lambda list" in err
 
     def test_unparsable_lambda_exit_1(self, capsys):
-        code, out, err = run(capsys, "table", "--lambdas", "abc")
-        assert code == 1
-        assert out == ""
-        assert "peakseq table: error: invalid lambda 'abc'" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--lambdas", "0.5, abc"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (1, "")
+        assert err.startswith("usage: peakseq table ")
+        assert "peakseq table: error: argument --lambdas/--lambda: invalid lambda 'abc'" in err
 
     def test_bad_lambda_exit_2(self, capsys):
         code, _, err = run(capsys, "table", "--lambdas", "1.5")

@@ -447,10 +447,13 @@ def _ulps_below(u, n):
 
 def listed_terms(draw, n, lo):
     """(term, upper, lower): n values in [lo, 1] from a pool of at most four
-    (ties likely), then zeros.  Each upper bound adds a random nonnegative
-    slack, or none, or falls a few ulp short of its term as rounding can;
-    each lower bound likewise subtracts one or lies a few ulp above."""
+    draws and the one-ulp neighbours of one of them (ties and near-ties
+    likely), then zeros.  Each upper bound adds a random nonnegative slack,
+    or none, or falls a few ulp short of its term as rounding can; each
+    lower bound likewise subtracts one or lies a few ulp above."""
     pool = draw(st.lists(st.floats(lo, 1.0), min_size=1, max_size=4))
+    near = draw(st.sampled_from(pool))
+    pool += [max(lo, math.nextafter(near, 0.0)), min(1.0, math.nextafter(near, 2.0))]
     terms = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
     slack = st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.integers(1, 4).map(lambda j: -j))
     slacks = draw(st.lists(slack, min_size=1, max_size=2 * n + 2))

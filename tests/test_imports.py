@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 private top-level or class-body name is used somewhere in the package,
-and the package imports nothing from outside the standard library.
+the package imports nothing from outside the standard library, and its
+syntax parses at the oldest Python that pyproject.toml declares.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -8,12 +9,14 @@ import check: its imports are the public re-exports.
 """
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "peakseq"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "peakseq"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -58,6 +61,25 @@ def test_detects_non_stdlib_import():
 @pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
 def test_stdlib_only(path):
     assert non_stdlib_imports(path.read_text()) == []
+
+
+def python_floor() -> tuple[int, int]:
+    """(major, minor) of pyproject.toml's ``requires-python = ">=X.Y"``."""
+    text = (ROOT / "pyproject.toml").read_text()
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_detects_syntax_past_the_floor():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=[p.name for p in PACKAGE])
+def test_parses_at_the_declared_floor(path):
+    ast.parse(path.read_text(), feature_version=python_floor())
 
 
 def _defined(stmt) -> list[str]:

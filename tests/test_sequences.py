@@ -97,6 +97,22 @@ class TestFactorialRatio:
     def test_unknown_envelope(self):
         with pytest.raises(PreconditionViolated):
             factorial_solve(3, envelope="bogus")
+        with pytest.raises(PreconditionViolated, match="unknown envelope choice 'bogus'"):
+            FactorialRatioAdapter(3).envelope("bogus")
+
+    def test_envelope_by_name(self):
+        ad = FactorialRatioAdapter(3)
+        assert ad.envelope("sequence") is ad.seq_env
+        assert ad.envelope("constant") is ad.const_env
+
+    def test_envelope_by_name_builds_the_constant_one_only_when_asked(self):
+        # (a+1)^a overflows a float from a = 143 on; the sequence envelope
+        # does not need it.
+        ad = FactorialRatioAdapter(143)
+        assert ad.envelope("sequence") is ad.seq_env
+        assert "const_env" not in vars(ad)
+        with pytest.raises(OverflowError, match="a <= 142"):
+            ad.envelope("constant")
 
     def test_rejects_a0(self):
         with pytest.raises(PreconditionViolated):
@@ -333,6 +349,15 @@ class TestSyracuse:
     def test_overflow_reported(self):
         with pytest.raises(OverflowError):
             SyracuseAdapter.step(2**128 - 1)
+
+    def test_cap_covers_computed_terms_only(self):
+        # A start past 128 bits is taken as given; a term computed from it
+        # must fit.  2^128 halves on its first step, 2^128 + 1 goes to
+        # 3 * 2^127 + 2, past the cap.
+        assert syracuse_excursion(2**128) == (2**128, 0, True)
+        assert SyracuseAdapter(2**128 + 1).term(0) == 2**128 + 1
+        with pytest.raises(OverflowError, match="exceeds 128-bit range"):
+            syracuse_excursion(2**128 + 1)
 
     def test_rejects_zero(self):
         with pytest.raises(PreconditionViolated):
