@@ -28,7 +28,6 @@ from .algebra import (
     env_min,
     envelope_fn_from_forward,
     invert_numeric,
-    nonconstant_decreasing_family,
     optimal_affine_certificate,
     promote_to_decreasing,
 )

@@ -272,26 +272,3 @@ def optimal_affine_certificate(
             )
     return params
 
-
-def nonconstant_decreasing_family(params: AffineParams, sup_value: float) -> Envelope:
-    """A non-constant decreasing envelope built on top of an affine certificate.
-
-    h_k(x) = x/(k+1) + a*x + g_k with offsets g_k = min(c + 1/(k+1),
-    (sup + c)/2) and ratios beta_k = min(b + 1/(k+1), (b+1)/2).  Both
-    families decrease in k, every h_k dominates the certificate bound at
-    beta_k^k, and the offsets stay strictly below the supremum, which keeps
-    the envelope useful.
-    """
-    if sup_value <= params.c:
-        raise PreconditionViolated("sup_value must exceed the certificate offset c")
-    a, b, c = params.a, params.b, params.c
-
-    def fn_at(k: int) -> EnvelopeFn:
-        slope = 1.0 / (k + 1) + a
-        offset = min(c + 1.0 / (k + 1), 0.5 * (sup_value + c))
-        return affine_fn(slope, offset)
-
-    def beta_at(k: int) -> float:
-        return min(b + 1.0 / (k + 1), 0.5 * (b + 1.0))
-
-    return Envelope(h=fn_at, beta=beta_at, mono=Monotonicity.decreasing())

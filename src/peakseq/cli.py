@@ -14,7 +14,6 @@ import contextlib
 import functools
 import json
 import math
-import os
 import shutil
 import sys
 import tempfile
@@ -23,7 +22,6 @@ from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from .core import (
-    DEFAULT_SCAN_LIMIT,
     EnvelopeViolation,
     PeakseqError,
     Tie,
@@ -39,8 +37,6 @@ from .sequences import (
     syracuse_excursion,
 )
 from . import linsys
-
-SCAN_LIMIT_ENV = "PEAKSEQ_SCAN_LIMIT"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,21 +166,6 @@ def _dumps(value) -> str:
     raise PeakseqError(f"unserializable value: {value!r}")
 
 
-def scan_limit_from_env() -> int:
-    raw = os.environ.get(SCAN_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_SCAN_LIMIT
-    try:
-        limit = int(raw)
-        if limit < 1:
-            raise ValueError
-    except ValueError:
-        raise SystemExit(
-            f"peakseq: error: {SCAN_LIMIT_ENV}={raw!r} is not a positive integer"
-        ) from None
-    return limit
-
-
 class _TraceSpool:
     """The `--trace` hook: one entry per scanned index, held out of memory.
 
@@ -262,14 +243,13 @@ def _run_solve(args, argv: list[str]) -> int:
             mx, arg, cycled = syracuse_excursion(args.n0, args.max_steps)
             result = {"excursion": {"max": mx, "argmax_min": arg, "reached_cycle": cycled}}
         else:
-            scan_limit = scan_limit_from_env()
             trace = None
             if args.trace:
                 spool = stack.enter_context(tempfile.TemporaryFile("w+")) if args.format == "json" else None
                 trace = _TraceSpool(spool)
             adapter = _ADAPTERS[args.adapter]
             params = adapter.params
-            sol = solve(*adapter.build(args), tie=Tie(args.tie), scan_limit=scan_limit, on_step=trace)
+            sol = solve(*adapter.build(args), tie=Tie(args.tie), on_step=trace)
             result = {"solution": asdict(sol), "trace": trace}
         parameters = {key: getattr(args, kwargs.get("dest", key)) for key, _, kwargs in params}
         _print_report(args, argv, {"parameters": parameters, **result,
@@ -310,8 +290,7 @@ def _add_flags(parser: argparse.ArgumentParser, flags: list[_Flag]) -> None:
 def build_parser() -> _Parser:
     """The `peakseq` parser, built once per process and shared: do not mutate it.
 
-    It holds no per-call state; the scan limit is read from the environment
-    when `solve` runs.
+    It holds no per-call state: every input of a run comes from its argv.
     """
     parser = _Parser(prog="peakseq", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -382,10 +382,11 @@ def solve(
     h_k(beta_k^k) fails the check.  Where the pair at k is the pair at
     k - 1 (the same h object and an equal beta, or any index past
     constant_from), h(beta^k) computed at k - 1 is the certificate at k,
-    so h_k is evaluated once per index (``EnvelopeFn.eval`` is pure).  The
-    index bound is
-    taken at the running max vmax: every later maximizer j has u_j >= vmax,
-    so j is bounded through h_k as well as through u_k, and tighter.  It is
+    so the scan evaluates h_k once per index (``EnvelopeFn.eval`` is pure);
+    :func:`argmax_bound` evaluates h_k(beta_k^k) once more wherever a bound
+    is taken.  The index bound is taken at the running max vmax: every
+    later maximizer j has u_j >= vmax, so j is bounded through h_k as well
+    as through u_k, and tighter.  It is
     computed while no bound exists and then only where vmax exceeds
     h_k(beta_k^(k+1)) less SCREEN_RTOL relative: below that level the bound
     at vmax is at least k + 1, so these are the only indices where it can

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 from peakseq import (
     Envelope,
@@ -62,6 +63,19 @@ def reference_pow_over_factorial(base: int, n: int) -> float:
     if n > 2 * base and n * math.log(base) - math.lgamma(n + 1) < -760.0:
         return 0.0
     return base**n / math.factorial(n)
+
+
+def exact_a_lambda_beta(lam: float, q: float) -> Decimal:
+    """||lambda*Id + U||_{P_q}^2 of the float lambda and q, in 60 digits.
+
+    (1 + 2 q lambda^2 + sqrt(1 + 4 lambda^2 q)) / (2q), the exact
+    generalised eigenvalue that the float beta of the certificate stands in
+    for.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dl, dq = Decimal(lam), Decimal(q)
+        return (1 + 2 * dq * dl * dl + (1 + 4 * dl * dl * dq).sqrt()) / (2 * dq)
 
 
 class InvalidTailBound(PeakseqError):

@@ -17,7 +17,6 @@ from peakseq import (
     env_min,
     envelope_fn_from_forward,
     invert_numeric,
-    nonconstant_decreasing_family,
     optimal_affine_certificate,
     promote_to_decreasing,
     solve,
@@ -375,26 +374,3 @@ class TestOptimalAffineCertificate:
         with pytest.raises(InvalidBracket):
             optimal_affine_certificate(src, 0, 0.5, 5)
 
-
-class TestNonconstantDecreasingFamily:
-    def test_limit_function(self):
-        # The offsets min(c + 1/(k+1), (sup+c)/2) fall back to c, so the
-        # family converges to the certificate line a*x + c itself; the
-        # (sup+c)/2 cap only bites at small k.
-        params = optimal_affine_certificate(GEOMETRIC, 0, 0.25, 2)
-        env = nonconstant_decreasing_family(params, 1.0)
-        far = env.h(10**9)
-        assert far.eval(0.5) == pytest.approx(params.a * 0.5 + params.c, rel=1e-8)
-        assert env.h(0).lo == pytest.approx(0.5 * (1.0 + 0.25))
-
-    def test_validates_on_long_prefix(self):
-        params = optimal_affine_certificate(GEOMETRIC, 0, 0.25, 2)
-        env = nonconstant_decreasing_family(params, 1.0)
-        assert validate_envelope(GEOMETRIC, env, 100) == []
-
-    def test_useful_offsets_below_supremum(self):
-        params = optimal_affine_certificate(GEOMETRIC, 0, 0.25, 2)
-        env = nonconstant_decreasing_family(params, 1.0)
-        for k in (0, 1, 5, 100):
-            assert env.h(k).lo < 1.0
-        assert env.mono.decreasing_from == 0

@@ -1,8 +1,10 @@
-"""CLI surface: subcommands, formats, exit codes, tracing, env overrides."""
+"""CLI surface: subcommands, formats, exit codes, tracing, argv-only input."""
 
+import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import re
 import shlex
@@ -10,10 +12,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peakseq import Envelope, linsys, solve
-from peakseq.cli import _ADAPTERS, main, scan_limit_from_env, SCAN_LIMIT_ENV
-from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
+from peakseq.cli import _ADAPTERS, main
+from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
 
 
 def run(capsys, *argv):
@@ -220,6 +224,55 @@ class TestAdapterTable:
         code, out, _ = run(capsys, "validate", name, *ADAPTER_ARGV[name])
         assert code == 0
         assert json.loads(out)["clean"] is True
+
+
+def _fibonacci_args(u0: int):
+    """u1 over its valid range for this u0: u1 >= 1, and u1/u0 > phi when u0 > 0."""
+    low = math.floor(u0 * PHI) + 1 if u0 else 1
+    u1 = st.integers(low, low + 10**6).filter(lambda u1: not u0 or u1 / u0 > PHI)
+    return st.builds(argparse.Namespace, u0=st.just(u0), u1=u1)
+
+
+def _linsys_args(lam: float):
+    """--d, --q and --generic for this lambda; q is the default or above the threshold."""
+    q = st.one_of(st.none(), st.floats(1.001, 1000.0).map(lambda f: f * linsys.q_threshold(lam)))
+    return st.builds(argparse.Namespace, lam=st.just(lam), d=st.integers(2, 5), q=q,
+                     generic=st.booleans())
+
+
+# Each `_ADAPTERS` entry's valid domain, as the parsed flags its `build` reads.
+OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+ADAPTER_DOMAINS = {
+    "factorial": st.one_of(
+        st.builds(argparse.Namespace, a=st.integers(1, 712), envelope=st.just("sequence")),
+        st.builds(argparse.Namespace, a=st.integers(1, 142), envelope=st.just("constant"))),
+    "fibonacci": st.one_of(st.just(0), st.integers(1, 10**6)).flatmap(_fibonacci_args),
+    "logistic": st.builds(argparse.Namespace, r=OPEN_UNIT, y0=OPEN_UNIT),
+    "linsys": st.floats(0.0, 0.99995, exclude_min=True).flatmap(_linsys_args),
+}
+
+
+class _FirstBound(Exception):
+    """Raised from ``on_step`` at the first finite index bound, to end the scan there."""
+
+
+def _stop_at_first_bound(k, u_k, bound, running_k):
+    if bound is not None and bound.is_finite:
+        raise _FirstBound(k)
+
+
+class TestFirstBound:
+    @pytest.mark.parametrize("name", sorted(_ADAPTERS))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_within_two_indices_of_decreasing_from(self, name, data):
+        # Why the CLI needs no scan cap: every adapter it wires bounds its
+        # argmax by index decreasing_from + 2 (Fibonacci's zero start is the
+        # one that needs two).  scan_limit=2 makes a miss fail at once.
+        source, env = _ADAPTERS[name].build(data.draw(ADAPTER_DOMAINS[name]))
+        with pytest.raises(_FirstBound) as stop:
+            solve(source, env, scan_limit=2, on_step=_stop_at_first_bound)
+        assert stop.value.args[0] <= env.mono.decreasing_from + 2
 
 
 def mask_elapsed(out: str) -> str:
@@ -443,15 +496,6 @@ class TestTableCommand:
         assert code == 2
         assert out == ""
 
-    def test_scan_limit_is_not_read(self, capsys, monkeypatch):
-        # Every row gets a finite bound at k = 0 (u_0 = 1, both envelopes
-        # vanish at 0), so no scan limit could act on a table row.
-        monkeypatch.delenv(SCAN_LIMIT_ENV, raising=False)
-        unset = run(capsys, "table", "--lambdas", "0.5")
-        monkeypatch.setenv(SCAN_LIMIT_ENV, "abc")
-        assert run(capsys, "table", "--lambdas", "0.5") == unset
-        assert unset[0] == 0
-
 
 class TestValidateCommand:
     def test_factorial_clean(self, capsys):
@@ -533,46 +577,27 @@ class TestValidateCommand:
         assert json.loads(out)["clean"] is True
 
 
-class TestScanLimitEnv:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(SCAN_LIMIT_ENV, raising=False)
-        assert scan_limit_from_env() == 10_000_000
-
-    def test_override(self, monkeypatch):
-        monkeypatch.setenv(SCAN_LIMIT_ENV, "1234")
-        assert scan_limit_from_env() == 1234
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(SCAN_LIMIT_ENV, "zero")
-        with pytest.raises(SystemExit):
-            scan_limit_from_env()
-
-    def test_syracuse_ignores_scan_limit(self, capsys, monkeypatch):
-        # Syracuse scans no envelope, so a limit it never uses cannot fail it.
-        monkeypatch.setenv(SCAN_LIMIT_ENV, "abc")
-        code, out, _ = run(capsys, "solve", "syracuse", "--n0", "27")
-        assert code == 0
-        assert json.loads(out)["excursion"]["max"] == 4616
-        with pytest.raises(SystemExit, match="is not a positive integer"):
-            main(["solve", "factorial", "--a", "5"])
-
-    def test_zero_is_rejected(self, monkeypatch):
-        # A string exit code: the interpreter prints it and exits with status 1.
-        monkeypatch.setenv(SCAN_LIMIT_ENV, "0")
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "factorial", "--a", "3"])
-        assert "is not a positive integer" in exc.value.code
-
-    def test_each_main_call_parses_afresh(self, capsys, monkeypatch):
+class TestArgvOnly:
+    def test_scan_limit_variable_is_not_read(self, capsys, monkeypatch):
+        # The zero start gets its first finite bound at index 2, the latest
+        # of any adapter, so a limit of 1 would end it in NoUsefulIndex.
         argv = ["solve", "fibonacci", "--u0", "0", "--u1", "1"]
-        monkeypatch.setenv(SCAN_LIMIT_ENV, "1")
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "") and "NoUsefulIndex" in err
+        monkeypatch.delenv("PEAKSEQ_SCAN_LIMIT", raising=False)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        for value in ("1", "abc"):
+            monkeypatch.setenv("PEAKSEQ_SCAN_LIMIT", value)
+            again, out_again, _ = run(capsys, *argv)
+            assert (again, mask_elapsed(out_again)) == (code, mask_elapsed(out))
+
+    def test_each_main_call_parses_afresh(self, capsys):
+        code, out, err = run(capsys, "solve", "fibonacci", "--u0", "1", "--u1", "1")
+        assert (code, out) == (2, "") and "need u1/u0 > phi" in err
+        argv = ["solve", "fibonacci", "--u0", "0", "--u1", "1"]
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--bogus"])
         assert exc.value.code == 1
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
-        monkeypatch.delenv(SCAN_LIMIT_ENV)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         report = json.loads(out)

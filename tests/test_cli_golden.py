@@ -12,16 +12,14 @@ an intended output change, rewrite the file and review its diff:
 import contextlib
 import functools
 import io
-import os
 import re
 import shlex
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from peakseq.cli import SCAN_LIMIT_ENV, main
+from peakseq.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.txt"
 PROMPT = "$ peakseq "
@@ -116,9 +114,7 @@ def mask_elapsed(out: str) -> str:
 def outcome(command: str) -> str:
     """The golden block of one command: prompt, exit code and masked stdout."""
     out = io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(io.StringIO()):
-        os.environ.pop(SCAN_LIMIT_ENV, None)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = main(shlex.split(command))
         except SystemExit as exc:

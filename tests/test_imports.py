@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 private top-level or class-body name is used somewhere in the package,
-the package imports nothing from outside the standard library, and its
-syntax parses at the oldest Python that pyproject.toml declares.
+every public re-export has a caller, the package imports nothing from
+outside the standard library, and its syntax parses at the oldest Python
+that pyproject.toml declares.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -156,3 +157,39 @@ def test_detects_unreferenced_private_name():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+# Where a public name counts as called: the package, the benchmark harness,
+# and the acceptance gate with the property suite it imports.
+CALLERS = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")),
+           ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "test_properties.py"]
+
+
+def uncalled_exports(exports: list[str], sources: list[str]) -> list[str]:
+    """Each of ``exports`` that no top-level statement of ``sources`` reads,
+    as a bare name or an attribute, other than the one that defines it.  An
+    import alone is not a read."""
+    read = set()
+    for text in sources:
+        for stmt in ast.parse(text).body:
+            nodes = list(ast.walk(stmt))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            read |= names - set(_defined(stmt))
+    return sorted(set(exports) - read)
+
+
+def test_detects_export_without_caller():
+    sources = [
+        "def solve():\n    return solve()\n\nclass Tie:\n    pass\n\ndef helper():\n    return Tie()\n",
+        "import pkg\npkg.helper()\n",
+        "from pkg import solve, Tie\n",
+    ]
+    assert uncalled_exports(["Tie", "helper", "solve"], sources) == ["solve"]
+
+
+def test_every_export_has_a_caller():
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exports = [alias.asname or alias.name for node in init.body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert uncalled_exports(exports, [p.read_text() for p in CALLERS]) == []

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_power_norms, reference_product, reference_row_norm_bounds
+from helpers import (
+    exact_a_lambda_beta,
+    reference_power_norms,
+    reference_product,
+    reference_row_norm_bounds,
+)
 from peakseq import (
     Envelope,
     Monotonicity,
@@ -584,3 +589,38 @@ class TestTableRun:
         objs = rows_to_json_obj(table_run([0.5]))
         assert objs[0]["k_s"] == 1
         assert set(objs[0]) == {"lambda", "k_s", "max_norm_sq", "f_floor"}
+
+
+def exact_floor(lam: float, q: float, u: float, slope: float) -> int:
+    """floor(log(u / slope) / log beta) with the exact beta of the float certificate."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return math.floor((Decimal(u) / Decimal(slope)).ln() / exact_a_lambda_beta(lam, q).ln())
+
+
+class TestExactFloor:
+    """f_floor against the bound that the float certificate gives in exact arithmetic."""
+
+    @pytest.mark.parametrize("generic", [False, True], ids=["closed", "generic"])
+    def test_table_rows_match_the_exact_floor(self, generic):
+        for row in table_run(TABLE_LAMBDAS, generic=generic):
+            system = a_lambda_problem(row.lam, 2, None, generic)[0]
+            q = system.p.rows[-1][-1]
+            assert row.f_floor == exact_floor(row.lam, q, row.max_norm_sq, system.slope), row.lam
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 13: the float beta lies below the exact one, so near the q "
+        "threshold f_floor is 61,341,144 where the exact bound is 61,341,145.09"))
+    def test_near_threshold_floor_is_below_the_exact_bound(self):
+        lam, q = 0.999, 250252.69012696118
+        generic = table_run([lam], q=q, generic=True)[0]
+        # The closed-form row's constant-envelope scan is about 61 M terms, so
+        # its floor is taken at the known last maximizer k_s = 999 directly.
+        system = a_lambda_problem(lam, 2, q)[0]
+        u = a_lambda_norm_sq_closed(lam, 999)
+        closed = argmax_bound(999, u, system.const_env).floor()
+        assert generic.k_s == 999
+        assert [generic.f_floor, closed] == [
+            exact_floor(lam, q, generic.max_norm_sq, system.slope),
+            exact_floor(lam, q, u, system.slope),
+        ]
