@@ -47,8 +47,7 @@ def affine_fn(a: float, c: float) -> EnvelopeFn:
         raise PreconditionViolated(f"affine scale must be positive and finite, got {a!r}")
     if c == 0.0 and type(a) is float:
         # x -> a*x through the float's own methods, without two closures:
-        # families built per index (the factorial and linear-system ones)
-        # make one of these for every index they scan.
+        # a line_family makes one of these for every index it scans.
         return EnvelopeFn(a.__mul__, a.__rtruediv__, 0.0, a, a)
     if not math.isfinite(c):
         raise PreconditionViolated(f"affine offset must be finite, got {c!r}")
@@ -57,6 +56,19 @@ def affine_fn(a: float, c: float) -> EnvelopeFn:
         inverse=lambda y: (y - c) / a,
         lo=c,
         hi=a + c,
+    )
+
+
+def line_family(slope, beta: float, decreasing_from: int = 0) -> Envelope:
+    """h_k(t) = slope(k) * t with ratio beta, decreasing from ``decreasing_from``.
+
+    A slope of exactly 0.0 (an underflowed scale) becomes the least subnormal,
+    so h_k stays strictly increasing; a negative, NaN or infinite one raises
+    :class:`PreconditionViolated` in :func:`affine_fn`."""
+    return Envelope(
+        h=lambda k: affine_fn(slope(k) or math.ulp(0.0), 0.0),
+        beta=lambda k: beta,
+        mono=Monotonicity(decreasing_from),
     )
 
 
@@ -234,7 +246,7 @@ class AffineParams:
     def constant_envelope(self) -> Envelope:
         """The constant envelope (x -> a*x + c, beta = b) induced by the certificate."""
         fn = affine_fn(self.a, self.c)
-        return Envelope(h=lambda k: fn, beta=lambda k: self.b, mono=Monotonicity.constant())
+        return Envelope(h=lambda k: fn, beta=lambda k: self.b, mono=Monotonicity(constant_from=0))
 
 
 def optimal_affine_certificate(

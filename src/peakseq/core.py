@@ -201,22 +201,6 @@ class Monotonicity:
         if self.constant_from is not None and self.constant_from < self.decreasing_from:
             raise PreconditionViolated("constant_from must be >= decreasing_from")
 
-    @classmethod
-    def constant(cls) -> "Monotonicity":
-        return cls(0, 0)
-
-    @classmethod
-    def decreasing(cls) -> "Monotonicity":
-        return cls(0, None)
-
-    @classmethod
-    def eventually_decreasing(cls, m: int) -> "Monotonicity":
-        return cls(m, None)
-
-    @classmethod
-    def eventually_constant(cls, m: int, c: int) -> "Monotonicity":
-        return cls(m, c)
-
 
 @dataclass(frozen=True)
 class Envelope:

@@ -28,7 +28,6 @@ from operator import mul
 
 from .core import (
     Envelope,
-    Monotonicity,
     PeakSolution,
     PeakseqError,
     PreconditionViolated,
@@ -39,7 +38,7 @@ from .core import (
     solve,
     truncation_from,
 )
-from .algebra import AffineParams, affine_fn
+from .algebra import AffineParams, line_family
 
 JACOBI_SWEEPS = 60
 OFF_DIAG_TARGET = 1e-13
@@ -334,7 +333,7 @@ class LinearSystem:
 
         h_k(t) = (w_k / beta^k) * t,  w_k = tr((A^k)^T P A^k) / lmin(P),
 
-    with beta_k = beta and ``Monotonicity.decreasing()``.  It
+    with beta_k = beta, decreasing from 0 (``algebra.line_family``).  It
     holds because ||A^k||_2^2 <= w_k = h_k(beta^k), and it decreases
     because A^T P A <= beta P gives w_{k+1} <= beta * w_k, so it follows the
     actual decay of A^k rather than the worst case the certificate allows.
@@ -404,12 +403,8 @@ class LinearSystem:
 
     @cached_property
     def env(self) -> Envelope:
-        state, beta = self._state, self.beta
-        return Envelope(
-            h=lambda k: affine_fn(math.exp(state(k)[3]), 0.0),
-            beta=lambda k: beta,
-            mono=Monotonicity.decreasing(),
-        )
+        state = self._state
+        return line_family(lambda k: math.exp(state(k)[3]), self.beta)
 
 
 # --- the lambda*Id + U benchmark family ---------------------------------

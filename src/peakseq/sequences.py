@@ -6,7 +6,7 @@ of consecutive terms of generalized Fibonacci sequences, logistic iterations
 with r < 1, and the accelerated Syracuse iteration (terms only; the only
 envelope statement available there is conjecture-equivalent, so it is
 exposed as a finite-horizon checker).  Every bundled envelope is affine:
-the factorial's tight family is one ``affine_fn`` per index, and each
+the factorial's tight family is an ``algebra.line_family``, and each
 constant envelope is an ``AffineParams`` certificate's.  The recurrences
 (factorial, Fibonacci, logistic, Syracuse) step their terms forward from the
 last index asked for, so an in-order scan pays one step per term.
@@ -18,11 +18,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import AffineParams, affine_fn
+from .algebra import AffineParams, line_family
 from .core import (
     Envelope,
-    EnvelopeFn,
-    Monotonicity,
     PeakSolution,
     PeakseqError,
     PreconditionViolated,
@@ -106,11 +104,7 @@ class FactorialRatioAdapter:
         self.beta = a / (a + 1)
         self.source = TermSource(eval=_PowOverFactorial(a).term, description=f"a^n/n!, a={a}")
         self._slope = _PowOverFactorial(a + 1).term
-        self.seq_env = Envelope(
-            h=self._seq_fn,
-            beta=lambda n: self.beta,
-            mono=Monotonicity.eventually_decreasing(a),
-        )
+        self.seq_env = line_family(self._slope, self.beta, a)
 
     @cached_property
     def const_env(self) -> Envelope:
@@ -129,10 +123,6 @@ class FactorialRatioAdapter:
         if name not in ("sequence", "constant"):
             raise PreconditionViolated(f"unknown envelope choice {name!r}")
         return self.seq_env if name == "sequence" else self.const_env
-
-    def _seq_fn(self, n: int) -> EnvelopeFn:
-        # Clamped where the exact slope underflows, so lo < hi still holds.
-        return affine_fn(max(self._slope(n), math.ulp(0.0)), 0.0)
 
 
 def factorial_solve(a: int, envelope: str = "sequence", tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:

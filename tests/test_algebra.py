@@ -22,7 +22,7 @@ from peakseq import (
     solve,
     validate_envelope,
 )
-from peakseq.algebra import EmptyFamily, InvalidBracket, OutOfRange, _max_fn, _min_fn
+from peakseq.algebra import EmptyFamily, InvalidBracket, OutOfRange, _max_fn, _min_fn, line_family
 from peakseq.core import Envelope, EnvelopeFn
 from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter
 
@@ -75,6 +75,47 @@ class TestAffineFn:
     def test_round_trip_everywhere(self, a, c, x):
         fn = affine_fn(a, c)
         assert abs(fn.inverse(fn.eval(x)) - x) <= 1e-10
+
+
+class TestLineFamily:
+    """line_family(slope, beta, m) is the family built by hand from one
+    affine_fn(slope(k), 0.0) per index, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0.01, 1.0)), min_size=1, max_size=20),
+           st.floats(0.05, 0.95), st.integers(0, 5))
+    def test_matches_the_hand_built_family(self, draws, beta, m):
+        # Unsorted slopes make a family that is not decreasing: validation
+        # then has findings to compare, and the scan still ends.
+        n = len(draws)
+        m = min(m, n - 1)
+        slopes = [s for s, _ in draws]
+        terms = [s * beta**k * f for k, (s, f) in enumerate(draws)]
+
+        def slope(k):
+            return slopes[min(k, n - 1)]
+
+        source = TermSource(eval=lambda k: terms[k] if k < n else 0.0)
+        family = line_family(slope, beta, m)
+        by_hand = Envelope(h=lambda k: affine_fn(slope(k), 0.0), beta=lambda k: beta, mono=Monotonicity(m))
+        assert family.mono == by_hand.mono
+        for tie in Tie:
+            runs = []
+            for env in (family, by_hand):
+                steps = []
+                sol = solve(source, env, tie=tie, on_step=lambda *step: steps.append(step))
+                runs.append((sol, sol.sup_value.hex(), steps))
+            assert runs[0] == runs[1]
+        assert validate_envelope(source, family, n + 2) == validate_envelope(source, by_hand, n + 2)
+
+    def test_zero_slope_is_the_least_subnormal(self):
+        fn = line_family(lambda k: 0.0, 0.5).h(3)
+        assert fn.slope == fn.eval(1.0) == math.ulp(0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_negative_or_non_finite_slope_raises(self, bad):
+        with pytest.raises(PreconditionViolated):
+            line_family(lambda k: bad, 0.5).h(0)
 
 
 class TestInvertNumeric:
@@ -136,7 +177,7 @@ def test_round_trip_across_bundled_envelope_functions():
 
 
 def _const_env(fn, beta):
-    return Envelope(h=lambda k: fn, beta=lambda k: beta, mono=Monotonicity.constant())
+    return Envelope(h=lambda k: fn, beta=lambda k: beta, mono=Monotonicity(constant_from=0))
 
 
 class TestEnvMin:
@@ -211,7 +252,7 @@ class TestPromoteToDecreasing:
 
     def test_constant_start_inside_the_prefix_moves_past_it(self):
         e = Envelope(h=lambda k: affine_fn(1.0, 0.0), beta=lambda k: 0.5,
-                     mono=Monotonicity.eventually_constant(2, 2))
+                     mono=Monotonicity(2, 2))
         assert promote_to_decreasing(e).mono == Monotonicity(0, 3)
 
     def test_membership_preserved(self):

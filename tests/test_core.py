@@ -43,7 +43,7 @@ from helpers import (
 
 
 def constant_env(fn, beta):
-    return Envelope(h=lambda k: fn, beta=lambda k: beta, mono=Monotonicity.constant())
+    return Envelope(h=lambda k: fn, beta=lambda k: beta, mono=Monotonicity(constant_from=0))
 
 
 class TestEnvelopeFn:
@@ -158,13 +158,13 @@ def one_family_per_class():
     # and larger ratios before c = 3.
     stepped = Envelope(h=lambda k: affine_fn(8.0 + max(0, 3 - k), 0.0),
                        beta=lambda k: 0.9 + 0.01 * max(0, 3 - k),
-                       mono=Monotonicity.eventually_constant(0, 3))
+                       mono=Monotonicity(0, 3))
     term = lambda k: (k + 1) * 0.8**k
     return {
         "constant": (fact.source.eval, fact.const_env),
         "eventually constant": (term, stepped),
         "decreasing": (system.source.eval, system.env),
-        "eventually decreasing": (term, Envelope(stepped.h, stepped.beta, Monotonicity.eventually_decreasing(2))),
+        "eventually decreasing": (term, Envelope(stepped.h, stepped.beta, Monotonicity(2))),
     }
 
 
@@ -231,7 +231,7 @@ class TestSolve:
                 return affine_fn(1.0, 20.0)
             return affine_fn(1.0, 0.5)
 
-        env = Envelope(h=fn, beta=lambda k: 0.8, mono=Monotonicity.decreasing())
+        env = Envelope(h=fn, beta=lambda k: 0.8, mono=Monotonicity())
         sol = solve(src, env)
         assert sol.sup_value == 10.0
         assert sol.argmax_min == 1
@@ -266,7 +266,7 @@ class TestSolve:
         env = Envelope(
             h=lambda k: big if k == 0 else tail,
             beta=lambda k: 0.8,
-            mono=Monotonicity.eventually_constant(1, 1),
+            mono=Monotonicity(1, 1),
         )
         sol = solve(TermSource(eval=term, description="early peak"), env, scan_limit=1000)
         assert sol.sup_value == 10.0
@@ -284,7 +284,7 @@ class TestSolve:
         term = lambda k: 10.0 if k == 0 else 0.0
         fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
         env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
-                       mono=Monotonicity.eventually_constant(1, 1))
+                       mono=Monotonicity(1, 1))
         sol = solve(TermSource(eval=term), env)
         assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (10.0, 0, 1)
         for tie in Tie:
@@ -300,7 +300,7 @@ class TestSolve:
         env = Envelope(
             h=lambda k: head if k < 3 else tail,
             beta=lambda k: 0.9,
-            mono=Monotonicity.eventually_constant(3, 3),
+            mono=Monotonicity(3, 3),
         )
         assert solve(src, env).argmax_min == 0
         assert solve(src, env, tie=Tie.MAX_ARGMAX).argmax_min == 2
@@ -323,7 +323,7 @@ class TestSolve:
     def test_non_finite_term_before_decreasing_from_raises(self, bad):
         # The prefix below decreasing_from only compares terms.
         env = Envelope(h=lambda k: affine_fn(1.0, 0.0), beta=lambda k: 0.5,
-                       mono=Monotonicity.eventually_decreasing(5))
+                       mono=Monotonicity(5))
         with pytest.raises(PreconditionViolated, match=re.escape(f"k=3: u_k={bad!r}")):
             solve(bad_at_3(bad), env)
 
@@ -479,7 +479,7 @@ def screened_sequences(draw):
     h(t) = 2t with beta = 0.5^(1/n), constant or declared decreasing."""
     n = draw(st.integers(1, 30))
     term, upper, lower = listed_terms(draw, n, 0.5)
-    mono = draw(st.sampled_from([Monotonicity.constant(), Monotonicity.decreasing()]))
+    mono = draw(st.sampled_from([Monotonicity(constant_from=0), Monotonicity()]))
     env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5 ** (1.0 / n), mono=mono)
     return term, upper, lower, env
 
@@ -525,7 +525,7 @@ def decreasing_families(draw):
     def beta(k):
         return base + (1.0 - base) * (0.99 if k < m and bumps[k] > 1.5 else fast / (k + 2))
 
-    env = Envelope(h=held(draw, h), beta=held(draw, beta), mono=Monotonicity.eventually_decreasing(m))
+    env = Envelope(h=held(draw, h), beta=held(draw, beta), mono=Monotonicity(m))
     combine = draw(st.sampled_from(["plain", "promote", "env_min"]))
     if combine == "promote":
         env = promote_to_decreasing(env)
@@ -582,7 +582,7 @@ def eventually_constant_families(draw):
     def beta(k):
         return base if k >= c else held_beta(k)
 
-    env = Envelope(h=h, beta=beta, mono=Monotonicity.eventually_constant(m, c))
+    env = Envelope(h=h, beta=beta, mono=Monotonicity(m, c))
     return term, upper, lower, env, n
 
 
@@ -746,7 +746,7 @@ class TestNonConstantScan:
         src = TermSource(eval=lambda k: 10.0 if k == 0 else 2.0 * 0.8**k)
         fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
         env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
-                       mono=Monotonicity.eventually_decreasing(1))
+                       mono=Monotonicity(1))
         bounds = []
         sol = solve(src, env, on_step=lambda k, u, b, K: bounds.append(b))
         assert (sol.sup_value, sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (10.0, 0, 1, 2)
@@ -768,14 +768,14 @@ class TestNonConstantScan:
         fn = EnvelopeFn(eval=lambda t: 2.0 * t * (1.0 + 1e-11), inverse=lambda y: y / 2.0, lo=0.0, hi=2.0)
         terms = [0.5, 0.6, 0.7, fn.eval(b**3)]
         src = TermSource(eval=lambda k: terms[k] if k < 4 else 0.0)
-        sol = solve(src, Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity.constant()))
+        sol = solve(src, Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity(constant_from=0)))
         assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (3, 3, 4)
 
     def test_membership_is_checked_on_every_evaluated_term(self):
         # The bound is needed only at k = 0 and at the end; u_3 breaks h_3(beta^3).
         src = TermSource(eval=lambda k: 5.0 if k == 3 else 0.5**k)
         env = Envelope(h=lambda k: affine_fn(1.0 + 1.0 / (k + 1), 0.0), beta=lambda k: 0.99,
-                       mono=Monotonicity.decreasing())
+                       mono=Monotonicity())
         with pytest.raises(EnvelopeViolation) as err:
             solve(src, env)
         assert err.value.k == 3
@@ -834,7 +834,7 @@ class TestConstantTail:
         # 11 - 5e-9 and floors to 10: the scan ends at 10, not 11.
         b = 0.999
         fn = EnvelopeFn(eval=lambda t: 2.0 * t * (1.0 + 1e-11), inverse=lambda y: y / 2.0, lo=0.0, hi=2.0)
-        env = Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity.constant())
+        env = Envelope(h=lambda k: fn, beta=lambda k: b, mono=Monotonicity(constant_from=0))
         top = fn.eval(b**10 * b) * (1.0 - 5e-12)
         src = TermSource(eval=lambda k: top / 2 if k == 0 else top if k == 1 else top / 4)
         sol = solve(src, env)
@@ -849,7 +849,7 @@ class TestConstantTail:
         term = lambda k: 10.0 if k < 2 else 2.0 * 0.8**k
         fns = (affine_fn(1.0, 12.0), affine_fn(4.0, 0.5))
         env = Envelope(h=lambda k: fns[k >= 1], beta=lambda k: 0.8,
-                       mono=Monotonicity.eventually_constant(1, 1))
+                       mono=Monotonicity(1, 1))
         for up in (None, term):
             with pytest.raises(EnvelopeViolation) as err:
                 solve(TermSource(eval=term, upper=up), env, tie=tie)
@@ -863,7 +863,7 @@ class TestConstantTail:
         values = [0.1, 0.05, 0.05, 0.2 if rises else 0.05]
         src = TermSource(eval=lambda k: values[k] if k < 4 else 0.05)
         env = Envelope(h=lambda k: affine_fn(4.0, 0.01), beta=lambda k: 0.5 if k < 2 else 1.5,
-                       mono=Monotonicity.eventually_constant(0, 2))
+                       mono=Monotonicity(0, 2))
         with pytest.raises(PreconditionViolated, match="at k=2 "):
             solve(src, env)
 
@@ -910,7 +910,7 @@ class TestCarry:
         # h(t) = t throughout, beta 0.9 before k = 3 and 0.5 from it: the
         # certificate at 3 is 0.5^3 = 0.125, not 0.9^3 = 0.729.
         fn = affine_fn(1.0, 0.0)
-        env = Envelope(h=lambda k: fn, beta=lambda k: 0.9 if k < 3 else 0.5, mono=Monotonicity.decreasing())
+        env = Envelope(h=lambda k: fn, beta=lambda k: 0.9 if k < 3 else 0.5, mono=Monotonicity())
         self.check(lambda k: (0.5, 0.6, 0.7, u_3)[k] if k < 4 else 0.0, env, violates)
 
     @pytest.mark.parametrize("u_3, violates", [(0.7, True), (0.5, False)])
@@ -919,7 +919,7 @@ class TestCarry:
         # certificate at 3 is 0.8^3 = 0.512, not 2 * 0.8^3 = 1.024.
         fns = (affine_fn(2.0, 0.0), affine_fn(1.0, 0.0))
         env = Envelope(h=lambda k: fns[k >= 3], beta=lambda k: 0.8,
-                       mono=Monotonicity.eventually_constant(0, 3))
+                       mono=Monotonicity(0, 3))
         self.check(lambda k: (0.5, 0.6, 0.7, u_3)[k] if k < 4 else 0.0, env, violates)
 
     @staticmethod
@@ -1010,7 +1010,7 @@ class TestLookAhead:
         env = Envelope(h=lambda k: affine_fn(2.0, 0.0), beta=lambda k: 0.5 ** (1.0 / 6), mono=mono)
         return source, env, calls
 
-    @pytest.mark.parametrize("mono", [Monotonicity.constant(), Monotonicity.decreasing()])
+    @pytest.mark.parametrize("mono", [Monotonicity(constant_from=0), Monotonicity()])
     def test_rising_terms_are_skipped(self, mono):
         source, env, calls = self.rising(mono)
         sol = solve(source, env)
@@ -1019,7 +1019,7 @@ class TestLookAhead:
         assert calls["eval"][:2] == [0, 3]
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("mono", [Monotonicity.constant(), Monotonicity.decreasing()])
+    @pytest.mark.parametrize("mono", [Monotonicity(constant_from=0), Monotonicity()])
     def test_non_finite_lower_screens_nothing(self, bad, mono):
         source, env, calls = self.rising(mono, lower=lambda k: bad)
         sol = solve(source, env)
@@ -1029,7 +1029,7 @@ class TestLookAhead:
         assert calls["eval"] == upper_calls["eval"]
         assert calls["eval"][:4] == [0, 1, 2, 3]
 
-    @pytest.mark.parametrize("mono", [Monotonicity.constant(), Monotonicity.decreasing()])
+    @pytest.mark.parametrize("mono", [Monotonicity(constant_from=0), Monotonicity()])
     def test_no_look_past_a_bound_that_ends_the_scan(self, mono):
         # K = 3 from u_0; u_1 = 0.9 sets K = 1 in either mode.  Its upper
         # bound reaches h(beta^2) = 0.5, so lower(2) is never read.
@@ -1048,7 +1048,7 @@ class TestLookAhead:
         term, lowered = self.listed([1.0, 1.0 - 9.5e-10, 0.5]), []
         source = TermSource(eval=term, upper=term, lower=recorded(lowered, term))
         fns = (affine_fn(4.0, 0.0), affine_fn(4.0 * (1.0 - 9e-10), 0.0))
-        env = Envelope(h=lambda k: fns[min(k, 1)], beta=lambda k: 0.5, mono=Monotonicity.decreasing())
+        env = Envelope(h=lambda k: fns[min(k, 1)], beta=lambda k: 0.5, mono=Monotonicity())
         sol = solve(source, env)
         assert (sol.argmax_min, sol.truncation_index, sol.terms_evaluated) == (0, 1, 2)
         assert lowered == []
@@ -1201,7 +1201,7 @@ class TestNaNCertificate:
         everywhere, with beta = 0.5."""
         fn = EnvelopeFn(eval=lambda x: math.nan, inverse=lambda y: 0.999, lo=0.0, hi=1.0)
         source = TermSource(eval=lambda k: 3.0 if k == 5 else 0.5**k)
-        return source, Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity.decreasing())
+        return source, Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity())
 
     def test_solve_raises(self):
         source, env = self.nan_family()
@@ -1259,7 +1259,7 @@ class TestNaNCertificate:
             env = env_min([constant_env(fn, 0.9) for fn in fns])
         else:
             env = promote_to_decreasing(Envelope(h=lambda k: fns[min(k, 1)], beta=lambda k: 0.9,
-                                                 mono=Monotonicity.eventually_decreasing(1)))
+                                                 mono=Monotonicity(1)))
         with pytest.raises(PreconditionViolated, match=re.escape("h_k^-1(0.5) at k=0 is nan")):
             argmax_bound(0, 0.5, env)
 
@@ -1272,14 +1272,14 @@ class TestNaNCertificate:
         # h_1(0.25) = NaN: h_1 is not below h_0 there, nor h_2 below h_1.
         fns = {1: self.nan_at_a_quarter()}
         env = Envelope(h=lambda k: fns.get(k, affine_fn(1.0, 0.0)), beta=lambda k: 0.5,
-                       mono=Monotonicity.decreasing())
+                       mono=Monotonicity())
         findings = validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 5)
         assert [(f.k, f.kind) for f in findings] == [(1, "h-decrease"), (2, "h-decrease")]
 
     def test_nan_sample_fails_both_grid_checks(self):
         nan_fn, identity = self.nan_at_a_quarter(), affine_fn(1.0, 0.0)
         env = Envelope(h=lambda k: nan_fn if k >= 1 else identity, beta=lambda k: 0.5,
-                       mono=Monotonicity.eventually_constant(0, 1))
+                       mono=Monotonicity(0, 1))
         findings = validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 5)
         assert [(f.k, f.kind) for f in findings] == [
             (1, "h-decrease"), (1, "h-constant"),
@@ -1328,7 +1328,7 @@ class TestValidateEnvelope:
 
     def test_misdeclared_decrease_is_caught(self):
         ad = FactorialRatioAdapter(4)
-        eager = Envelope(h=ad.seq_env.h, beta=ad.seq_env.beta, mono=Monotonicity.decreasing())
+        eager = Envelope(h=ad.seq_env.h, beta=ad.seq_env.beta, mono=Monotonicity())
         kinds = {f.kind for f in validate_envelope(ad.source, eager, 20)}
         assert "h-decrease" in kinds
 
@@ -1343,7 +1343,7 @@ class TestValidateEnvelope:
         assert got == [(2, "beta-range"), (4, "beta-range")]
 
     def test_beta_decrease(self):
-        got = self.findings([1.0] * 5, [0.5, 0.5, 0.6, 0.55, 0.7], Monotonicity.decreasing())
+        got = self.findings([1.0] * 5, [0.5, 0.5, 0.6, 0.55, 0.7], Monotonicity())
         assert got == [(2, "beta-decrease"), (4, "beta-decrease")]
 
     def test_beta_constant(self):
@@ -1397,7 +1397,7 @@ class TestValidateEnvelope:
         # below, beyond the roundoff slack); k = 2 sits 1 ulp low, within it.
         terms = [1.0, 0.9, 0.8, 0.7, 0.6]
         uppers = [1.0, 0.5, math.nextafter(0.8, 0.0), 0.7 * (1 - 1e-9), 0.6]
-        source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity.constant(), terms)
+        source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity(constant_from=0), terms)
         low = TermSource(eval=source.eval, upper=lambda k: uppers[k])
         findings = validate_envelope(low, env, 4)
         assert [(f.k, f.kind) for f in findings] == [(1, "upper"), (3, "upper")]
@@ -1409,7 +1409,7 @@ class TestValidateEnvelope:
         # infinite); k = 2 sits 1 ulp high, within it.
         terms = [1.0, 0.9, 0.8, 0.7, 0.6]
         lowers = [1.0, 1.5, math.nextafter(0.8, 1.0), 0.7 * (1 + 1e-9), math.inf]
-        source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity.constant(), terms)
+        source, env = listed_family([2.0] * 5, [0.9] * 5, Monotonicity(constant_from=0), terms)
         high = TermSource(eval=source.eval, lower=lambda k: lowers[k])
         findings = validate_envelope(high, env, 4)
         assert [(f.k, f.kind) for f in findings] == [(1, "lower"), (3, "lower"), (4, "lower")]
@@ -1439,7 +1439,7 @@ class TestValidateEnvelope:
         ls = linsys.LinearSystem(a, p)
         beta = 0.99 * ls.beta
         env = Envelope(h=lambda k: affine_fn(ls.env.h(k).hi / 0.99**k, 0.0), beta=lambda k: beta,
-                       mono=Monotonicity.decreasing())
+                       mono=Monotonicity())
         findings = validate_envelope(ls.source, env, 20)
         assert findings and {f.kind for f in findings} <= {"membership", "h-decrease"}
 
@@ -1517,7 +1517,7 @@ def shared_nan_family():
     ys = list(_SAMPLE_GRID)
     ys[5] = math.nan
     fn = table_fn(ys)
-    env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity.constant())
+    env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity(constant_from=0))
     return TermSource(eval=lambda k: 0.5**k), env, 5
 
 
@@ -1543,21 +1543,21 @@ class TestGridRules:
     def test_equal_minus_infinities_do_not_rise(self, shared):
         fn = self.minus_inf_at_zero()
         env = Envelope(h=lambda k: fn if shared else self.minus_inf_at_zero(), beta=lambda k: 0.5,
-                       mono=Monotonicity.decreasing())
+                       mono=Monotonicity())
         assert validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 20) == []
 
     def test_minus_infinity_passes_the_slack_loop(self):
         # h_k rises by 1e-15 relative at every index: within the slack, but
         # not exactly, so every index goes through the per-sample loop.
         env = Envelope(h=lambda k: self.minus_inf_at_zero(k * 1e-15), beta=lambda k: 0.5,
-                       mono=Monotonicity.decreasing())
+                       mono=Monotonicity())
         assert validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 20) == []
 
     def test_infinity_turned_finite_breaks_constancy(self):
         top = EnvelopeFn(eval=lambda x: math.inf if x == 1.0 else 4.0 * x,
                          inverse=lambda y: y / 4.0, lo=0.0, hi=math.inf)
         env = Envelope(h=lambda k: top if k < 2 else affine_fn(4.0, 0.0), beta=lambda k: 0.5,
-                       mono=Monotonicity.eventually_constant(0, 1))
+                       mono=Monotonicity(0, 1))
         findings = validate_envelope(TermSource(eval=lambda k: 0.5**k), env, 4)
         assert [(f.k, f.kind) for f in findings] == [(k, "h-constant") for k in (2, 3, 4)]
         assert findings[0].detail == "h_2(1.0) = 4.0 != h_c(1.0) = inf"
@@ -1587,5 +1587,5 @@ def test_monotonicity_validation():
     for bad in ((2.5, None), (0, 2.0), (1.0, None)):
         with pytest.raises(PreconditionViolated, match="must be ints"):
             Monotonicity(*bad)
-    assert Monotonicity.constant().constant_from == 0
-    assert Monotonicity.decreasing().decreasing_from == 0
+    assert Monotonicity(constant_from=0).constant_from == 0
+    assert Monotonicity().decreasing_from == 0

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private top-level or class-body name is used somewhere in the package,
-every public re-export has a caller, the package imports nothing from
-outside the standard library, and its syntax parses at the oldest Python
-that pyproject.toml declares.
+every public re-export has a caller, only ``algebra`` builds an
+``Envelope``, the package imports nothing from outside the standard
+library, and its syntax parses at the oldest Python that pyproject.toml
+declares.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -157,6 +158,33 @@ def test_detects_unreferenced_private_name():
 
 def test_no_unreferenced_private_names():
     assert unreferenced_private_names({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def envelope_builders(sources: dict[str, str]) -> list[str]:
+    """Each module that calls ``Envelope(...)``, by bare name or as an attribute."""
+    builders = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "Envelope" or getattr(func, "attr", None) == "Envelope":
+                    builders.add(module)
+    return sorted(builders)
+
+
+def test_detects_envelope_built_outside_algebra():
+    sources = {
+        "a": "from .core import Envelope\nENV = Envelope(h=f, beta=g, mono=m)\n",
+        "b": "from . import core\n\ndef f():\n    return core.Envelope(h, b, m)\n",
+        "c": "from .core import Envelope\n\ndef g(env: Envelope) -> Envelope:\n    return env.h\n",
+    }
+    assert envelope_builders(sources) == ["a", "b"]
+
+
+def test_only_algebra_builds_envelopes():
+    # Every bundled family comes from algebra's constructors:
+    # AffineParams.constant_envelope, line_family and the combinators.
+    assert envelope_builders({p.stem: p.read_text() for p in MODULES}) == ["algebra"]
 
 
 # Where a public name counts as called: the package, the benchmark harness,

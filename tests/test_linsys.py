@@ -317,7 +317,7 @@ class TestKernelChecks:
     def test_solve_raises_on_overflow(self, rows):
         # A scale far above every finite term keeps the scan going into the overflow.
         fn = affine_fn(1e300, 0.0)
-        env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity.constant())
+        env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity(constant_from=0))
         with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
             solve(power_norm_source(Matrix.from_rows(rows)), env)
 
@@ -467,7 +467,7 @@ class TestLinearSystem:
         lo, hi = sym_eig_bounds(p)
         assert (system.p, system.lambda_min, system.lambda_max) == (p, lo, hi)
         assert (system.beta, system.slope) == (op_norm_sq(a, p), hi / lo)
-        assert system.const_env.mono == env.mono == Monotonicity.constant()
+        assert system.const_env.mono == env.mono == Monotonicity(constant_from=0)
         for k in (0, 7, 300):
             assert system.const_env.beta(k) == env.beta(k)
             assert system.const_env.h(k).eval(0.5) == env.h(k).eval(0.5)
@@ -477,7 +477,7 @@ class TestLinearSystem:
         a, p = SYSTEMS[name]()
         system = LinearSystem(a, p)
         beta = system.beta
-        assert system.env.mono == Monotonicity.decreasing()
+        assert system.env.mono == Monotonicity()
         scales = []
         for k in range(0, 400, 7):
             fn = system.env.h(k)
@@ -610,17 +610,24 @@ class TestExactFloor:
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP item 13: the float beta lies below the exact one, so near the q "
-        "threshold f_floor is 61,341,144 where the exact bound is 61,341,145.09"))
-    def test_near_threshold_floor_is_below_the_exact_bound(self):
-        lam, q = 0.999, 250252.69012696118
-        generic = table_run([lam], q=q, generic=True)[0]
-        # The closed-form row's constant-envelope scan is about 61 M terms, so
-        # its floor is taken at the known last maximizer k_s = 999 directly.
+        "threshold f_floor is 61,341,144 where the exact bound is 61,341,145.09 "
+        "(lambda = 0.999), and 12,273,831,870 where it is 12,273,838,765.06 "
+        "(lambda = 0.99995)"))
+    @pytest.mark.parametrize("lam, q, k_s, scanned", [
+        (0.999, 250252.69012696118, 999, True),
+        # q = 1.000001 * q_threshold(0.99995); closed form only, not scanned.
+        (0.99995, 100005100.19249806, 19_999, False),
+    ], ids=["0.999", "0.99995"])
+    def test_near_threshold_floor_is_below_the_exact_bound(self, lam, q, k_s, scanned):
+        # The closed-form rows' constant-envelope scans are about 61 M and
+        # 12 G terms, so their floor is taken at the known last maximizer.
         system = a_lambda_problem(lam, 2, q)[0]
-        u = a_lambda_norm_sq_closed(lam, 999)
-        closed = argmax_bound(999, u, system.const_env).floor()
-        assert generic.k_s == 999
-        assert [generic.f_floor, closed] == [
-            exact_floor(lam, q, generic.max_norm_sq, system.slope),
-            exact_floor(lam, q, u, system.slope),
-        ]
+        u = a_lambda_norm_sq_closed(lam, k_s)
+        floors = [argmax_bound(k_s, u, system.const_env).floor()]
+        exact = [exact_floor(lam, q, u, system.slope)]
+        if scanned:
+            generic = table_run([lam], q=q, generic=True)[0]
+            assert generic.k_s == k_s
+            floors.append(generic.f_floor)
+            exact.append(exact_floor(lam, q, generic.max_norm_sq, system.slope))
+        assert floors == exact

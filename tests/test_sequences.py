@@ -246,7 +246,7 @@ class TestLogistic:
 
     def test_affine_constant_family(self):
         env = LogisticAdapter(0.7, 0.4).env
-        assert env.mono == Monotonicity.constant()
+        assert env.mono == Monotonicity(constant_from=0)
         assert env.h(5) is env.h(0)
         assert env.h(0).eval(1.0) == 0.4 and env.beta(7) == 0.7
 
