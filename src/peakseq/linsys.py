@@ -14,7 +14,11 @@ of A^k, so the scan stops sooner.
 
 The module carries its own small dense kernel (multiplication, Cholesky,
 cyclic Jacobi eigenvalues) sized for the d <= ~50 matrices this problem
-meets; no external numerical library is involved.  The benchmark family
+meets; no external numerical library is involved.  Every matrix product
+runs one unrolled row-product kernel, generated from d alone and compiled
+once per d on first use, with the right factor's entries bound once: the
+power walks bind A once and step A^k = A^(k-1) A with no transpose or
+per-entry call.  The benchmark family
 lambda*Id + U (single 1 in the top-right corner) has closed forms for all
 quantities and drives the golden tests.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 
 from .core import (
@@ -94,16 +98,59 @@ class Matrix:
         return cls.from_rows([[vals[i] if i == j else 0.0 for j in range(d)] for i in range(d)])
 
 
-def _product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
-    """Row-tuple product; each entry sums its d products in index order."""
-    cols = list(zip(*b_rows))
-    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols) for ra in a_rows)
+@cache
+def _kernel(d: int):
+    """The unrolled d x d row product, compiled once per d.
+
+    It returns ``bind``: ``bind(b_rows)`` takes B's d^2 entries once, as
+    default arguments (fast locals), and returns ``times_b``, which maps the
+    d row tuples of M to those of M B.  Entry (i, j) is written out as
+
+        0.0 + m_i0*b_0j + m_i1*b_1j + ... + m_i(d-1)*b_(d-1)j,
+
+    added left to right, so its d products are rounded and summed in index
+    order from 0.0.  That is how ``sum`` adds floats on CPython up to 3.11,
+    so there every entry keeps the bits of ``sum(map(mul, row, col))``.
+    From 3.12 on ``sum`` compensates its rounding errors and may differ in
+    the last bits; this kernel does not.  A product that overflows gives
+    inf, and inf * 0.0 gives nan, as in that sum; nothing raises here.
+    Only the loop over M's rows is not unrolled, so the source has d^2
+    products and compiles in time and memory of that order.
+    """
+    b = [[f"b{i}_{j}" for j in range(d)] for i in range(d)]
+    x = [f"x{k}" for k in range(d)]
+    entries = (" + ".join(["0.0"] + [f"{x[k]}*{b[k][j]}" for k in range(d)]) for j in range(d))
+    source = "\n".join([
+        "def bind(b):",
+        f"    {', '.join('(' + ', '.join(r) + ',)' for r in b)}, = b",
+        f"    def times_b(m, {', '.join(f'{n}={n}' for r in b for n in r)}):",
+        "        out = []",
+        f"        for {', '.join(x)}, in m:",
+        f"            out.append(({', '.join(entries)},))",
+        "        return tuple(out)",
+        "    return times_b",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<linsys product kernel, d={d}>", "exec"), namespace)
+    return namespace["bind"]
+
+
+def _times(b_rows):
+    """M -> M B for row tuples, with B's entries bound once into the kernel
+    of its size; bind a factor that multiplies many matrices once."""
+    return _kernel(len(b_rows))(b_rows)
+
+
+def _product(a_rows, times_b) -> tuple[tuple[float, ...], ...]:
+    """The row tuples of A B, for A's rows and ``times_b = _times(B's rows)``:
+    the one entry point of every product in this module."""
+    return times_b(a_rows)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if b.dim != a.dim:
         raise PreconditionViolated("dimension mismatch")
-    return Matrix(_product(a.rows, b.rows))
+    return Matrix(_product(a.rows, _times(b.rows)))
 
 
 def mat_pow(a: Matrix, k: int) -> Matrix:
@@ -114,11 +161,12 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     result = Matrix.identity(a.dim).rows
     base = a.rows
     while k:
+        times_base = _times(base)
         if k & 1:
-            result = _product(result, base)
+            result = _product(result, times_base)
         k >>= 1
         if k:
-            base = _product(base, base)
+            base = _product(base, times_base)
     return Matrix(result)
 
 
@@ -217,7 +265,7 @@ def _congruence(a: Matrix, p: Matrix, rejection: PeakseqError):
     lower = cholesky_lower(p)
     if lower is None:
         raise rejection
-    return lower, _product(zip(*a.rows), _product(p.rows, a.rows))
+    return lower, _product(zip(*a.rows), _times(_product(p.rows, _times(a.rows))))
 
 
 def _whitened_top(lower: list[list[float]], m) -> float:
@@ -277,8 +325,8 @@ def power_norm_source(a: Matrix) -> TermSource:
     the power.  ``LinearSystem(a, p).source`` is the same walk with the
     bounds that let :func:`solve` skip terms.
     """
-    rows = a.rows
-    power = _cursor(Matrix.identity(a.dim).rows, lambda m: _product(m, rows))
+    times_a = _times(a.rows)
+    power = _cursor(Matrix.identity(a.dim).rows, lambda m: _product(m, times_a))
     return TermSource(
         eval=lambda k: _norm_sq(power(k)) if k else 1.0,
         description=f"||A^k||_2^2, d={a.dim}",
@@ -308,7 +356,7 @@ def _anchor(p: Matrix, lmin: float):
         weights = tuple(p.rows[i][i] / lmin for i in range(d))
         return lambda power, norms: sum(map(mul, weights, norms))
     return lambda power, norms: sum(
-        sum(map(mul, r, s)) for r, s in zip(power, _product(p.rows, power))
+        sum(map(mul, r, s)) for r, s in zip(power, _product(p.rows, _times(power)))
     ) / lmin
 
 
@@ -376,7 +424,7 @@ class LinearSystem:
 
         Built on first use, so a caller of ``const_env`` alone holds none of it.
         """
-        rows, log_beta = self.a.rows, math.log(self.beta)
+        times_a, log_beta = _times(self.a.rows), math.log(self.beta)
         anchor = _anchor(self.p, self.lambda_min)
 
         def at(k: int, power, log_scale: float):
@@ -388,7 +436,7 @@ class LinearSystem:
 
         return _cursor(
             at(0, Matrix.identity(self.a.dim).rows, math.inf),
-            lambda s: at(s[0] + 1, _product(s[1], rows), s[3]),
+            lambda s: at(s[0] + 1, _product(s[1], times_a), s[3]),
         )
 
     @cached_property

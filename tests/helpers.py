@@ -215,6 +215,22 @@ def useful_indices(case: Case) -> list[int]:
     ]
 
 
+def fold_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
+    """A B with each entry folded left to right from 0.0, the order the
+    linsys product kernel adds in on every Python version:
+    0.0 + a_i0*b_0j + a_i1*b_1j + ... + a_i(d-1)*b_(d-1)j."""
+    out = []
+    for row in a_rows:
+        entries = []
+        for j in range(len(b_rows)):
+            acc = 0.0
+            for k, x in enumerate(row):
+                acc += x * b_rows[k][j]
+            entries.append(acc)
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def reference_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
     """The row product as first written: each entry sums a generator of x * y."""
     cols = list(zip(*b_rows))
@@ -224,14 +240,15 @@ def reference_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
 def reference_power_norms(m: linsys.Matrix, n: int) -> list[float]:
     """||A^k||_2^2 for k = 0..n through the full-Gram kernel.
 
-    A^k steps from the identity by reference_product, and each Gram goes
-    whole into a Matrix and through the public sym_eig_bounds, so the
+    A^k steps from the identity by fold_product.  Each Gram is summed by
+    reference_product, with ``sum`` as the kernel sums its half Gram, and
+    goes whole into a Matrix and through the public sym_eig_bounds, so the
     check, the symmetry test and the copy all run per term.
     """
     power = linsys.Matrix.identity(m.dim).rows
     terms = [1.0]
     for _ in range(n):
-        power = reference_product(power, m.rows)
+        power = fold_product(power, m.rows)
         gram = linsys.Matrix(reference_product(zip(*power), power))
         terms.append(linsys.sym_eig_bounds(gram)[1])
     return terms
@@ -243,7 +260,7 @@ def reference_row_norm_bounds(m: linsys.Matrix, n: int) -> list[tuple[float, flo
     power = linsys.Matrix.identity(m.dim).rows
     bounds = [(1.0, 1.0)]
     for _ in range(n):
-        power = reference_product(power, m.rows)
+        power = fold_product(power, m.rows)
         norms = [sum(x * x for x in row) for row in power]
         bounds.append((sum(norms), max(norms)))
     return bounds

@@ -430,8 +430,9 @@ def stable_systems(draw, isometric=False):
     t = [[1.0 if i == j else draw(st.floats(-3.0, 3.0)) if j > i else 0.0 for j in range(d)]
          for i in range(d)]
     t_inv = _unit_upper_inverse(t)
-    a = linsys.Matrix(linsys._product(linsys._product(t, b), t_inv))
-    p = linsys.Matrix(linsys._product(list(zip(*t_inv)), t_inv))
+    times_t_inv = linsys._times(t_inv)
+    a = linsys.Matrix(linsys._product(linsys._product(t, linsys._times(b)), times_t_inv))
+    p = linsys.Matrix(linsys._product(list(zip(*t_inv)), times_t_inv))
     try:
         linsys.LinearSystem(a, p)
     except linsys.NotLyapunov:
@@ -630,7 +631,7 @@ class TestScreening:
         # ||A||_F^2 rounds one ulp below the exact term u_1 = 1 = u_0.
         a = linsys.Matrix.from_rows([[0.4981285086581059, 0.5432202367190563],
                                      [-0.4567797632809437, -0.498128508658106]])
-        ata = linsys._product(list(zip(*a.rows)), a.rows)
+        ata = linsys._product(list(zip(*a.rows)), linsys._times(a.rows))
         p = linsys.Matrix.from_rows([[(i == j) + ata[i][j] for j in range(2)] for i in range(2)])
         ls = linsys.LinearSystem(a, p)
         source = ls.source

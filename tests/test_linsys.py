@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     exact_a_lambda_beta,
+    fold_product,
     reference_power_norms,
-    reference_product,
     reference_row_norm_bounds,
 )
 from peakseq import (
@@ -56,6 +56,7 @@ from peakseq.linsys import (
     sym_eig_bounds,
     table_run,
     _product,
+    _times,
 )
 
 
@@ -294,7 +295,7 @@ class TestKernelChecks:
     def test_mat_mul_is_the_checked_row_product(self):
         a = Matrix.from_rows([[0.5, -1.0], [2.0, 0.25]])
         b = Matrix.from_rows([[3.0, 0.1], [-0.7, 1.5]])
-        assert mat_mul(a, b).rows == _product(a.rows, b.rows)
+        assert mat_mul(a, b).rows == _product(a.rows, _times(b.rows))
         with pytest.raises(PreconditionViolated, match="dimension mismatch"):
             mat_mul(Matrix.identity(2), Matrix.identity(3))
 
@@ -340,14 +341,22 @@ class TestKernelChecks:
         assert counts == [counts[0]] * 4
 
 
-def square_rows(d):
-    entry = st.floats(min_value=-1.0, max_value=1.0)
+def square_rows(d, entry=st.floats(min_value=-1.0, max_value=1.0)):
     return st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
 
 
+# Entries whose products overflow, and signed zeros as often as the rest.
+WIDE_ENTRY = st.floats(min_value=-1e200, max_value=1e200) | st.sampled_from([0.0, -0.0])
+
+
+def hex_rows(rows) -> list[list[str]]:
+    return [[x.hex() for x in r] for r in rows]
+
+
 class TestKernelMatchesReference:
-    """The lean kernel (map-based products, half Gram, direct Jacobi) returns
-    the same bits as the full-Gram reference in tests/helpers.py."""
+    """The lean kernel (the unrolled row product compiled once per d, half
+    Gram, direct Jacobi) returns the same bits as the left-to-right fold and
+    the full-Gram reference in tests/helpers.py."""
 
     @given(st.integers(min_value=1, max_value=6).flatmap(square_rows))
     @settings(max_examples=60, deadline=None)
@@ -357,12 +366,16 @@ class TestKernelMatchesReference:
         got = [source.eval(k).hex() for k in range(61)]
         assert got == [x.hex() for x in reference_power_norms(m, 60)]
 
-    @given(st.integers(min_value=1, max_value=6).flatmap(
-        lambda d: st.tuples(square_rows(d), square_rows(d))))
+    @given(st.integers(min_value=1, max_value=12).flatmap(
+        lambda d: st.tuples(*[square_rows(d, WIDE_ENTRY)] * 3)))
     @settings(max_examples=60, deadline=None)
-    def test_product(self, pair):
-        a, b = (Matrix.from_rows(rows).rows for rows in pair)
-        assert _product(a, b) == reference_product(a, b)
+    def test_product(self, triple):
+        # A product of entries near 1e200 overflows to +-inf, and those
+        # entries times C's zeros give nan, as in the fold; -0.0 sums to 0.0.
+        a, b, c = (tuple(map(tuple, rows)) for rows in triple)
+        ab = _product(a, _times(b))
+        assert hex_rows(ab) == hex_rows(fold_product(a, b))
+        assert hex_rows(_product(ab, _times(c))) == hex_rows(fold_product(ab, c))
 
     def test_public_eigensolve_still_checks_symmetry(self):
         with pytest.raises(NotSymmetric):
@@ -430,14 +443,14 @@ def similar_system():
     """A = T B T^-1 with P = T^-T T^-1: a certificate with off-diagonal entries."""
     t, t_inv = ((1.0, 2.0), (0.0, 1.0)), ((1.0, -2.0), (0.0, 1.0))
     b = ((0.6, 0.3), (-0.2, 0.5))
-    a = Matrix(_product(_product(t, b), t_inv))
-    return a, Matrix(_product(tuple(zip(*t_inv)), t_inv))
+    a = Matrix(_product(_product(t, _times(b)), _times(t_inv)))
+    return a, Matrix(_product(tuple(zip(*t_inv)), _times(t_inv)))
 
 
 def reference_anchor(a, p, k):
     """w_k = tr((A^k)^T P A^k) / lmin(P) through mat_pow and the public eigensolve."""
     m = mat_pow(a, k).rows
-    pm = _product(p.rows, m)
+    pm = _product(p.rows, _times(m))
     trace = sum(x * y for rm, rp in zip(m, pm) for x, y in zip(rm, rp))
     return trace / sym_eig_bounds(p)[0]
 
