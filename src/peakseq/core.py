@@ -491,37 +491,47 @@ _SAMPLE_GRID = tuple(i / 16.0 for i in range(17))
 def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[EnvelopeFinding]:
     """Check envelope membership and monotonicity metadata on [0, horizon].
 
-    One in-order pass: u_k, h_k and beta_k are evaluated once per index, and
-    from decreasing_from on h_k is sampled on the grid once per distinct
-    function object (``EnvelopeFn.eval`` is pure, so a family that hands back
-    the same object at every index is sampled once).  A source with an
-    ``upper`` or ``lower`` bound also has it checked against a finite u_k
-    (kinds ``upper`` and ``lower``; a NaN bound fails, and so does a
-    ``lower`` of +inf).  A non-finite u_k, or a NaN h_k(beta_k^k), is a
-    ``membership`` finding.  A grid sample passes ``h-decrease`` when it is
-    at most its predecessor, exactly or within the roundoff slack, so equal
-    infinities pass; it passes ``h-constant`` when it equals h_c's sample,
-    or both are finite and within the slack, so an infinity on one side
-    only fails.  A NaN sample fails both.  Returns every finding in index
-    order (empty list when clean).  A clean result proves nothing beyond the horizon.
+    One in-order pass over k = 0..horizon, for any horizon >= 0 (horizon 0
+    checks index 0 alone, with no pair checks): u_k, h_k and beta_k are
+    evaluated once per index, and from decreasing_from on h_k is sampled on
+    the grid once per distinct function object (``EnvelopeFn.eval`` is
+    pure, so a family that hands back the same object at every index is
+    sampled once).  The grid checks compare an object's samples with
+    themselves only where that can fail, i.e. where they hold a NaN.  A
+    source with an ``upper`` or ``lower`` bound also has it checked against
+    a finite u_k (kinds ``upper`` and ``lower``; a NaN bound fails, and so
+    does a ``lower`` of +inf).  A non-finite u_k, or a NaN h_k(beta_k^k), is
+    a ``membership`` finding.  Membership and both bounds are compared
+    exactly before the roundoff slack.  A grid sample passes ``h-decrease``
+    when it is at most its predecessor, exactly or within the slack, so
+    equal infinities pass; it passes ``h-constant`` when it equals h_c's
+    sample, or both are finite and within the slack, so an infinity on one
+    side only fails.  A NaN sample fails both.  Returns every finding in
+    index order (empty list when clean).  A clean result proves nothing
+    beyond the horizon.
     """
-    if horizon < 1:
-        raise PreconditionViolated("horizon must be >= 1")
+    if horizon < 0:
+        raise PreconditionViolated("horizon must be >= 0")
     findings: list[EnvelopeFinding] = []
+    term, upper, lower = source.eval, source.upper, source.lower
+    h, beta = env.h, env.beta
     m = env.mono.decreasing_from
     c = env.mono.constant_from
     # (beta, samples) of index k-1 when it is due a decrease check, and of c.
     prev = base = None
-    # The function object sampled last and its grid samples.
+    # The function object sampled last, its grid samples and whether they
+    # hold a NaN, the one sample that fails a comparison with itself.
     sampled = ys = None
+    nan = False
     for k in range(horizon + 1):
-        u_k = source.eval(k)
-        fn = env.h(k)
-        b = env.beta(k)
+        u_k = term(k)
+        fn = h(k)
+        b = beta(k)
         if k >= m and fn is not sampled:
             # A list: CPython parks up to 2000 freed 17-tuples built by
             # tuple(genexpr) on its free list, which tracemalloc counts as held.
             sampled, ys = fn, [fn.eval(x) for x in _SAMPLE_GRID]
+            nan = any(map(math.isnan, ys))
         if k == c:
             base = (b, ys)
         if prev is not None:
@@ -529,7 +539,7 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
             if b > prev_b + 1e-12:
                 findings.append(EnvelopeFinding(k, "beta-decrease", f"beta rises {prev_b!r} -> {b!r}"))
             # Exact first; the slack only decides samples that rose.
-            if not all(map(le, ys, prev_ys)):
+            if (ys is not prev_ys or nan) and not all(map(le, ys, prev_ys)):
                 for x, lhs, rhs in zip(_SAMPLE_GRID, ys, prev_ys):
                     if not (lhs <= rhs or lhs <= rhs + MEMBERSHIP_RTOL * max(1.0, abs(rhs))):
                         findings.append(
@@ -538,14 +548,14 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
                         break
         prev = None
         finite = math.isfinite(u_k)
-        if source.upper is not None and finite:
-            up = source.upper(k)
-            if exceeds_certificate(u_k, up):
+        if upper is not None and finite:
+            up = upper(k)
+            if not u_k <= up and exceeds_certificate(u_k, up):
                 findings.append(EnvelopeFinding(k, "upper", f"u_k={u_k!r} > upper(k)={up!r}"))
-        if source.lower is not None and finite:
-            lo = source.lower(k)
+        if lower is not None and finite:
+            lo = lower(k)
             # The slack scales with |lo|, so +inf would pass it.
-            if lo == math.inf or exceeds_certificate(lo, u_k):
+            if not lo <= u_k and (lo == math.inf or exceeds_certificate(lo, u_k)):
                 findings.append(EnvelopeFinding(k, "lower", f"u_k={u_k!r} < lower(k)={lo!r}"))
         if not 0.0 < b < 1.0:
             findings.append(EnvelopeFinding(k, "beta-range", f"beta_k={b!r} not in (0,1)"))
@@ -553,7 +563,7 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
         cert = fn.eval(b**k)
         if not finite:
             findings.append(EnvelopeFinding(k, "membership", f"u_k={u_k!r} is not finite"))
-        elif exceeds_certificate(u_k, cert):
+        elif not u_k <= cert and exceeds_certificate(u_k, cert):
             findings.append(
                 EnvelopeFinding(k, "membership", f"u_k={u_k!r} > h_k(beta_k^k)={cert!r}")
             )
@@ -566,7 +576,7 @@ def validate_envelope(source: TermSource, env: Envelope, horizon: int) -> list[E
                     EnvelopeFinding(k, "beta-constant", f"beta_k={b!r} != beta_c={base_b!r}")
                 )
             # operator.eq, not list ==: list equality calls a shared NaN equal.
-            if not all(map(eq, ys, base_ys)):
+            if (ys is not base_ys or nan) and not all(map(eq, ys, base_ys)):
                 for x, lhs, rhs in zip(_SAMPLE_GRID, ys, base_ys):
                     if not (lhs == rhs or math.isfinite(rhs)
                             and abs(lhs - rhs) <= MEMBERSHIP_RTOL * max(1.0, abs(rhs))):

@@ -510,6 +510,21 @@ class TestValidateCommand:
         assert code == 0
         assert json.loads(out)["clean"] is True
 
+    def test_horizon_zero_is_clean(self, capsys):
+        code, out, err = run(capsys, "validate", "factorial", "--a", "3", "--horizon", "0")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["clean"], report["horizon"], report["finding_count"]) == (True, 0, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["factorial", "--a", "3"],
+        ["syracuse", "--n0", "7", "--a", "50", "--b", "0.9", "--c", "5"],
+    ], ids=["factorial", "syracuse"])
+    def test_negative_horizon_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, "validate", *argv, "--horizon", "-1")
+        assert (code, out) == (2, "")
+        assert "horizon must be >= 0" in err
+
     def test_collatz_consistent(self, capsys):
         code, out, _ = run(
             capsys, "validate", "syracuse",

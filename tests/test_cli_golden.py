@@ -53,6 +53,7 @@ GRID = [
     "validate factorial --a 20 --envelope constant --horizon 50",
     "validate linsys --lam 0.9 --generic --horizon 200",
     "validate fibonacci --u0 0 --u1 1 --horizon 40",
+    "validate factorial --a 3 --horizon 0",
     "table",
     "table --generic",
     "table --format csv",

@@ -28,7 +28,13 @@ from peakseq import (
 from peakseq.algebra import AffineParams, affine_fn, env_min, promote_to_decreasing
 from peakseq import algebra, core
 from peakseq.core import _SAMPLE_GRID
-from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter, SyracuseAdapter
+from peakseq.sequences import (
+    PHI,
+    FactorialRatioAdapter,
+    FibonacciRatioAdapter,
+    SyracuseAdapter,
+    collatz_envelope_check,
+)
 from peakseq import linsys
 
 from helpers import (
@@ -1333,6 +1339,23 @@ class TestValidateEnvelope:
         kinds = {f.kind for f in validate_envelope(ad.source, eager, 20)}
         assert "h-decrease" in kinds
 
+    def test_horizon_zero_checks_index_zero_alone(self):
+        source, env = listed_family([2.0, 1.0], [0.5, 1.5], Monotonicity(0, 0), [1.0, 9.0])
+        assert validate_envelope(source, env, 0) == []
+        source, env = listed_family([2.0], [0.5], Monotonicity(0, 0), [3.0])
+        findings = validate_envelope(source, env, 0)
+        assert [(f.k, f.kind, f.detail) for f in findings] == [
+            (0, "membership", "u_k=3.0 > h_k(beta_k^k)=2.0")
+        ]
+
+    @pytest.mark.parametrize("check", [
+        lambda h: validate_envelope(*listed_family([2.0], [0.5], Monotonicity()), h),
+        lambda h: collatz_envelope_check(7, 50.0, 0.9, 5.0, h),
+    ], ids=["validate_envelope", "collatz_envelope_check"])
+    def test_negative_horizon_is_rejected(self, check):
+        with pytest.raises(PreconditionViolated, match=r"^horizon must be >= 0$"):
+            check(-1)
+
     # Hand-built families, one per finding kind, pin the exact (k, kind) list.
     def findings(self, scales, betas, mono, terms=None):
         source, env = listed_family(scales, betas, mono, terms)
@@ -1512,14 +1535,19 @@ def grid_families(draw):
     return source, Envelope(h=h, beta=lambda k: betas[k], mono=Monotonicity(m, c)), horizon
 
 
-def shared_nan_family():
+def shared_family(ys, mono, betas=(0.5,) * 6, table=table_fn):
+    """(source, envelope, horizon 5): one shared table(ys) at every index,
+    beta_k = betas[k] and u_k = 0.5^k."""
+    fn = table(ys)
+    return TermSource(eval=lambda k: 0.5**k), Envelope(h=lambda k: fn, beta=lambda k: betas[k], mono=mono), 5
+
+
+def shared_nan_family(table=table_fn):
     """A constant family whose one shared function is NaN at x = 0.3125, no
     power of beta = 0.5: every index must fail both grid checks there."""
     ys = list(_SAMPLE_GRID)
     ys[5] = math.nan
-    fn = table_fn(ys)
-    env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity(constant_from=0))
-    return TermSource(eval=lambda k: 0.5**k), env, 5
+    return shared_family(ys, Monotonicity(constant_from=0), table=table)
 
 
 class TestGridRules:
@@ -1529,10 +1557,59 @@ class TestGridRules:
     @settings(max_examples=400, deadline=None)
     @given(grid_families())
     @example(shared_nan_family())
+    # The corners of the skip for an unchanged grid: a NaN across
+    # constant_from, a beta out of range that resets the decrease check,
+    # infinite samples, and a first sampled index with no predecessor.
+    @example(shared_family([1.0] * 8 + [math.nan] + [1.0] * 8, Monotonicity(1, 3)))
+    @example(shared_family([1.0] * 17, Monotonicity(0, 4), betas=(0.5, 0.5, 1.5, 0.5, 0.5, 0.5)))
+    @example(shared_family([-math.inf] + [1.0] * 15 + [math.inf], Monotonicity(0, 2)))
+    @example(shared_family([2.0] * 17, Monotonicity(2, 3)))
     def test_matches_the_reference(self, family):
         source, env, horizon = family
         got = [(f.k, f.kind, f.detail) for f in validate_envelope(source, env, horizon)]
         assert got == reference_findings(source, env, horizon)
+
+    def test_unchanged_grid_is_compared_only_for_nan(self):
+        index = [None]
+        compared = set()  # the indices at which a grid sample took part in <= or ==
+
+        class Logged(float):
+            def __le__(self, other):
+                compared.add(index[0])
+                return float.__le__(self, other)
+
+            def __eq__(self, other):
+                compared.add(index[0])
+                return float.__eq__(self, other)
+
+            __hash__ = float.__hash__
+
+        def logged_fn(ys):
+            return table_fn([Logged(y) for y in ys])
+
+        def run(env, horizon):
+            """validate_envelope's findings for u_k = 0.5^k, and the indices
+            at which a grid sample was compared."""
+            def term(k):
+                index[0] = k
+                return 0.5**k
+            compared.clear()
+            got = [(f.k, f.kind, f.detail) for f in validate_envelope(TermSource(eval=term), env, horizon)]
+            return got, set(compared)
+
+        ys = [2.0 * x for x in _SAMPLE_GRID]
+        fn = logged_fn(ys)
+        shared = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity(constant_from=0))
+        assert run(shared, 30) == ([], set())
+
+        source, env, horizon = shared_nan_family(logged_fn)
+        got, at = run(env, horizon)
+        assert at == set(range(horizon + 1))
+        assert got == reference_findings(source, env, horizon)
+
+        # Equal samples from a fresh object: compared wherever the list is new.
+        fresh = Envelope(h=lambda k: logged_fn(ys), beta=lambda k: 0.5, mono=Monotonicity(constant_from=0))
+        assert run(fresh, 30) == ([], set(range(1, 31)))
 
     @staticmethod
     def minus_inf_at_zero(rise=0.0):
