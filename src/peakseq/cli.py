@@ -138,9 +138,7 @@ _TABLE_FLAGS = [
     ("lambdas", ("--lambdas", "--lambda"),
      {"type": _lambda_list, "default": linsys.TABLE_LAMBDAS,
       "help": "comma-separated lambda values (default: the 8 benchmark values)"}),
-    ("d", ("--d",), {"type": int, "default": 2}),
-    ("q", ("--q",), {"type": float, "default": None}),
-    ("generic", ("--generic",), {"action": "store_true"}),
+    *_ADAPTERS["linsys"].params[1:],  # --d, --q, --generic
     ("format", ("--format",), {"choices": ["json", "csv"], "default": "json"}),
 ]
 
@@ -260,9 +258,11 @@ def _run_solve(args, argv: list[str]) -> int:
 def _run_table(args, argv: list[str]) -> int:
     rows = linsys.table_run(args.lambdas, d=args.d, q=args.q, generic=args.generic)
     if args.format == "csv":
-        sys.stdout.write(linsys.rows_to_csv(rows))
+        print("lambda,k_s,max_norm_sq,f_floor",
+              *(f"{r.lam:.6g},{r.k_s},{r.max_norm_sq:.6g},{r.f_floor}" for r in rows), sep="\n")
     else:
-        print(_dumps(linsys.rows_to_json_obj(rows)))
+        print(_dumps([{"lambda": r.lam, "k_s": r.k_s, "max_norm_sq": r.max_norm_sq, "f_floor": r.f_floor}
+                      for r in rows]))
     return EXIT_OK
 
 

@@ -401,6 +401,8 @@ def solve(
     no information.  It only observes: traced or not, the scan evaluates
     the same terms, and (k, bound, K) is that of a source without bounds.
     """
+    if not isinstance(tie, Tie):
+        raise PreconditionViolated(f"tie must be a Tie member, got {tie!r}")
     m = env.mono.decreasing_from
     c = env.mono.constant_from
     max_tie = tie is Tie.MAX_ARGMAX

@@ -18,9 +18,12 @@ meets; no external numerical library is involved.  Every matrix product
 runs one unrolled row-product kernel, generated from d alone and compiled
 once per d on first use, with the right factor's entries bound once: the
 power walks bind A once and step A^k = A^(k-1) A with no transpose or
-per-entry call.  The benchmark family
-lambda*Id + U (single 1 in the top-right corner) has closed forms for all
-quantities and drives the golden tests.
+per-entry call.  Other sums (each term's half Gram, row norms, the anchor,
+Cholesky, whitening, Jacobi's norms) use the built-in ``sum``, which
+compensates from Python 3.12 on: a dense A's beta and terms differ in the
+last bits between 3.11 and 3.12.  The benchmark family lambda*Id + U (single
+1 in the top-right corner) keeps its bits on 3.10 to 3.13, has closed forms
+for all quantities and drives the golden tests.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from operator import mul
 
 from .core import (
     Envelope,
-    PeakSolution,
     PeakseqError,
     PreconditionViolated,
     TermSource,
@@ -109,11 +111,9 @@ def _kernel(d: int):
         0.0 + m_i0*b_0j + m_i1*b_1j + ... + m_i(d-1)*b_(d-1)j,
 
     added left to right, so its d products are rounded and summed in index
-    order from 0.0.  That is how ``sum`` adds floats on CPython up to 3.11,
-    so there every entry keeps the bits of ``sum(map(mul, row, col))``.
-    From 3.12 on ``sum`` compensates its rounding errors and may differ in
-    the last bits; this kernel does not.  A product that overflows gives
-    inf, and inf * 0.0 gives nan, as in that sum; nothing raises here.
+    order from 0.0, as ``sum(map(mul, row, col))`` does before Python 3.12.
+    A product that overflows gives inf, and inf * 0.0 gives nan, as in that
+    sum; nothing raises here.
     Only the loop over M's rows is not unrolled, so the source has d^2
     products and compiles in time and memory of that order.
     """
@@ -334,7 +334,7 @@ def power_norm_source(a: Matrix) -> TermSource:
 
 
 def _row_norms(rows) -> tuple[float, ...]:
-    """Squared Euclidean norms of the rows, each summed in index order."""
+    """Squared Euclidean norms of the rows, each added with the built-in ``sum``."""
     return tuple(sum(map(mul, r, r)) for r in rows)
 
 
@@ -543,7 +543,7 @@ def table_run(lambdas, d: int = 2, q: float | None = None, generic: bool = False
         if not 0.0 < lam < 1.0:
             raise PreconditionViolated(f"lambda={lam!r} must lie in (0, 1)")
         system, source, env = a_lambda_problem(lam, d, q, generic)
-        sol: PeakSolution = solve(source, env, tie=Tie.MAX_ARGMAX)
+        sol = solve(source, env, tie=Tie.MAX_ARGMAX)
         if generic:
             # The scan's cursor is past k_s, and under the max-argmax rule
             # sup_value is u_(k_s) to the bit, so no power is stepped again.
@@ -553,17 +553,3 @@ def table_run(lambdas, d: int = 2, q: float | None = None, generic: bool = False
         rows.append(TableRow(lam=lam, k_s=sol.argmax_min, max_norm_sq=sol.sup_value, f_floor=f_floor))
     return rows
 
-
-def rows_to_csv(rows: list[TableRow]) -> str:
-    """CSV with the fixed header lambda,k_s,max_norm_sq,f_floor (6 significant digits)."""
-    lines = ["lambda,k_s,max_norm_sq,f_floor"]
-    for r in rows:
-        lines.append(f"{r.lam:.6g},{r.k_s},{r.max_norm_sq:.6g},{r.f_floor}")
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json_obj(rows: list[TableRow]) -> list[dict]:
-    return [
-        {"lambda": r.lam, "k_s": r.k_s, "max_norm_sq": r.max_norm_sq, "f_floor": r.f_floor}
-        for r in rows
-    ]

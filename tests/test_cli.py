@@ -449,6 +449,25 @@ class TestTableCommand:
         assert lines[0] == "lambda,k_s,max_norm_sq,f_floor"
         assert lines[1] == "0.5,1,1.45711,2"
 
+    def test_csv_shape(self, capsys):
+        code, out, _ = run(capsys, "table", "--lambdas", "0.5,0.75", "--format", "csv")
+        assert code == 0
+        assert out == "lambda,k_s,max_norm_sq,f_floor\n0.5,1,1.45711,2\n0.75,3,3.19369,7\n"
+
+    def test_json_keys(self, capsys):
+        code, out, _ = run(capsys, "table", "--lambdas", "0.5")
+        assert code == 0
+        (row,) = json.loads(out)
+        assert list(row) == ["lambda", "k_s", "max_norm_sq", "f_floor"]
+        assert row["k_s"] == 1
+
+    def test_help_takes_the_linsys_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert "--generic " in out and "use the generic matrix-power kernel" in out
+
     def test_singular_lambda_alias(self, capsys):
         code, out, _ = run(capsys, "table", "--lambda", "0.5")
         assert code == 0

@@ -7,17 +7,20 @@ the code only, whether ``main`` returns it or raises ``SystemExit``.  After
 an intended output change, rewrite the file and review its diff:
 
     PYTHONPATH=src python tests/test_cli_golden.py --regen
+
+``--check`` in place of ``--regen`` compares instead of writing: it prints
+a diff of every mismatch and exits 1 if there is one.  Neither mode needs
+pytest, so any interpreter with the package on its path can run them.
 """
 
 import contextlib
+import difflib
 import functools
 import io
 import re
 import shlex
 import sys
 from pathlib import Path
-
-import pytest
 
 from peakseq.cli import main
 
@@ -134,12 +137,30 @@ def test_grid_matches_golden_commands():
     assert list(read_golden()) == GRID
 
 
-@pytest.mark.parametrize("command", GRID)
+def pytest_generate_tests(metafunc):
+    # A hook, not the parametrize mark, so that the script runs without pytest.
+    if "command" in metafunc.fixturenames:
+        metafunc.parametrize("command", GRID)
+
+
 def test_golden(command):
     assert outcome(command) == read_golden()[command]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        raise SystemExit(f"usage: python {sys.argv[0]} --regen")
-    GOLDEN.write_text("".join(outcome(command) for command in GRID))
+    if sys.argv[1:] not in (["--regen"], ["--check"]):
+        raise SystemExit(f"usage: python {sys.argv[0]} --regen | --check")
+    got = {command: outcome(command) for command in GRID}
+    text = "".join(got.values())
+    if sys.argv[1] == "--regen":
+        GOLDEN.write_text(text)
+    else:
+        # The whole file is compared, so a missing, extra or reordered entry fails too.
+        diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(True), text.splitlines(True),
+                                         GOLDEN.name, "now"))
+        sys.stdout.writelines(diff)
+        golden = read_golden()
+        bad = sum(golden.get(command) != block for command, block in got.items())
+        print(f"{GOLDEN.name} differs: {bad} of {len(got)} commands changed" if diff else
+              f"all {len(got)} commands match {GOLDEN.name}")
+        raise SystemExit(1 if diff else 0)

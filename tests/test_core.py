@@ -191,6 +191,13 @@ class TestSolve:
         assert sol.argmax_min == 5
         assert sol.argmax_max_requested
 
+    @pytest.mark.parametrize("tie", ["max", "min", None, 1])
+    def test_tie_must_be_a_tie_member(self, tie):
+        # Any value but Tie.MAX_ARGMAX used to mean the min rule in silence.
+        ad = FactorialRatioAdapter(5)
+        with pytest.raises(PreconditionViolated, match="tie must be a Tie member"):
+            solve(ad.source, ad.seq_env, tie=tie)
+
     def test_fibonacci_unit_start(self):
         ad = FibonacciRatioAdapter(0, 1)
         sol = solve(ad.source, ad.env)

@@ -50,8 +50,6 @@ from peakseq.linsys import (
     p_q,
     power_norm_source,
     q_threshold,
-    rows_to_csv,
-    rows_to_json_obj,
     spectral_norm_sq_power,
     sym_eig_bounds,
     table_run,
@@ -590,18 +588,6 @@ class TestTableRun:
     def test_rejects_bad_lambda(self):
         with pytest.raises(PreconditionViolated):
             table_run([1.5])
-
-    def test_csv_shape(self):
-        text = rows_to_csv(table_run([0.5, 0.75]))
-        lines = text.strip().splitlines()
-        assert lines[0] == "lambda,k_s,max_norm_sq,f_floor"
-        assert lines[1].startswith("0.5,1,")
-        assert len(lines) == 3
-
-    def test_json_obj(self):
-        objs = rows_to_json_obj(table_run([0.5]))
-        assert objs[0]["k_s"] == 1
-        assert set(objs[0]) == {"lambda", "k_s", "max_norm_sq", "f_floor"}
 
 
 def exact_floor(lam: float, q: float, u: float, slope: float) -> int:

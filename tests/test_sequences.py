@@ -50,6 +50,11 @@ class TestFactorialRatio:
         assert sol.sup_value == pytest.approx(26.041666666666668, rel=1e-15)
         assert sol.argmax_min == 4
 
+    def test_solve_tie_takes_only_tie_members(self):
+        assert factorial_solve(3, tie=Tie.MAX_ARGMAX).argmax_min == 3
+        with pytest.raises(PreconditionViolated):
+            factorial_solve(3, tie="max")
+
     def test_solve_a1_ties_at_zero(self):
         sol = factorial_solve(1)
         assert sol.sup_value == 1.0

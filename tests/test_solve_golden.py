@@ -11,8 +11,13 @@ adapter's default ``validate`` horizon in the CLI.  After an intended
 output change, rewrite the file and review its diff:
 
     PYTHONPATH=src python tests/test_solve_golden.py --regen
+
+``--check`` in place of ``--regen`` compares instead of writing: it prints
+a diff of every mismatch and exits 1 if there is one.  Neither mode needs
+pytest, so any interpreter with the package on its path can run them.
 """
 
+import difflib
 import functools
 import hashlib
 import math
@@ -20,8 +25,6 @@ import random
 import sys
 from array import array
 from pathlib import Path
-
-import pytest
 
 from peakseq import Envelope, Monotonicity, TermSource, Tie, affine_fn, solve, validate_envelope
 from peakseq import linsys
@@ -183,12 +186,30 @@ def test_grid_matches_golden_cases():
     assert list(read_golden()) == list(CASES)
 
 
-@pytest.mark.parametrize("name", list(CASES))
+def pytest_generate_tests(metafunc):
+    # A hook, not the parametrize mark, so that the script runs without pytest.
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", list(CASES))
+
+
 def test_golden(name):
     assert outcome(name) == read_golden()[name]
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--regen"]:
-        raise SystemExit(f"usage: python {sys.argv[0]} --regen")
-    GOLDEN.write_text("".join(outcome(name) for name in CASES))
+    if sys.argv[1:] not in (["--regen"], ["--check"]):
+        raise SystemExit(f"usage: python {sys.argv[0]} --regen | --check")
+    got = {name: outcome(name) for name in CASES}
+    text = "".join(got.values())
+    if sys.argv[1] == "--regen":
+        GOLDEN.write_text(text)
+    else:
+        # The whole file is compared, so a missing, extra or reordered entry fails too.
+        diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(True), text.splitlines(True),
+                                         GOLDEN.name, "now"))
+        sys.stdout.writelines(diff)
+        golden = read_golden()
+        bad = sum(golden.get(name) != block for name, block in got.items())
+        print(f"{GOLDEN.name} differs: {bad} of {len(got)} cases changed" if diff else
+              f"all {len(got)} cases match {GOLDEN.name}")
+        raise SystemExit(1 if diff else 0)
