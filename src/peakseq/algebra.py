@@ -228,17 +228,21 @@ def promote_to_decreasing(env: Envelope) -> Envelope:
 
 @dataclass(frozen=True)
 class AffineParams:
-    """Parameters of an affine certificate u_k <= a*b^k + c."""
+    """Parameters of an affine certificate u_k <= a*b^k + c: a positive and
+    finite, b in (0, 1), c finite."""
 
     a: float
     b: float
     c: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0.0:
-            raise PreconditionViolated("certificate scale a must be positive")
+        # An infinite a bounds nothing.
+        if not 0.0 < self.a < math.inf:
+            raise PreconditionViolated(f"certificate scale a must be positive and finite, got {self.a!r}")
         if not 0.0 < self.b < 1.0:
             raise PreconditionViolated("certificate ratio b must lie in (0,1)")
+        if not math.isfinite(self.c):
+            raise PreconditionViolated(f"certificate offset c must be finite, got {self.c!r}")
 
     def bound_at(self, k: int) -> float:
         return self.a * self.b**k + self.c

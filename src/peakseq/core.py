@@ -94,7 +94,12 @@ class TermSource:
     ``eval`` must be pure: repeated calls with the same k return the
     identical value, and it must be defined for every k >= 0.  It may keep
     private state, such as a cursor into a recurrence, as long as the value
-    at k depends on k alone, whatever the order of calls.
+    at k depends on k alone, whatever the order of calls.  Its values may
+    be Python ints, which :func:`solve`, :func:`validate_envelope`,
+    :func:`brute_force_peak` and :func:`exceeds_certificate` compare with
+    float terms and bounds exactly, so an int supremum is reported exactly.
+    Such a term must lie in the float range: past it ``math.isfinite``
+    raises ``OverflowError``, as ``float()`` would.
 
     ``upper``, when set, is a cheaper certified bound with upper(k) >= eval(k)
     for every k, up to roundoff of relative size MEMBERSHIP_RTOL; ``lower``

@@ -155,14 +155,11 @@ class FibonacciRatioAdapter:
             raise PreconditionViolated(f"need u1/u0 > phi, got {u1 / u0!r} <= {PHI!r}")
         self.u0 = u0
         self.u1 = u1
-        self._pairs = _cursor((u0, u1), lambda p: (p[1], p[0] + p[1]))
+        # n -> (u_n, u_{n+1}) in exact integers.
+        self.term_pair = _cursor((u0, u1), lambda p: (p[1], p[0] + p[1]))
         scale = u1 / u0 - PHI if u0 > 0 else PHI * PHI
         self.env = AffineParams(scale, PHI**-2, PHI).constant_envelope()
         self.source = TermSource(eval=self.ratio, description=f"fibonacci ratio u0={u0} u1={u1}")
-
-    def term_pair(self, n: int) -> tuple[int, int]:
-        """(u_n, u_{n+1}) in exact integers."""
-        return self._pairs(n)
 
     def ratio(self, n: int) -> float:
         a, b = self.term_pair(n)
@@ -205,12 +202,9 @@ class LogisticAdapter:
             raise PreconditionViolated("need y0 in (0, 1)")
         self.r = r
         self.y0 = y0
-        self._ys = _cursor(y0, lambda y: r * y * (1.0 - y))
+        self.term = _cursor(y0, lambda y: r * y * (1.0 - y))
         self.source = TermSource(eval=self.term, description=f"logistic r={r} y0={y0}")
         self.env = AffineParams(y0, r, 0.0).constant_envelope()
-
-    def term(self, n: int) -> float:
-        return self._ys(n)
 
 
 def logistic_solve(r: float, y0: float, tie: Tie = Tie.MIN_ARGMAX) -> PeakSolution:
@@ -222,7 +216,8 @@ def logistic_solve(r: float, y0: float, tie: Tie = Tie.MIN_ARGMAX) -> PeakSoluti
 class SyracuseAdapter:
     """Accelerated Syracuse iteration: y/2 on even terms, (3y+1)/2 on odd.
 
-    Terms are exact unsigned integers.  A computed term past 128 bits is
+    Terms are exact unsigned integers, and ``source`` passes them on as
+    such.  A computed term past 128 bits is
     reported as overflow rather than silently carried (trajectories stay
     tiny in practice, the cap mirrors a fixed-width implementation
     contract); the start n0 itself is taken as given, whatever its size.
@@ -233,11 +228,8 @@ class SyracuseAdapter:
             raise PreconditionViolated("need a starting integer N0 >= 1")
         self.n0 = n0
         # Looked up at every step, so a wrapper installed on `step` sees each one.
-        self._ys = _cursor(n0, lambda y: self.step(y))
-        self.source = TermSource(
-            eval=lambda k: float(self.term(k)),
-            description=f"syracuse N0={n0}",
-        )
+        self.term = _cursor(n0, lambda y: self.step(y))
+        self.source = TermSource(eval=self.term, description=f"syracuse N0={n0}")
 
     @staticmethod
     def step(y: int) -> int:
@@ -245,9 +237,6 @@ class SyracuseAdapter:
         if nxt > U128_MAX:
             raise OverflowError(f"syracuse term exceeds 128-bit range: {nxt}")
         return nxt
-
-    def term(self, k: int) -> int:
-        return self._ys(k)
 
 
 def syracuse_excursion(n0: int, max_steps: int = 1_000_000) -> tuple[int, int, bool]:

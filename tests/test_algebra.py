@@ -373,6 +373,14 @@ class TestLinesThroughZero:
         assert fn.inverse(fn.hi) == 1.0
 
 
+class TestAffineParams:
+    @pytest.mark.parametrize("a, c", [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0),
+                                      (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)])
+    def test_rejects_non_finite_scale_or_offset(self, a, c):
+        with pytest.raises(PreconditionViolated, match="must be positive and finite|must be finite"):
+            AffineParams(a, 0.5, c)
+
+
 GEOMETRIC = TermSource(eval=lambda k: 0.5**k, description="0.5^k")
 
 
@@ -400,6 +408,22 @@ class TestOptimalAffineCertificate:
         assert params == AffineParams(
             a=float.fromhex("0x1.ed4cacb2dc8f1p+4"), b=float.fromhex("0x1.eb2398d875895p-1"), c=1.0
         )
+
+    def test_scale_past_the_float_range_raises(self):
+        # The steepest secant is the adjacent one, so b = 1/e and
+        # a = (u* - c) * e^709 = 3 * e^709 rounds to inf, a bound that every
+        # term would pass.
+        src = TermSource(eval=lambda k: 3.0 * k if k <= 709 else 2124.0 if k == 710 else 0.0)
+        with pytest.raises(PreconditionViolated, match="positive and finite"):
+            optimal_affine_certificate(src, 709, 2124.0, 710)
+
+    def test_largest_finite_scale_still_fits(self):
+        # Terms 0..k_s, then k_s - 0.5, then zeros: a = 0.5 * e^709 is finite.
+        k_s = 709
+        src = TermSource(eval=lambda k: float(k) if k <= k_s else k_s - 0.5 if k == k_s + 1 else 0.0)
+        params = optimal_affine_certificate(src, k_s, k_s - 0.5, k_s + 1)
+        assert params.a == pytest.approx(0.5 * math.exp(709), rel=1e-12)
+        assert params.b == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_rejects_negative_k_s(self):
         with pytest.raises(PreconditionViolated):

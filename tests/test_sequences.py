@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from peakseq import (
+    AffineParams,
     Monotonicity,
     PreconditionViolated,
     Tie,
@@ -17,6 +18,7 @@ from peakseq import (
     solve,
     validate_envelope,
 )
+from peakseq.cli import _dumps
 from peakseq.core import exceeds_certificate
 from peakseq.sequences import (
     PHI,
@@ -367,6 +369,40 @@ class TestSyracuse:
     def test_rejects_zero(self):
         with pytest.raises(PreconditionViolated):
             SyracuseAdapter(0)
+
+
+class TestSyracuseIntTerms:
+    """The source is the exact walk, so `solve` reports an int supremum exactly."""
+
+    def test_source_is_the_exact_walk(self):
+        assert SyracuseAdapter(2**60 + 1).source.eval(0) == 2**60 + 1
+        assert type(SyracuseAdapter(27).source.eval(45)) is int
+
+    @pytest.mark.parametrize("n0", [2**60 + 1, 2**100 + 7, 27, 97, 871])
+    def test_solve_matches_the_excursion(self, n0):
+        # Past n1 the walk stays in {1, 2}, below c = 4.5, so the certificate
+        # y_k <= a * 0.5^k + 4.5 with a fitted on y_0..y_n1 holds for every k.
+        ys = [n0]
+        while ys[-1] != 1:
+            ys.append(SyracuseAdapter.step(ys[-1]))
+        a = max((y - 4.5) / 0.5**k for k, y in enumerate(ys))
+        env = AffineParams(a, 0.5, 4.5).constant_envelope()
+        sol = solve(SyracuseAdapter(n0).source, env)
+        best, arg, cycled = syracuse_excursion(n0)
+        assert cycled
+        assert type(sol.sup_value) is int
+        assert (sol.sup_value, sol.argmax_min) == (best, arg)
+        assert validate_envelope(SyracuseAdapter(n0).source, env, len(ys) + 4) == []
+
+    def test_128_bit_int_against_a_float_bound(self):
+        bound = float(2**128)
+        assert not exceeds_certificate(2**128 - 1, bound)
+        assert not exceeds_certificate(2**128, bound)
+        # 2^-38 relative above the bound, far past the 1e-12 slack.
+        assert exceeds_certificate(2**128 + 2**90, bound)
+
+    def test_int_supremum_serializes_exactly(self):
+        assert _dumps(2**128) == "340282366920938463463374607431768211456"
 
 
 class TestCollatzEnvelopeCheck:

@@ -28,31 +28,29 @@ from pathlib import Path
 
 from peakseq import Envelope, Monotonicity, TermSource, Tie, affine_fn, solve, validate_envelope
 from peakseq import linsys
+from peakseq.cli import _ADAPTERS
 from peakseq.sequences import FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
 
 GOLDEN = Path(__file__).resolve().parent / "solve_golden.txt"
 
-# The CLI's default `validate` horizons.
-FACTORIAL_HORIZON, FIBONACCI_HORIZON, LOGISTIC_HORIZON, LINSYS_HORIZON = 100, 40, 100, 50
-
 
 def _factorial(a, envelope):
     adapter = FactorialRatioAdapter(a)
-    return adapter.source, adapter.envelope(envelope), FACTORIAL_HORIZON
+    return adapter.source, adapter.envelope(envelope), _ADAPTERS["factorial"].horizon
 
 
 def _fibonacci(u0, u1):
     adapter = FibonacciRatioAdapter(u0, u1)
-    return adapter.source, adapter.env, FIBONACCI_HORIZON
+    return adapter.source, adapter.env, _ADAPTERS["fibonacci"].horizon
 
 
 def _logistic(r, y0):
     adapter = LogisticAdapter(r, y0)
-    return adapter.source, adapter.env, LOGISTIC_HORIZON
+    return adapter.source, adapter.env, _ADAPTERS["logistic"].horizon
 
 
 def _linsys(lam, d, q, generic):
-    return (*linsys.a_lambda_problem(lam, d, q, generic)[1:], LINSYS_HORIZON)
+    return (*linsys.a_lambda_problem(lam, d, q, generic)[1:], _ADAPTERS["linsys"].horizon)
 
 
 def _listed(seed):

@@ -47,7 +47,7 @@ def naive_syracuse(n0):
         y = n0
         for _ in range(k):
             y = y // 2 if y % 2 == 0 else (3 * y + 1) // 2
-        return float(y)
+        return y
 
     return term
 
@@ -68,7 +68,8 @@ SOURCES = {
 
 
 def bits(values):
-    return [v.hex() for v in values]
+    """Floats as their exact bits, ints (Syracuse) as themselves."""
+    return [v if type(v) is int else v.hex() for v in values]
 
 
 def scan(source, order):
