@@ -10,6 +10,7 @@ at the last maximizer.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 from .core import (
@@ -22,8 +23,7 @@ from .core import (
     exceeds_certificate,
 )
 
-BISECTION_TOL = 1e-14
-
+_BITS, _FLOAT = struct.Struct("<q"), struct.Struct("<d")
 
 class OutOfRange(PeakseqError):
     """A value to invert lies outside the function's range on [0, 1]."""
@@ -76,10 +76,12 @@ def invert_numeric(f, y: float) -> float:
     """Invert a strictly increasing f: [0, 1] -> R at y by bisection.
 
     Monotonicity is the only structure assumed, so bisection rather than a
-    derivative method; the bracket [0, 1] is halved exactly until its width
-    is at most ``BISECTION_TOL`` (absolute on x), which takes 47 halvings,
-    and the midpoint returned.  Values outside [f(0), f(1)] beyond a 1e-12
-    slack raise :class:`OutOfRange`; within the slack they clamp.
+    derivative method.  Non-negative floats sort as their int64 bit patterns
+    do, so halving the patterns of [0, 1] ends at adjacent floats lo < hi
+    with f(lo) < y <= f(hi) in at most 62 halvings.  lo lies below the
+    exact inverse, so an index bound log(lo) / log(beta) errs on the safe side.
+    Values outside [f(0), f(1)] beyond a 1e-12 slack raise
+    :class:`OutOfRange`; within the slack they clamp.
     """
     f0 = f(0.0)
     f1 = f(1.0)
@@ -90,14 +92,14 @@ def invert_numeric(f, y: float) -> float:
         return 0.0
     if y >= f1:
         return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < y:
+    lo, hi = 0, _BITS.unpack(_FLOAT.pack(1.0))[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(_FLOAT.unpack(_BITS.pack(mid))[0]) < y:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return _FLOAT.unpack(_BITS.pack(lo))[0]
 
 
 def envelope_fn_from_forward(f) -> EnvelopeFn:

@@ -14,16 +14,11 @@ of A^k, so the scan stops sooner.
 
 The module carries its own small dense kernel (multiplication, Cholesky,
 cyclic Jacobi eigenvalues) sized for the d <= ~50 matrices this problem
-meets; no external numerical library is involved.  Every matrix product
-runs one unrolled row-product kernel, generated from d alone and compiled
-once per d on first use, with the right factor's entries bound once: the
-power walks bind A once and step A^k = A^(k-1) A with no transpose or
-per-entry call.  Other sums (each term's half Gram, row norms, the anchor,
-Cholesky, whitening, Jacobi's norms) use the built-in ``sum``, which
-compensates from Python 3.12 on: a dense A's beta and terms differ in the
-last bits between 3.11 and 3.12.  The benchmark family lambda*Id + U (single
-1 in the top-right corner) keeps its bits on 3.10 to 3.13, has closed forms
-for all quantities and drives the golden tests.
+meets.  Every matrix product runs one unrolled row-product kernel,
+compiled once per d on first use, with the right factor's entries bound
+once.  Every sum, in a product or not, adds left to right from 0.0, so
+any A gives the same bits on every supported Python.  The benchmark
+family lambda*Id + U (single 1 in the top-right corner) has closed forms.
 """
 
 from __future__ import annotations
@@ -111,9 +106,8 @@ def _kernel(d: int):
         0.0 + m_i0*b_0j + m_i1*b_1j + ... + m_i(d-1)*b_(d-1)j,
 
     added left to right, so its d products are rounded and summed in index
-    order from 0.0, as ``sum(map(mul, row, col))`` does before Python 3.12.
-    A product that overflows gives inf, and inf * 0.0 gives nan, as in that
-    sum; nothing raises here.
+    order from 0.0, the order of every sum in this module.  A product that
+    overflows gives inf, and inf * 0.0 gives nan; nothing raises here.
     Only the loop over M's rows is not unrolled, so the source has d^2
     products and compiles in time and memory of that order.
     """
@@ -170,6 +164,14 @@ def mat_pow(a: Matrix, k: int) -> Matrix:
     return Matrix(result)
 
 
+def _fold(terms) -> float:
+    """The terms added left to right from 0.0, the order of the product kernel."""
+    acc = 0.0
+    for x in terms:
+        acc += x
+    return acc
+
+
 def _symmetrize(rows) -> Matrix:
     d = len(rows)
     return Matrix(
@@ -199,10 +201,10 @@ def _jacobi(a: list[list[float]]) -> tuple[float, float]:
     d = len(a)
     if d == 1:
         return a[0][0], a[0][0]
-    frob = math.sqrt(sum(x * x for r in a for x in r))
+    frob = math.sqrt(_fold(x * x for r in a for x in r))
     target = OFF_DIAG_TARGET * max(frob, 1e-300)
     for _ in range(JACOBI_SWEEPS):
-        off = math.sqrt(sum(a[i][j] ** 2 for i in range(d) for j in range(d) if i != j))
+        off = math.sqrt(_fold(a[i][j] ** 2 for i in range(d) for j in range(d) if i != j))
         if off <= target:
             break
         for p in range(d - 1):
@@ -247,7 +249,7 @@ def _cholesky(rows, scales) -> list[list[float]] | None:
     lower = [[0.0] * d for _ in range(d)]
     for i in range(d):
         for j in range(i + 1):
-            acc = rows[i][j] - sum(lower[i][t] * lower[j][t] for t in range(j))
+            acc = rows[i][j] - _fold(lower[i][t] * lower[j][t] for t in range(j))
             if i == j:
                 if acc <= PIVOT_RTOL * scales[i]:
                     return None
@@ -276,7 +278,7 @@ def _whitened_top(lower: list[list[float]], m) -> float:
         x = [[0.0] * d for _ in range(d)]
         for col in range(d):
             for i in range(d):
-                acc = m[i][col] - sum(lower[i][t] * x[t][col] for t in range(i))
+                acc = m[i][col] - _fold(lower[i][t] * x[t][col] for t in range(i))
                 x[i][col] = acc / lower[i][i]
         m = list(zip(*x))
     return sym_eig_bounds(_symmetrize(x))[1]
@@ -292,20 +294,14 @@ def op_norm_sq(a: Matrix, p: Matrix) -> float:
 def _norm_sq(rows) -> float:
     """||M||_2^2 of row tuples M as the top eigenvalue of the Gram M^T M.
 
-    Only the upper triangle is summed: entry (j, i) sums the same products
-    in the same order as (i, j), so the mirrored Gram is exactly symmetric
-    and goes straight to the rotation loop.  A non-finite entry of M leaves
-    one on the Gram's diagonal, which the check of the summed entries catches.
+    The Gram is the kernel product of M's columns with M: entry (j, i) adds
+    the same products in the same order as (i, j), so it is exactly
+    symmetric and goes straight to the rotation loop once checked finite.
     """
-    cols = list(zip(*rows))
-    d = len(cols)
-    gram = [[0.0] * d for _ in range(d)]
-    for i, ci in enumerate(cols):
-        for j in range(i, d):
-            x = sum(map(mul, ci, cols[j]))
-            if not math.isfinite(x):
-                raise PreconditionViolated("matrix entries must be finite")
-            gram[i][j] = gram[j][i] = x
+    gram = [list(r) for r in _product(tuple(zip(*rows)), _times(rows))]
+    for r in gram:
+        if not all(map(math.isfinite, r)):
+            raise PreconditionViolated("matrix entries must be finite")
     return _jacobi(gram)[1]
 
 
@@ -320,8 +316,8 @@ def power_norm_source(a: Matrix) -> TermSource:
     """Term source k -> ||A^k||_2^2 through the generic kernel, with no bounds.
 
     A^k = A^(k-1) A is stepped from the last power the source computed, so
-    an in-order scan pays one row product, half a Gram and one Jacobi solve
-    per term, and an eval at the same k, or at k - 1 after one at k, reuses
+    an in-order scan pays one row product, one Gram product and one Jacobi
+    solve per term, and an eval at the same k, or at k - 1 after one at k, reuses
     the power.  ``LinearSystem(a, p).source`` is the same walk with the
     bounds that let :func:`solve` skip terms.
     """
@@ -334,8 +330,14 @@ def power_norm_source(a: Matrix) -> TermSource:
 
 
 def _row_norms(rows) -> tuple[float, ...]:
-    """Squared Euclidean norms of the rows, each added with the built-in ``sum``."""
-    return tuple(sum(map(mul, r, r)) for r in rows)
+    """Squared Euclidean norms of the rows, each added left to right from 0.0."""
+    norms = []
+    for r in rows:
+        acc = 0.0
+        for x in r:
+            acc += x * x
+        norms.append(acc)
+    return tuple(norms)
 
 
 def envelope_from_certificate(a: Matrix, p: Matrix) -> Envelope:
@@ -354,9 +356,14 @@ def _anchor(p: Matrix, lmin: float):
     d = p.dim
     if all(p.rows[i][j] == 0.0 for i in range(d) for j in range(d) if i != j):
         weights = tuple(p.rows[i][i] / lmin for i in range(d))
-        return lambda power, norms: sum(map(mul, weights, norms))
-    return lambda power, norms: sum(
-        sum(map(mul, r, s)) for r, s in zip(power, _product(p.rows, _times(power)))
+
+        def weighted(power, norms, acc=0.0):
+            for w, n in zip(weights, norms):
+                acc += w * n
+            return acc
+        return weighted
+    return lambda power, norms: _fold(
+        _fold(map(mul, r, s)) for r, s in zip(power, _product(p.rows, _times(power)))
     ) / lmin
 
 
@@ -369,38 +376,28 @@ class LinearSystem:
     of L^-1 (A^T P A) L^-T, lies in (0, 1); A and P of different sizes
     raise :class:`PreconditionViolated`.  A pivot of the residual is
     compared with P_ii + (A^T P A)_ii, the scale its diagonal entry was
-    formed at: as lambda -> 1 the residual's pivots are many orders below
-    P's largest entry and still exact to rounding.  It keeps ``p``, P's
+    formed at, not with P's largest entry.  It keeps ``p``, P's
     extreme eigenvalues ``lambda_min`` and ``lambda_max``, ``beta`` and
     ``slope`` = lambda_max / lambda_min.  ``source`` is the generic term
-    source with the bounds that screen a scan: ``upper`` = ||A^k||_F^2,
-    the sum of the squared row norms, and ``lower`` their max (||M||_2 >=
-    ||e_i^T M|| for every row i).  ``const_env`` is the constant envelope
-    (t -> slope * t, ratio beta), and ``env`` the certificate re-anchored at
-    the current power:
+    source with the screening bounds ``upper`` = ||A^k||_F^2 and ``lower``
+    = the largest squared row norm.  ``const_env`` is the constant envelope
+    (t -> slope * t, ratio beta), and ``env`` the re-anchored one:
 
         h_k(t) = (w_k / beta^k) * t,  w_k = tr((A^k)^T P A^k) / lmin(P),
 
-    with beta_k = beta, decreasing from 0 (``algebra.line_family``).  It
-    holds because ||A^k||_2^2 <= w_k = h_k(beta^k), and it decreases
-    because A^T P A <= beta P gives w_{k+1} <= beta * w_k, so it follows the
-    actual decay of A^k rather than the worst case the certificate allows.
-    :func:`solve` takes its bound at the running max vmax, which here is
-    k + log(vmax / w_k) / log(beta), computes it only where
-    beta * w_k < vmax (the only indices where it can end the scan), and
-    screens terms with ``upper`` in this mode too: past the peak against
-    the running max, before it against ``lower`` one index on.
+    with beta_k = beta (``algebra.line_family``): ||A^k||_2^2 <= w_k, and
+    A^T P A <= beta P gives w_{k+1} <= beta * w_k.
+    :func:`solve` takes its bound at the running max vmax, here
+    k + log(vmax / w_k) / log(beta), only where beta * w_k < vmax.
 
     One power cursor, built on first use, serves ``source`` and ``env``.
     Each step forms A^k, its squared row norms (``upper`` sums them,
     ``lower`` takes their max; for a diagonal P, w_k weighs them by
     P_ii / lmin(P)) and the log of the scale, min(log s_(k-1),
-    log w_k - k log beta): a running minimum in logs.  So
-    the scale stays finite past the underflow of beta^k, never grows with k,
-    even where a heavily weighted row norm underflows and w_k loses its
-    share, and keeps its last value once A^k is exactly zero: h_k stays a
-    strictly increasing function at every k.  The values of u_k are those
-    of the bound-free :func:`power_norm_source` to the bit.
+    log w_k - k log beta): a running minimum in logs, so the scale stays
+    finite past the underflow of beta^k, never grows with k, and keeps its
+    last value once A^k is exactly zero.  The values of u_k are those of
+    the bound-free :func:`power_norm_source` to the bit.
     """
 
     def __init__(self, a: Matrix, p: Matrix):
@@ -445,7 +442,7 @@ class LinearSystem:
         return TermSource(
             eval=lambda k: _norm_sq(state(k)[1]) if k else 1.0,
             description=f"||A^k||_2^2, d={self.a.dim}",
-            upper=lambda k: sum(state(k)[2]) if k else 1.0,
+            upper=lambda k: _fold(state(k)[2]) if k else 1.0,
             lower=lambda k: max(state(k)[2]) if k else 1.0,
         )
 

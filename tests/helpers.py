@@ -215,9 +215,18 @@ def useful_indices(case: Case) -> list[int]:
     ]
 
 
+def left_fold(terms) -> float:
+    """The terms added left to right from 0.0, the one order linsys sums in
+    on every Python version (the built-in ``sum`` compensates from 3.12 on)."""
+    acc = 0.0
+    for x in terms:
+        acc += x
+    return acc
+
+
 def fold_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
-    """A B with each entry folded left to right from 0.0, the order the
-    linsys product kernel adds in on every Python version:
+    """A B for square A and B with each entry folded left to right from 0.0,
+    as the linsys product kernel adds it:
     0.0 + a_i0*b_0j + a_i1*b_1j + ... + a_i(d-1)*b_(d-1)j."""
     out = []
     for row in a_rows:
@@ -231,25 +240,19 @@ def fold_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
     return tuple(out)
 
 
-def reference_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
-    """The row product as first written: each entry sums a generator of x * y."""
-    cols = list(zip(*b_rows))
-    return tuple(tuple(sum(x * y for x, y in zip(ra, cb)) for cb in cols) for ra in a_rows)
-
-
 def reference_power_norms(m: linsys.Matrix, n: int) -> list[float]:
-    """||A^k||_2^2 for k = 0..n through the full-Gram kernel.
+    """||A^k||_2^2 for k = 0..n through the checked public eigensolve.
 
-    A^k steps from the identity by fold_product.  Each Gram is summed by
-    reference_product, with ``sum`` as the kernel sums its half Gram, and
-    goes whole into a Matrix and through the public sym_eig_bounds, so the
-    check, the symmetry test and the copy all run per term.
+    A^k steps from the identity by fold_product, and so does each Gram
+    (A^k)^T A^k, which goes whole into a Matrix and through the public
+    sym_eig_bounds, so the check, the symmetry test and the copy all run
+    per term.
     """
     power = linsys.Matrix.identity(m.dim).rows
     terms = [1.0]
     for _ in range(n):
         power = fold_product(power, m.rows)
-        gram = linsys.Matrix(reference_product(zip(*power), power))
+        gram = linsys.Matrix(fold_product(tuple(zip(*power)), power))
         terms.append(linsys.sym_eig_bounds(gram)[1])
     return terms
 
@@ -261,8 +264,8 @@ def reference_row_norm_bounds(m: linsys.Matrix, n: int) -> list[tuple[float, flo
     bounds = [(1.0, 1.0)]
     for _ in range(n):
         power = fold_product(power, m.rows)
-        norms = [sum(x * x for x in row) for row in power]
-        bounds.append((sum(norms), max(norms)))
+        norms = [left_fold(x * x for x in row) for row in power]
+        bounds.append((left_fold(norms), max(norms)))
     return bounds
 
 

@@ -1,6 +1,8 @@
 """Envelope constructors, combinators, inversion, and the affine certificate."""
 
 import math
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from peakseq import (
     TermSource,
     affine_fn,
     argmax_bound,
+    brute_force_peak,
     env_min,
     envelope_fn_from_forward,
     invert_numeric,
@@ -153,6 +156,29 @@ class TestInvertNumeric:
         fn = envelope_fn_from_forward(lambda x: x**3 + x)
         assert fn.lo == 0.0 and fn.hi == 2.0
         assert fn.inverse(fn.eval(0.7)) == pytest.approx(0.7, abs=1e-10)
+
+    def test_inverse_far_below_one_keeps_its_bound(self):
+        # u_60 = 2e-20 <= 0.5^60, so h(x) = x is a valid envelope.  An
+        # inverse of 1e-20 good only to an absolute 1e-14 came back as about
+        # 7e-15 and bounded the scan at 48, before the peak at 60.
+        assert invert_numeric(lambda x: x, 1e-20) == math.nextafter(1e-20, 0.0)
+        terms = {0: 1e-20, 60: 2e-20}
+        source = TermSource(eval=lambda k: terms.get(k, 0.0))
+        assert brute_force_peak(source, 100) == (2e-20, 60, 60)
+        for fn in (affine_fn(1.0, 0.0), envelope_fn_from_forward(lambda x: x)):
+            sol = solve(source, _const_env(fn, 0.5))
+            assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (2e-20, 60, 65)
+
+    def test_bound_never_below_the_exact_inverse(self):
+        # The bisection returns a point below the exact inverse, so its
+        # floored index bound is never below the one of the exact line.
+        rng = random.Random(28)
+        for _ in range(2000):
+            a, beta = rng.uniform(1.0, 1e6), rng.uniform(0.3, 0.999)
+            y = a * beta ** rng.randint(0, 400) * (1.0 + rng.uniform(-1e-12, 1e-12))
+            exact = argmax_bound(0, y, _const_env(affine_fn(a, 0.0), beta)).floor()
+            numeric = argmax_bound(0, y, _const_env(envelope_fn_from_forward(lambda x: a * x), beta)).floor()
+            assert numeric >= exact, (a, beta, y)
 
 
 def test_round_trip_across_bundled_envelope_functions():
@@ -380,6 +406,11 @@ class TestAffineParams:
         with pytest.raises(PreconditionViolated, match="must be positive and finite|must be finite"):
             AffineParams(a, 0.5, c)
 
+    @pytest.mark.parametrize("b", [0.0, 1.0, -0.5, math.nan])
+    def test_rejects_ratio_outside_the_unit_interval(self, b):
+        with pytest.raises(PreconditionViolated, match=r"^certificate ratio b must lie in \(0,1\)$"):
+            AffineParams(1.0, b, 0.0)
+
 
 GEOMETRIC = TermSource(eval=lambda k: 0.5**k, description="0.5^k")
 
@@ -438,4 +469,11 @@ class TestOptimalAffineCertificate:
         src = TermSource(eval=lambda k: 1.0 if k in (0, 3) else 0.1, description="twin peaks")
         with pytest.raises(InvalidBracket):
             optimal_affine_certificate(src, 0, 0.5, 5)
+
+    def test_nan_term_before_the_maximizer_fails_the_direct_check(self):
+        # The secants run past k_s only, so a NaN before it reaches the
+        # direct check, where a NaN term exceeds every bound.
+        src = TermSource(eval=lambda k: math.nan if k == 0 else 0.5 ** (k - 1))
+        with pytest.raises(InvalidBracket, match=re.escape("certificate fails the direct check at k=0: u_k=nan > ")):
+            optimal_affine_certificate(src, 1, 0.1, 4)
 

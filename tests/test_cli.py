@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peakseq import Envelope, linsys, solve
+from peakseq import Envelope, PeakseqError, linsys, solve
 from peakseq.cli import _ADAPTERS, main
 from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter, LogisticAdapter
 
@@ -173,6 +173,17 @@ class TestSolveCommand:
         first.pop("elapsed_seconds")
         second.pop("elapsed_seconds")
         assert first == second
+
+    @pytest.mark.parametrize("value, message", [
+        (math.inf, "non-finite float in report: inf"),
+        ([1.0, math.nan], "non-finite float in report: nan"),
+        ({"k": {1, 2}}, "unserializable value: {1, 2}"),
+    ])
+    def test_dumps_rejects_what_json_cannot_carry(self, value, message):
+        from peakseq.cli import _dumps
+
+        with pytest.raises(PeakseqError, match=f"^{re.escape(message)}$"):
+            _dumps(value)
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "solve", "factorial", "--a", "3", "--format", "text")

@@ -1124,6 +1124,10 @@ class TestBruteForce:
         src = TermSource(eval=lambda k: 1.0, description="ones")
         assert brute_force_peak(src, 10) == (1.0, 0, 10)
 
+    def test_negative_prefix_raises(self):
+        with pytest.raises(PreconditionViolated, match="^prefix length must be >= 0$"):
+            brute_force_peak(TermSource(eval=lambda k: 1.0), -1)
+
     @pytest.mark.parametrize(
         "terms, k",
         [((math.nan, 1.0, 2.0), 0), ((1.0, math.nan, 0.5), 1), ((1.0, math.inf, 0.5), 1)],
@@ -1672,5 +1676,7 @@ def test_monotonicity_validation():
     for bad in ((2.5, None), (0, 2.0), (1.0, None)):
         with pytest.raises(PreconditionViolated, match="must be ints"):
             Monotonicity(*bad)
+    with pytest.raises(PreconditionViolated, match="^decreasing_from must be >= 0$"):
+        Monotonicity(decreasing_from=-1)
     assert Monotonicity(constant_from=0).constant_from == 0
     assert Monotonicity().decreasing_from == 0

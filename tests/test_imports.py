@@ -1,9 +1,9 @@
 """Every name a library module imports is used in that module, every
 private top-level or class-body name is used somewhere in the package,
 every public re-export has a caller, only ``algebra`` builds an
-``Envelope``, the package imports nothing from outside the standard
-library, and its syntax parses at the oldest Python that pyproject.toml
-declares.
+``Envelope``, no module reads the built-in ``sum``, the package imports
+nothing from outside the standard library, and its syntax parses at the
+oldest Python that pyproject.toml declares.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -185,6 +185,30 @@ def test_only_algebra_builds_envelopes():
     # Every bundled family comes from algebra's constructors:
     # AffineParams.constant_envelope, line_family and the combinators.
     assert envelope_builders({p.stem: p.read_text() for p in MODULES}) == ["algebra"]
+
+
+def builtin_sum_reads(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each read of the bare name ``sum``: a call of the
+    built-in or the built-in passed on as a value."""
+    return sorted(f"{module}:{node.lineno}" for module, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Name) and node.id == "sum" and isinstance(node.ctx, ast.Load))
+
+
+def test_detects_builtin_sum():
+    sources = {
+        "a": "def f(r):\n    return sum(r)\n",
+        "b": "totals = list(map(sum, rows))\n",
+        "c": "import math\nx = math.fsum(r) + obj.sum\n",
+    }
+    assert builtin_sum_reads(sources) == ["a:2", "b:1"]
+
+
+def test_no_builtin_sum():
+    # From Python 3.12 on, sum compensates its rounding, so a float sum
+    # through it differs in the last bits between versions.  Every sum in
+    # the package adds left to right from 0.0, as the product kernel does.
+    assert builtin_sum_reads({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 # Where a public name counts as called: the package, the benchmark harness,

@@ -352,9 +352,9 @@ def hex_rows(rows) -> list[list[str]]:
 
 
 class TestKernelMatchesReference:
-    """The lean kernel (the unrolled row product compiled once per d, half
-    Gram, direct Jacobi) returns the same bits as the left-to-right fold and
-    the full-Gram reference in tests/helpers.py."""
+    """The lean kernel (the unrolled row product compiled once per d, the
+    Gram as one such product, direct Jacobi) returns the same bits as the
+    left-to-right folds and the checked eigensolve in tests/helpers.py."""
 
     @given(st.integers(min_value=1, max_value=6).flatmap(square_rows))
     @settings(max_examples=60, deadline=None)

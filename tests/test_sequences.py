@@ -179,6 +179,11 @@ class TestFibonacciRatio:
             ad = FibonacciRatioAdapter(u0, u1)
             assert ad.env.h(0).eval(1.0) == ad.ratio(0)
 
+    @pytest.mark.parametrize("u0, u1", [(-1, 2), (0, 0), (3, -5)])
+    def test_rejects_negative_start(self, u0, u1):
+        with pytest.raises(PreconditionViolated, match="^need u0 >= 0 and u1 >= 1$"):
+            FibonacciRatioAdapter(u0, u1)
+
     def test_precondition(self):
         # The last pair has u1 > u0 * phi, even against the float PHI, but
         # u1 / u0 rounds to PHI: the certificate's scale would be 0.
@@ -426,6 +431,11 @@ class TestCollatzEnvelopeCheck:
             collatz_envelope_check(5, 10.0, 0.9, 4.0, 20)
         with pytest.raises(PreconditionViolated):
             collatz_envelope_check(5, 10.0, 0.9, 5.5, 20)
+
+    @pytest.mark.parametrize("b", [0.0, 1.0, -0.5, math.nan])
+    def test_b_domain(self, b):
+        with pytest.raises(PreconditionViolated, match=r"^need b in \(0, 1\)$"):
+            collatz_envelope_check(27, 10.0, b, 5.0, 200)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
     def test_a_domain(self, a):

@@ -26,6 +26,7 @@ import sys
 from array import array
 from pathlib import Path
 
+from helpers import fold_product
 from peakseq import Envelope, Monotonicity, TermSource, Tie, affine_fn, solve, validate_envelope
 from peakseq import linsys
 from peakseq.cli import _ADAPTERS
@@ -51,6 +52,32 @@ def _logistic(r, y0):
 
 def _linsys(lam, d, q, generic):
     return (*linsys.a_lambda_problem(lam, d, q, generic)[1:], _ADAPTERS["linsys"].horizon)
+
+
+def _dense(seed):
+    """A seeded dense stable system of size 3 to 8: an upper-triangular T
+    with diagonal +-[0.3, 0.9] and N(0, 0.8) above it, under a Householder
+    similarity H T H, certified by P = sum_(j<=400) (A^T)^j A^j, symmetrised.
+    Every input is added by explicit left folds (``fold_product``), not by
+    the kernel under test, so it has the same bits on every Python.  The
+    scan runs the anchored family on the screened source."""
+    rng = random.Random(seed)
+    d = 3 + seed % 6
+    t = [[rng.choice((-1.0, 1.0)) * rng.uniform(0.3, 0.9) if i == j else rng.gauss(0.0, 0.8) if i < j else 0.0
+          for j in range(d)] for i in range(d)]
+    v = [rng.gauss(0.0, 1.0) for _ in range(d)]
+    vv = 0.0
+    for x in v:
+        vv += x * x
+    h = [[float(i == j) - 2.0 * v[i] * v[j] / vv for j in range(d)] for i in range(d)]
+    a = fold_product(fold_product(h, t), h)
+    p = linsys.Matrix.identity(d).rows
+    for _ in range(400):
+        p = [[x + (i == j) for j, x in enumerate(r)]
+             for i, r in enumerate(fold_product(fold_product(list(zip(*a)), p), a))]
+    p = [[0.5 * (p[i][j] + p[j][i]) for j in range(d)] for i in range(d)]
+    system = linsys.LinearSystem(linsys.Matrix.from_rows(a), linsys.Matrix.from_rows(p))
+    return system.source, system.env, _ADAPTERS["linsys"].horizon
 
 
 def _listed(seed):
@@ -142,6 +169,7 @@ CASES = {
     **{f"linsys lambda={lam!r} seeded": functools.partial(_linsys, lam, 2, None, False)
        for lam in (round(random.Random(seed).uniform(0.05, 0.995), 6) for seed in range(20))},
     **{f"listed seed={seed}": functools.partial(_listed, seed) for seed in range(40)},
+    **{f"linsys dense seed={seed}": functools.partial(_dense, seed) for seed in range(12)},
 }
 
 

@@ -131,7 +131,7 @@ class TestInOrderCost:
         assert len(calls) <= 2 * N
 
     def test_power_norm_one_product_per_term(self, monkeypatch):
-        # The Gram is summed in _norm_sq itself, so only the step A^(k-1) A is a product.
+        # One step A^(k-1) A per term, and one more product for its Gram.
         product = linsys._product
         calls = []
 
@@ -143,11 +143,12 @@ class TestInOrderCost:
         source = linsys.power_norm_source(linsys.a_lambda(0.9, 3))
         for k in range(N + 1):
             source.eval(k)
-        assert len(calls) == N
+        assert len(calls) == 2 * N
 
     def counted_solve(self, monkeypatch, anchored=False, **kwargs):
         """solve on ||A^k||^2 for a_lambda(0.9, 3) under the constant envelope
-        or the anchored one: (solution, _product calls, _norm_sq calls)."""
+        or the anchored one: (solution, _product calls, _norm_sq calls).
+        Each _norm_sq forms its Gram with one _product call of its own."""
         system = linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3))
         source, env = system.source, system.env if anchored else system.const_env
         calls = {"_product": 0, "_norm_sq": 0}
@@ -171,7 +172,7 @@ class TestInOrderCost:
         # only for the terms that could reach the running max or the next term.
         sol, products, norms = self.counted_solve(monkeypatch)
         assert (sol.argmax_min, sol.terms_evaluated) == (9, 21)
-        assert products == sol.terms_evaluated - 1
+        assert products == sol.terms_evaluated - 1 + norms == 23
         assert norms == 3
 
     def test_traced_and_untraced_scans_evaluate_the_same_terms(self, monkeypatch):
@@ -183,7 +184,7 @@ class TestInOrderCost:
         traced, traced_products, traced_norms = self.counted_solve(
             monkeypatch, on_step=lambda *s: steps.append(s))
         assert traced == sol
-        assert (traced_products, traced_norms) == (products, norms) == (sol.terms_evaluated - 1, 3)
+        assert (traced_products, traced_norms) == (products, norms) == (sol.terms_evaluated - 1 + 3, 3)
         assert [k for k, *_ in steps] == list(range(sol.terms_evaluated))
         assert sum(u is not None for _, u, *_ in steps) == norms + 1
 
@@ -194,13 +195,13 @@ class TestInOrderCost:
         # before it.  Only the three terms at the peak are computed exactly.
         sol, products, norms = self.counted_solve(monkeypatch, anchored=True)
         assert (sol.argmax_min, sol.terms_evaluated) == (9, 15)
-        assert products == sol.terms_evaluated - 1
+        assert products == sol.terms_evaluated - 1 + norms == 17
         assert norms == 3
 
     def test_power_norm_step_back_one_is_free(self, monkeypatch):
         # solve's look-ahead reads lower(k + 1) before eval(k): still one
-        # product per index, one set of row norms for both bounds, and the
-        # same bits as an in-order scan.
+        # step per index (and one Gram product per eval past 0), one set of
+        # row norms for both bounds, and the same bits as an in-order scan.
         def fresh():
             return linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3)).source
 
@@ -216,11 +217,11 @@ class TestInOrderCost:
             source.upper(k + 1)
             got.append(source.eval(k))
         assert bits(got) == want
-        assert len(calls) == N
+        assert len(calls) == N + N - 1
         assert len(normed) <= N + 1
         source.eval(N)
         source.eval(N - 1)
-        assert len(calls) == N
+        assert len(calls) == N + N - 1 + 2
 
     def test_power_norm_of_a_scalar(self):
         source = linsys.power_norm_source(linsys.Matrix.from_rows([[0.5]]))
