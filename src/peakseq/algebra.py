@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 from .core import (
@@ -280,7 +281,12 @@ def optimal_affine_certificate(
             "a later term matches the claimed maximum; k_s is not the last maximizer"
         )
     b = math.exp(gamma / (u_star - c))
-    a = (u_star - c) * math.exp(-k_s * gamma / (u_star - c))
+    log_growth = -k_s * gamma / (u_star - c)
+    try:
+        a = (u_star - c) * math.exp(log_growth)
+    except OverflowError:  # a may still fit: take it from its log, or inf (rejected) past the range
+        log_a = math.log(u_star - c) + log_growth
+        a = math.exp(log_a) if log_a <= math.log(sys.float_info.max) else math.inf
     params = AffineParams(a=a, b=b, c=c)
     for k, u_k in enumerate(us):
         if exceeds_certificate(u_k, params.bound_at(k)):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from operator import mul
 
 from .core import (
@@ -312,23 +312,6 @@ def spectral_norm_sq_power(a: Matrix, k: int) -> float:
     return _norm_sq(mat_pow(a, k).rows)
 
 
-def power_norm_source(a: Matrix) -> TermSource:
-    """Term source k -> ||A^k||_2^2 through the generic kernel, with no bounds.
-
-    A^k = A^(k-1) A is stepped from the last power the source computed, so
-    an in-order scan pays one row product, one Gram product and one Jacobi
-    solve per term, and an eval at the same k, or at k - 1 after one at k, reuses
-    the power.  ``LinearSystem(a, p).source`` is the same walk with the
-    bounds that let :func:`solve` skip terms.
-    """
-    times_a = _times(a.rows)
-    power = _cursor(Matrix.identity(a.dim).rows, lambda m: _product(m, times_a))
-    return TermSource(
-        eval=lambda k: _norm_sq(power(k)) if k else 1.0,
-        description=f"||A^k||_2^2, d={a.dim}",
-    )
-
-
 def _row_norms(rows) -> tuple[float, ...]:
     """Squared Euclidean norms of the rows, each added left to right from 0.0."""
     norms = []
@@ -396,8 +379,8 @@ class LinearSystem:
     P_ii / lmin(P)) and the log of the scale, min(log s_(k-1),
     log w_k - k log beta): a running minimum in logs, so the scale stays
     finite past the underflow of beta^k, never grows with k, and keeps its
-    last value once A^k is exactly zero.  The values of u_k are those of
-    the bound-free :func:`power_norm_source` to the bit.
+    last value once A^k is exactly zero.  The bits of u_k are pinned
+    against ``tests/helpers.reference_power_norms``.
     """
 
     def __init__(self, a: Matrix, p: Matrix):
@@ -496,13 +479,12 @@ def a_lambda_op_norm_sq_closed(lam: float, q: float) -> float:
 
 
 def a_lambda_source(lam: float, d: int = 2, generic: bool = False) -> TermSource:
-    """Squared power norms of the benchmark matrix: closed form or generic kernel."""
+    """Squared power norms of the benchmark matrix, random access with no bounds: the
+    closed form, or with ``generic`` :func:`spectral_norm_sq_power`; scans use :func:`a_lambda_problem`."""
     if generic:
-        return power_norm_source(a_lambda(lam, d))
-    return TermSource(
-        eval=lambda k: a_lambda_norm_sq_closed(lam, k),
-        description=f"||A_lambda^k||_2^2 closed form, lambda={lam}",
-    )
+        return TermSource(partial(spectral_norm_sq_power, a_lambda(lam, d)), f"||A^k||_2^2, d={d}")
+    return TermSource(lambda k: a_lambda_norm_sq_closed(lam, k),
+                      f"||A_lambda^k||_2^2 closed form, lambda={lam}")
 
 
 def a_lambda_problem(lam: float, d: int = 2, q: float | None = None, generic: bool = False):

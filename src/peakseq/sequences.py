@@ -279,7 +279,7 @@ def collatz_envelope_check(
     A bound of this shape with c in (4, 5] holding for every n is
     equivalent to the trajectory reaching the terminal cycle; this checker
     only falsifies on [0, horizon], a Consistent outcome proves nothing
-    beyond it.
+    beyond it.  Unlike ``AffineParams`` it takes a = 0: the constant bound c.
     """
     if not math.isfinite(a):
         raise PreconditionViolated(f"need a finite a, got a={a!r}")

@@ -23,7 +23,7 @@ from peakseq import (
     Tie,
     argmax_bound,
 )
-from peakseq.core import FLOOR_GUARD, MEMBERSHIP_RTOL, SCREEN_RTOL
+from peakseq.core import FLOOR_GUARD, MEMBERSHIP_RTOL, SCREEN_RTOL, _cursor
 from peakseq.sequences import (
     PHI,
     FactorialRatioAdapter,
@@ -238,6 +238,15 @@ def fold_product(a_rows, b_rows) -> tuple[tuple[float, ...], ...]:
             entries.append(acc)
         out.append(tuple(entries))
     return tuple(out)
+
+
+def power_walk(m: linsys.Matrix):
+    """k -> ||A^k||_2^2 through the linsys kernel with no certificate and no
+    bounds: A^k = A^(k-1) A stepped by a cursor, as ``LinearSystem.source``
+    steps it, for a matrix that has no certificate P."""
+    times_a = linsys._times(m.rows)
+    power = _cursor(linsys.Matrix.identity(m.dim).rows, lambda rows: linsys._product(rows, times_a))
+    return lambda k: linsys._norm_sq(power(k)) if k else 1.0
 
 
 def reference_power_norms(m: linsys.Matrix, n: int) -> list[float]:

@@ -27,6 +27,7 @@ from peakseq import (
 )
 from peakseq.algebra import EmptyFamily, InvalidBracket, OutOfRange, _max_fn, _min_fn, line_family
 from peakseq.core import Envelope, EnvelopeFn
+from peakseq.linsys import a_lambda_problem
 from peakseq.sequences import PHI, FactorialRatioAdapter, FibonacciRatioAdapter
 
 from helpers import fibonacci_rational_fn
@@ -415,6 +416,13 @@ class TestAffineParams:
 GEOMETRIC = TermSource(eval=lambda k: 0.5**k, description="0.5^k")
 
 
+def ramp_then_drop(k_s):
+    """Terms 0..k_s, then k_s - 0.5, then zeros.  With c = k_s - 0.5 and
+    n_c = k_s + 1 the steepest secant is the adjacent one, so b = 1/e and
+    a = 0.5 * e^k_s."""
+    return TermSource(eval=lambda k: float(k) if k <= k_s else k_s - 0.5 if k == k_s + 1 else 0.0)
+
+
 class TestOptimalAffineCertificate:
     def test_geometric(self):
         params = optimal_affine_certificate(GEOMETRIC, 0, 0.25, 2)
@@ -455,6 +463,36 @@ class TestOptimalAffineCertificate:
         params = optimal_affine_certificate(src, k_s, k_s - 0.5, k_s + 1)
         assert params.a == pytest.approx(0.5 * math.exp(709), rel=1e-12)
         assert params.b == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+    def test_scale_past_the_range_of_exp_comes_from_its_log(self):
+        # e^710 overflows, but a = 0.5 * e^710 = e^709.31 (about 1.117e308)
+        # fits, and the certificate still touches the terms at k_s.
+        k_s = 710
+        src = ramp_then_drop(k_s)
+        params = optimal_affine_certificate(src, k_s, k_s - 0.5, k_s + 1)
+        assert params.a == pytest.approx(math.exp(math.log(0.5) + k_s), rel=1e-12)
+        env = params.constant_envelope()
+        assert argmax_bound(k_s, src.eval(k_s), env).floor() == k_s
+        assert validate_envelope(src, env, k_s + 3) == []
+
+    def test_scale_past_the_float_range_from_its_log_raises(self):
+        # log a = log 0.5 + 711 = 710.31, past log(float max) = 709.78.
+        with pytest.raises(PreconditionViolated, match="positive and finite"):
+            optimal_affine_certificate(ramp_then_drop(711), 711, 710.5, 712)
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_table_row_past_the_float_range_raises(self, generic):
+        # The lambda = 0.999 row (k_s = 999) after a scan with truncation K:
+        # c is the largest of the bound at K + 1 and the terms in (k_s, K],
+        # and n_c = K + 1.  Its scale has log a = 991.48 on both paths.
+        _, source, env = a_lambda_problem(0.999, generic=generic)
+        sol = solve(source, env, tie=Tie.MAX_ARGMAX)
+        k_s, n_c = sol.argmax_min, sol.truncation_index + 1
+        tail = [source.eval(k) for k in range(k_s + 1, n_c)]
+        c = max([env.h(n_c).eval(env.beta(n_c) ** n_c)] + tail)
+        assert k_s == 999
+        with pytest.raises(PreconditionViolated, match="positive and finite"):
+            optimal_affine_certificate(source, k_s, c, n_c)
 
     def test_rejects_negative_k_s(self):
         with pytest.raises(PreconditionViolated):

@@ -581,6 +581,15 @@ class TestValidateCommand:
         assert code == 3
         assert json.loads(out)["violated_at"] == 3
 
+    def test_collatz_zero_scale_violated_at_0(self, capsys):
+        # a = 0 is the constant bound c = 5, which y_0 = 7 already exceeds.
+        code, out, _ = run(
+            capsys, "validate", "syracuse",
+            "--n0", "7", "--a", "0", "--b", "0.5", "--c", "5", "--horizon", "10",
+        )
+        assert code == 3
+        assert json.loads(out)["violated_at"] == 0
+
     @pytest.mark.parametrize("a", ["nan", "inf"])
     def test_collatz_non_finite_a_exit_2(self, capsys, a):
         # With a=nan every `y > a*b^n + c` compare is False, so the check

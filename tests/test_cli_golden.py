@@ -14,14 +14,13 @@ pytest, so any interpreter with the package on its path can run them.
 """
 
 import contextlib
-import difflib
 import functools
 import io
 import re
 import shlex
-import sys
 from pathlib import Path
 
+import golden
 from peakseq.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.txt"
@@ -148,19 +147,4 @@ def test_golden(command):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["--regen"], ["--check"]):
-        raise SystemExit(f"usage: python {sys.argv[0]} --regen | --check")
-    got = {command: outcome(command) for command in GRID}
-    text = "".join(got.values())
-    if sys.argv[1] == "--regen":
-        GOLDEN.write_text(text)
-    else:
-        # The whole file is compared, so a missing, extra or reordered entry fails too.
-        diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(True), text.splitlines(True),
-                                         GOLDEN.name, "now"))
-        sys.stdout.writelines(diff)
-        golden = read_golden()
-        bad = sum(golden.get(command) != block for command, block in got.items())
-        print(f"{GOLDEN.name} differs: {bad} of {len(got)} commands changed" if diff else
-              f"all {len(got)} commands match {GOLDEN.name}")
-        raise SystemExit(1 if diff else 0)
+    golden.main(GOLDEN, GRID, outcome, read_golden, "commands")

@@ -40,6 +40,7 @@ from peakseq import linsys
 from helpers import (
     InvalidTailBound,
     fibonacci_rational_fn,
+    power_walk,
     prefix_index_sets,
     reference_findings,
     reference_row_norm_bounds,
@@ -623,10 +624,10 @@ class TestScreening:
         a, p = system
         ls = linsys.LinearSystem(a, p)
         env, source = ls.const_env, ls.source
-        screened = solve(source, env, tie=tie)
-        same_solution(screened, solve(linsys.power_norm_source(a), env, tie=tie))
+        screened, plain = solve(source, env, tie=tie), TermSource(eval=source.eval)
+        same_solution(screened, solve(plain, env, tie=tie))
         same_solution(screened, solve(TermSource(eval=source.eval, upper=source.upper), env, tie=tie))
-        best, first, last = brute_force_peak(linsys.power_norm_source(a), screened.truncation_index)
+        best, first, last = brute_force_peak(plain, screened.truncation_index)
         assert screened.sup_value == best
         assert screened.argmax_min == (last if tie is Tie.MAX_ARGMAX else first)
 
@@ -750,7 +751,7 @@ class TestNonConstantScan:
         env = linsys.LinearSystem(a, p).env
         source = linsys.LinearSystem(a, p).source
         sol = solve_six_ways(source.eval, source.upper, source.lower, env, tie)
-        agrees_with_brute_force(sol, linsys.power_norm_source(a).eval, sol.truncation_index, tie)
+        agrees_with_brute_force(sol, source.eval, sol.truncation_index, tie)
 
     def test_bound_at_the_running_max_is_clamped_to_k(self):
         # u_0 = 10 lies before m = 1; h_1(t) = 4t + 0.5 with beta 0.8 cannot
@@ -1103,7 +1104,7 @@ class TestLookAhead:
         # 2e308 overflows.  Every earlier term lies below the next row norm,
         # so the look-ahead skips them all and the scan still raises at 7,
         # traced or not: a trace sees u_k = None at the skipped indices.
-        # A has no certificate, so the row-norm bounds are formed here.
+        # A has no certificate, so the walk and its row-norm bounds are formed here.
         a = linsys.Matrix.from_rows([[1e22, 0.0], [1e22, 0.0]])
         env = constant_env(affine_fn(1e300, 0.0), 0.5)
         bounds = reference_row_norm_bounds(a, 8)
@@ -1111,7 +1112,7 @@ class TestLookAhead:
         steps = []
         for on_step in (None, lambda *step: steps.append(step)):
             evaluated = []
-            source = TermSource(eval=recorded(evaluated, linsys.power_norm_source(a).eval),
+            source = TermSource(eval=recorded(evaluated, power_walk(a)),
                                 upper=lambda k: bounds[k][0], lower=lambda k: bounds[k][1])
             with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
                 solve(source, env, on_step=on_step)
@@ -1342,6 +1343,25 @@ class TestValidateEnvelope:
         )
         findings = validate_envelope(ad.source, bad, 100)
         assert findings and findings[0].kind == "membership"
+
+    @staticmethod
+    def spike_past_the_envelope(u0):
+        """u_0 = u0, u_5 = 5 u0 and zeros elsewhere, under a constant envelope
+        that claims u_5 <= u0 / 32: wrong by a factor of 160 at k = 5."""
+        source = TermSource(eval=lambda k: 5.0 * u0 if k == 5 else u0 if k == 0 else 0.0)
+        return source, AffineParams(u0, 0.5, 0.0).constant_envelope()
+
+    def test_spike_past_the_envelope_is_a_membership_finding(self):
+        findings = validate_envelope(*self.spike_past_the_envelope(1e-8), 10)
+        assert [(f.k, f.kind) for f in findings] == [(5, "membership")]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 27: below |u| = 1 the membership slack is an absolute 1e-12, "
+        "so the same spike at u_0 = 1e-14 passes, and solve returns (1e-14, 0) "
+        "where brute_force_peak gives (5e-14, 5)"))
+    def test_spike_past_the_envelope_below_one_is_a_membership_finding(self):
+        findings = validate_envelope(*self.spike_past_the_envelope(1e-14), 10)
+        assert [(f.k, f.kind) for f in findings] == [(5, "membership")]
         assert findings[0].k <= 100
 
     def test_misdeclared_decrease_is_caught(self):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     exact_a_lambda_beta,
     fold_product,
+    power_walk,
     reference_power_norms,
     reference_row_norm_bounds,
 )
@@ -21,6 +22,7 @@ from peakseq import (
     Envelope,
     Monotonicity,
     PreconditionViolated,
+    TermSource,
     Tie,
     affine_fn,
     argmax_bound,
@@ -48,7 +50,6 @@ from peakseq.linsys import (
     mat_pow,
     op_norm_sq,
     p_q,
-    power_norm_source,
     q_threshold,
     spectral_norm_sq_power,
     sym_eig_bounds,
@@ -273,7 +274,7 @@ class TestSpectralNormPower:
     def test_generic_source_within_1e14_of_exact(self, d):
         # z_k of the float lambda in 50 digits, over the rise to the peak and past it.
         lam = 0.999
-        source = power_norm_source(a_lambda(lam, d))
+        source = LinearSystem(a_lambda(lam, d), p_q(lam, d)).source
         with localcontext() as ctx:
             ctx.prec = 50
             dl = Decimal(lam)
@@ -318,7 +319,7 @@ class TestKernelChecks:
         fn = affine_fn(1e300, 0.0)
         env = Envelope(h=lambda k: fn, beta=lambda k: 0.5, mono=Monotonicity(constant_from=0))
         with pytest.raises(PreconditionViolated, match="matrix entries must be finite"):
-            solve(power_norm_source(Matrix.from_rows(rows)), env)
+            solve(TermSource(eval=power_walk(Matrix.from_rows(rows))), env)
 
     def test_checks_per_term_do_not_grow_with_k(self, monkeypatch):
         a = a_lambda(0.9, 3)
@@ -360,8 +361,8 @@ class TestKernelMatchesReference:
     @settings(max_examples=60, deadline=None)
     def test_power_norm_terms(self, rows):
         m = Matrix.from_rows(rows)
-        source = power_norm_source(m)
-        got = [source.eval(k).hex() for k in range(61)]
+        walk = power_walk(m)
+        got = [walk(k).hex() for k in range(61)]
         assert got == [x.hex() for x in reference_power_norms(m, 60)]
 
     @given(st.integers(min_value=1, max_value=12).flatmap(
@@ -405,9 +406,11 @@ class TestBenchmarkFamily:
         system, source, env = a_lambda_problem(0.9, d, 1e5, generic=True)
         assert source is system.source and env is system.env
         assert source.upper is not None and source.lower is not None
-        # Only the system's source carries bounds; the bare walks have none.
-        for bare in (power_norm_source(system.a), a_lambda_source(0.9, d, generic=True)):
-            assert bare.upper is None and bare.lower is None
+        # Only the system's source carries bounds; the random-access one has none.
+        bare = a_lambda_source(0.9, d, generic=True)
+        assert bare.upper is None and bare.lower is None
+        for k in (0, 1, 7, 40):
+            assert bare.eval(k) == spectral_norm_sq_power(system.a, k)
 
     def test_certificate_fields(self):
         system = LinearSystem(a_lambda(0.9), p_q(0.9))
@@ -421,7 +424,7 @@ class TestBenchmarkFamily:
 
     def test_tight_geometric_case(self):
         env = envelope_from_certificate(Matrix.diagonal([0.5, 0.5]), Matrix.identity(2))
-        src = power_norm_source(Matrix.diagonal([0.5, 0.5]))
+        src = LinearSystem(Matrix.diagonal([0.5, 0.5]), Matrix.identity(2)).source
         for k in range(1, 8):
             ub = argmax_bound(k, src.eval(k), env)
             assert ub.value == pytest.approx(float(k), abs=1e-9)
@@ -464,10 +467,10 @@ class TestLinearSystem:
     @pytest.mark.parametrize("name", sorted(SYSTEMS))
     def test_terms_are_the_generic_terms(self, name):
         a, p = SYSTEMS[name]()
-        system, plain = LinearSystem(a, p), power_norm_source(a)
+        system = LinearSystem(a, p)
         want, bounds = reference_power_norms(a, 80), reference_row_norm_bounds(a, 80)
         for k in range(81):
-            assert system.source.eval(k).hex() == plain.eval(k).hex() == want[k].hex()
+            assert system.source.eval(k).hex() == want[k].hex()
             assert system.source.upper(k).hex() == bounds[k][0].hex()
             assert system.source.lower(k).hex() == bounds[k][1].hex()
 

@@ -22,6 +22,7 @@ from peakseq.cli import _dumps
 from peakseq.core import exceeds_certificate
 from peakseq.sequences import (
     PHI,
+    CollatzCheck,
     FactorialRatioAdapter,
     FibonacciRatioAdapter,
     LogisticAdapter,
@@ -436,6 +437,12 @@ class TestCollatzEnvelopeCheck:
     def test_b_domain(self, b):
         with pytest.raises(PreconditionViolated, match=r"^need b in \(0, 1\)$"):
             collatz_envelope_check(27, 10.0, b, 5.0, 200)
+
+    def test_zero_scale_is_the_constant_bound(self):
+        # AffineParams rejects a = 0; the checker takes it as y_n <= c.
+        assert collatz_envelope_check(1, 0.0, 0.5, 5.0, 10) == CollatzCheck(consistent=True)
+        # 5 -> 8, and 8 > c = 5.
+        assert collatz_envelope_check(5, 0.0, 0.5, 5.0, 10) == CollatzCheck(False, violated_at=1)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -1.0])
     def test_a_domain(self, a):

@@ -17,15 +17,14 @@ a diff of every mismatch and exits 1 if there is one.  Neither mode needs
 pytest, so any interpreter with the package on its path can run them.
 """
 
-import difflib
 import functools
 import hashlib
 import math
 import random
-import sys
 from array import array
 from pathlib import Path
 
+import golden
 from helpers import fold_product
 from peakseq import Envelope, Monotonicity, TermSource, Tie, affine_fn, solve, validate_envelope
 from peakseq import linsys
@@ -223,19 +222,4 @@ def test_golden(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] not in (["--regen"], ["--check"]):
-        raise SystemExit(f"usage: python {sys.argv[0]} --regen | --check")
-    got = {name: outcome(name) for name in CASES}
-    text = "".join(got.values())
-    if sys.argv[1] == "--regen":
-        GOLDEN.write_text(text)
-    else:
-        # The whole file is compared, so a missing, extra or reordered entry fails too.
-        diff = list(difflib.unified_diff(GOLDEN.read_text().splitlines(True), text.splitlines(True),
-                                         GOLDEN.name, "now"))
-        sys.stdout.writelines(diff)
-        golden = read_golden()
-        bad = sum(golden.get(name) != block for name, block in got.items())
-        print(f"{GOLDEN.name} differs: {bad} of {len(got)} cases changed" if diff else
-              f"all {len(got)} cases match {GOLDEN.name}")
-        raise SystemExit(1 if diff else 0)
+    golden.main(GOLDEN, CASES, outcome, read_golden, "cases")

@@ -56,6 +56,12 @@ def naive_pow_over_factorial(a):
     return lambda k: a**k / math.factorial(k)
 
 
+def power_norms():
+    """The source of ||A^k||_2^2 for a_lambda(0.9, 3), checked under
+    p_q(0.9, 3) here: the certificate's own products come before any count."""
+    return linsys.LinearSystem(linsys.a_lambda(0.9, 3), linsys.p_q(0.9, 3)).source
+
+
 # name -> (fresh source factory, naive from-index-0 iterator or None)
 SOURCES = {
     "fibonacci-u0=0": (lambda: FibonacciRatioAdapter(0, 1).source, naive_fibonacci(0, 1)),
@@ -63,7 +69,7 @@ SOURCES = {
     "logistic": (lambda: LogisticAdapter(0.9, 0.3).source, naive_logistic(0.9, 0.3)),
     "syracuse": (lambda: SyracuseAdapter(27).source, naive_syracuse(27)),
     "factorial": (lambda: FactorialRatioAdapter(20).source, naive_pow_over_factorial(20)),
-    "power-norm": (lambda: linsys.power_norm_source(linsys.a_lambda(0.9, 3)), None),
+    "power-norm": (power_norms, None),
 }
 
 
@@ -124,8 +130,8 @@ class TestInOrderCost:
             calls.append(1)
             return product(a_rows, b_rows)
 
+        source = power_norms()
         monkeypatch.setattr(linsys, "_product", counting)
-        source = linsys.power_norm_source(linsys.a_lambda(0.9, 3))
         for k in range(N + 1):
             source.eval(k)
         assert len(calls) <= 2 * N
@@ -139,8 +145,8 @@ class TestInOrderCost:
             calls.append(1)
             return product(a_rows, b_rows)
 
+        source = power_norms()
         monkeypatch.setattr(linsys, "_product", counting)
-        source = linsys.power_norm_source(linsys.a_lambda(0.9, 3))
         for k in range(N + 1):
             source.eval(k)
         assert len(calls) == 2 * N
@@ -224,7 +230,7 @@ class TestInOrderCost:
         assert len(calls) == N + N - 1 + 2
 
     def test_power_norm_of_a_scalar(self):
-        source = linsys.power_norm_source(linsys.Matrix.from_rows([[0.5]]))
+        source = linsys.LinearSystem(linsys.Matrix.from_rows([[0.5]]), linsys.Matrix.identity(1)).source
         assert [source.eval(k) for k in range(N + 1)] == [0.25**k for k in range(N + 1)]
 
     def test_syracuse_one_step_per_term(self, monkeypatch):
