@@ -159,7 +159,8 @@ class EnvelopeFn:
     through 0, evaluated as ``a.__mul__`` and inverted as
     ``a.__rtruediv__``, and None otherwise.  Only ``algebra.affine_fn``
     passes it; the combinators read it to replace a max or min of such lines
-    by the steepest or flattest one.  It must not be assigned.
+    by the steepest or flattest one, and :func:`solve` reads it to compute
+    a * x in place of the call to ``eval``.  It must not be assigned.
     """
 
     __slots__ = ("eval", "inverse", "lo", "hi", "slope")
@@ -371,16 +372,17 @@ def solve(
     h_k(beta_k^k) fails the check.  Where the pair at k is the pair at
     k - 1 (the same h object and an equal beta, or any index past
     constant_from), h(beta^k) computed at k - 1 is the certificate at k,
-    so the scan evaluates h_k once per index (``EnvelopeFn.eval`` is pure);
-    :func:`argmax_bound` evaluates h_k(beta_k^k) once more wherever a bound
-    is taken.  The index bound is taken at the running max vmax: every
-    later maximizer j has u_j >= vmax, so j is bounded through h_k as well
-    as through u_k, and tighter.  It is
-    computed while no bound exists and then only where vmax exceeds
-    h_k(beta_k^(k+1)) less SCREEN_RTOL relative: below that level the bound
-    at vmax is at least k + 1, so these are the only indices where it can
-    end the scan.  A constant family is a decreasing one and takes the same
-    rule.
+    so the scan needs only h_k(beta_k^(k+1)) at each index
+    (``EnvelopeFn.eval`` is pure): a line through 0 (``slope`` set) is
+    multiplied in place, any other h_k called once.  :func:`argmax_bound`
+    evaluates h_k(beta_k^k) once more wherever a bound is taken.  The index
+    bound is taken at the running max vmax: every later maximizer j has
+    u_j >= vmax, so j is bounded through h_k as well as through u_k, and
+    tighter.  It is computed while no bound exists and then only where
+    vmax exceeds h_k(beta_k^(k+1)) less SCREEN_RTOL relative: below that
+    level the bound at vmax is at least k + 1, so these are the only
+    indices where it can end the scan.  A constant family is a decreasing
+    one and takes the same rule.
 
     A bound below k is clamped to k, whose prefix is already scanned, so
     ``truncation_index`` is at least the argmax and ``terms_evaluated`` is
@@ -411,13 +413,14 @@ def solve(
     m = env.mono.decreasing_from
     c = env.mono.constant_from
     max_tie = tie is Tie.MAX_ARGMAX
-    upper, lower = source.upper, source.lower
+    term, upper, lower = source.eval, source.upper, source.lower
+    isfinite = math.isfinite
 
     vmax = -math.inf
     first = last = 0
     for k in range(m):
-        u_k = source.eval(k)
-        if not math.isfinite(u_k):
+        u_k = term(k)
+        if not isfinite(u_k):
             raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
         if u_k > vmax:
             vmax, first, last = u_k, k, k
@@ -427,14 +430,11 @@ def solve(
             on_step(k, u_k, None, None)
 
     trunc: int | None = None
-    fn = b = nxt = None
+    fn = b = nxt = h_eval = slope = None
+    # The last index to scan: m + scan_limit until a bound exists, then it.
+    stop = m + scan_limit
     k = m
-    while trunc is None or k <= trunc:
-        if trunc is None and k > m + scan_limit:
-            raise NoUsefulIndex(
-                f"no index in [{m}, {m + scan_limit}] has u_k > h_k(0); "
-                "increase the scan limit only if the envelope is known useful"
-            )
+    while k <= stop:
         if c is None or k <= c:
             h_k = env.h(k)
             beta_k = env.beta(k)
@@ -442,18 +442,20 @@ def solve(
                 raise PreconditionViolated(f"beta_k={beta_k!r} at k={k} not in (0,1)")
             if h_k is not fn or beta_k != b:
                 fn, b = h_k, beta_k
-                nxt = fn.eval(b**k)
+                h_eval, slope = fn.eval, fn.slope
+                nxt = h_eval(b**k)
         # nxt is h_k(beta_k^k): computed just above for a new pair, or at
-        # k - 1 as h(beta^((k-1)+1)) for the same one.
+        # k - 1 as h(beta^((k-1)+1)) for the same one.  A line through 0 is
+        # evaluated as a.__mul__, so slope * x is the same multiply in place.
         cert = nxt
-        nxt = fn.eval(b ** (k + 1))
+        nxt = h_eval(b ** (k + 1)) if slope is None else slope * b ** (k + 1)
         level = nxt - SCREEN_RTOL * abs(nxt)
         if upper is not None and trunc is not None and _screened(
                 k, upper(k), cert, level, vmax, lower, trunc):
             u_k = None
         else:
-            u_k = source.eval(k)
-            if not math.isfinite(u_k):
+            u_k = term(k)
+            if not isfinite(u_k):
                 raise PreconditionViolated(f"non-finite term at k={k}: u_k={u_k!r}")
             if not u_k <= cert and exceeds_certificate(u_k, cert):
                 raise EnvelopeViolation(k, u_k, cert)
@@ -469,10 +471,15 @@ def solve(
             if step is not None:
                 if step < k:
                     step = k
-                trunc = step if trunc is None else min(trunc, step)
+                trunc = stop = step if trunc is None else min(trunc, step)
         if on_step is not None:
             on_step(k, u_k, bound, trunc)
         k += 1
+    if trunc is None:
+        raise NoUsefulIndex(
+            f"no index in [{m}, {m + scan_limit}] has u_k > h_k(0); "
+            "increase the scan limit only if the envelope is known useful"
+        )
 
     return PeakSolution(
         sup_value=vmax,

@@ -466,11 +466,7 @@ def p_q(lam: float, d: int = 2, q: float | None = None) -> Matrix:
 
 def a_lambda_norm_sq_closed(lam: float, k: int) -> float:
     """Closed form of ||(lambda*Id + U)^k||_2^2, independent of the dimension."""
-    if k == 0:
-        return 1.0
-    return lam ** (2 * k - 2) * (
-        lam * lam + 0.5 * k * k + 0.5 * k * math.sqrt(4.0 * lam * lam + k * k)
-    )
+    return a_lambda_source(lam).eval(k)
 
 
 def a_lambda_op_norm_sq_closed(lam: float, q: float) -> float:
@@ -483,8 +479,14 @@ def a_lambda_source(lam: float, d: int = 2, generic: bool = False) -> TermSource
     closed form, or with ``generic`` :func:`spectral_norm_sq_power`; scans use :func:`a_lambda_problem`."""
     if generic:
         return TermSource(partial(spectral_norm_sq_power, a_lambda(lam, d)), f"||A^k||_2^2, d={d}")
-    return TermSource(lambda k: a_lambda_norm_sq_closed(lam, k),
-                      f"||A_lambda^k||_2^2 closed form, lambda={lam}")
+    # lambda^2 and 4 lambda^2 formed once, in the order of the formula.
+    lam_sq, lam_sq4, sqrt = lam * lam, 4.0 * lam * lam, math.sqrt
+
+    def closed(k: int) -> float:
+        if k == 0:
+            return 1.0
+        return lam ** (2 * k - 2) * (lam_sq + 0.5 * k * k + 0.5 * k * sqrt(lam_sq4 + k * k))
+    return TermSource(closed, f"||A_lambda^k||_2^2 closed form, lambda={lam}")
 
 
 def a_lambda_problem(lam: float, d: int = 2, q: float | None = None, generic: bool = False):

@@ -1,6 +1,7 @@
 """Core solver, index-bound, and oracle operations."""
 
 import math
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -229,6 +230,21 @@ class TestSolve:
         env = constant_env(affine_fn(1.0, 2.0), 0.5)  # h(0)=2 above everything
         with pytest.raises(NoUsefulIndex):
             solve(src, env, scan_limit=200)
+
+    @pytest.mark.parametrize("limit", [0, 3])
+    def test_no_useful_index_after_the_last_scanned_index(self, limit):
+        # Every term at or below h_k(0) = 2: on_step sees 0 .. m + limit,
+        # and the error follows the last of them.
+        steps = []
+        env = Envelope(h=lambda k: affine_fn(1.0, 2.0), beta=lambda k: 0.5, mono=Monotonicity(2))
+        with pytest.raises(NoUsefulIndex) as err:
+            solve(TermSource(eval=lambda k: 1.0 + k % 2), env, scan_limit=limit,
+                  on_step=lambda k, *rest: steps.append(k))
+        assert steps == list(range(2 + limit + 1))
+        assert str(err.value) == (
+            f"no index in [2, {2 + limit}] has u_k > h_k(0); "
+            "increase the scan limit only if the envelope is known useful"
+        )
 
     def test_violation_propagates(self):
         src = TermSource(eval=lambda k: 10.0, description="tens")
@@ -941,6 +957,60 @@ class TestCarry:
         env = Envelope(h=lambda k: fns[k >= 3], beta=lambda k: 0.8,
                        mono=Monotonicity(0, 3))
         self.check(lambda k: (0.5, 0.6, 0.7, u_3)[k] if k < 4 else 0.0, env, violates)
+
+    @staticmethod
+    def traced(source, env, tie):
+        """(solution, every on_step call) of one solve."""
+        steps = []
+        sol = solve(source, env, tie=tie, on_step=lambda *step: steps.append(step))
+        return sol, steps
+
+    @staticmethod
+    def called_line(a, evals, slope=None):
+        """x -> a*x as ``a.__mul__``, appending each argument it is called
+        with to ``evals``; with no slope, solve must call it."""
+        return EnvelopeFn(lambda x: evals.append(x) or a.__mul__(x), a.__rtruediv__, 0.0, a, slope)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("tie", list(Tie))
+    def test_line_multiplied_in_place_matches_the_call(self, seed, tie, monkeypatch):
+        # The constant line a*x, read through its slope, against the same
+        # line with no slope: the same solution and on_step stream.  The
+        # slope one is called only for the certificate at 0 and by bounds.
+        rng = random.Random(seed)
+        a, beta = rng.uniform(0.01, 1e6), rng.uniform(0.05, 0.99)
+        n = rng.randint(1, 60)
+        ratios = [rng.choice((1.0, 0.5, rng.random())) for _ in range(n)]
+        source = TermSource(eval=lambda k: a * beta**k * ratios[k] if k < n else 0.0)
+        lined = AffineParams(a, beta, 0.0).constant_envelope()
+        assert lined.h(0).slope == a
+        bounds, plain_evals, line_evals = [], [], []
+        real = core.argmax_bound
+        monkeypatch.setattr(core, "argmax_bound", lambda k, *args: bounds.append(k) or real(k, *args))
+        sol, steps = self.traced(source, constant_env(self.called_line(a, line_evals, a), beta), tie)
+        assert len(line_evals) == 1 + len(bounds)
+        assert (sol, steps) == self.traced(source, lined, tie)
+        bounds.clear()
+        plain, plain_steps = self.traced(source, constant_env(self.called_line(a, plain_evals), beta), tie)
+        same_solution(sol, plain)
+        assert steps == plain_steps
+        assert len(plain_evals) == sol.terms_evaluated + 1 + len(bounds)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("tie", list(Tie))
+    def test_line_family_multiplied_in_place_matches_the_call(self, seed, tie):
+        # A new slope at every index, decreasing, read in place against
+        # the same lines built with no slope.
+        rng = random.Random(seed)
+        beta, n = rng.uniform(0.05, 0.99), rng.randint(1, 60)
+        slopes = [rng.uniform(1.0, 1e3)]
+        for _ in range(n + 80):
+            slopes.append(slopes[-1] * rng.uniform(0.5, 1.0))
+        terms = [slopes[k] * beta**k * rng.choice((1.0, rng.random())) for k in range(n)]
+        source = TermSource(eval=lambda k: terms[k] if k < n else 0.0)
+        plain = Envelope(h=lambda k: self.called_line(slopes[k], []), beta=lambda k: beta, mono=Monotonicity())
+        want = self.traced(source, plain, tie)
+        assert self.traced(source, algebra.line_family(slopes.__getitem__, beta), tie) == want
 
     @staticmethod
     def check(term, env, violates):

@@ -412,6 +412,24 @@ class TestBenchmarkFamily:
         for k in (0, 1, 7, 40):
             assert bare.eval(k) == spectral_norm_sq_power(system.a, k)
 
+    @pytest.mark.parametrize("lam", TABLE_LAMBDAS + (1e-160, 1e-300, 1.0 - 2.0**-52))
+    def test_closed_form_keeps_the_bits_of_the_formula(self, lam):
+        # The formula as written out at every k; at lambda = 1e-160 the
+        # square lambda^2 is subnormal, at 1e-300 it is 0.0.
+        def formula(k):
+            if k == 0:
+                return 1.0
+            return lam ** (2*k - 2) * (lam*lam + 0.5*k*k + 0.5*k*math.sqrt(4.0*lam*lam + k*k))
+
+        ks = list(range(51)) + [19_999, 20_000, 44_617, 10**6]
+        shuffled = random.Random(repr(lam)).sample(ks, len(ks))
+        for order in (ks, shuffled):
+            source = a_lambda_source(lam)
+            for k in order:
+                want = formula(k).hex()
+                assert source.eval(k).hex() == want, k
+                assert a_lambda_norm_sq_closed(lam, k).hex() == want, k
+
     def test_certificate_fields(self):
         system = LinearSystem(a_lambda(0.9), p_q(0.9))
         assert 0.0 < system.beta < 1.0
