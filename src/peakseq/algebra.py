@@ -81,13 +81,13 @@ def invert_numeric(f, y: float) -> float:
     do, so halving the patterns of [0, 1] ends at adjacent floats lo < hi
     with f(lo) < y <= f(hi) in at most 62 halvings.  lo lies below the
     exact inverse, so an index bound log(lo) / log(beta) errs on the safe side.
-    Values outside [f(0), f(1)] beyond a 1e-12 slack raise
+    NaN and values outside [f(0), f(1)] beyond a 1e-12 slack raise
     :class:`OutOfRange`; within the slack they clamp.
     """
     f0 = f(0.0)
     f1 = f(1.0)
     slack = 1e-12 * max(1.0, abs(f0), abs(f1) if math.isfinite(f1) else 0.0)
-    if y < f0 - slack or (math.isfinite(f1) and y > f1 + slack):
+    if not y >= f0 - slack or (math.isfinite(f1) and y > f1 + slack):
         raise OutOfRange(f"{y!r} outside [{f0!r}, {f1!r}]")
     if y <= f0:
         return 0.0

@@ -109,6 +109,8 @@ class TermSource:
     that cannot reach the running max (``upper``) or the next term
     (``upper`` against ``lower`` one index on); a skipped index still gets
     its bound where one can end the scan.  ``lower`` alone screens nothing.
+    ``description`` is a caller's label, which the library never sets or
+    reads; it stays while the acceptance gate's property suite passes one.
     """
 
     eval: Callable[[int], float]
@@ -410,6 +412,8 @@ def solve(
     """
     if not isinstance(tie, Tie):
         raise PreconditionViolated(f"tie must be a Tie member, got {tie!r}")
+    if not isinstance(scan_limit, int) or scan_limit < 0:
+        raise PreconditionViolated(f"scan_limit must be an int >= 0, got {scan_limit!r}")
     m = env.mono.decreasing_from
     c = env.mono.constant_from
     max_tie = tie is Tie.MAX_ARGMAX

@@ -199,8 +199,6 @@ def _jacobi(a: list[list[float]]) -> tuple[float, float]:
     """The rotation loop of sym_eig_bounds on a finite symmetric list of
     lists, which it overwrites."""
     d = len(a)
-    if d == 1:
-        return a[0][0], a[0][0]
     frob = math.sqrt(_fold(x * x for r in a for x in r))
     target = OFF_DIAG_TARGET * max(frob, 1e-300)
     for _ in range(JACOBI_SWEEPS):
@@ -307,8 +305,6 @@ def _norm_sq(rows) -> float:
 
 def spectral_norm_sq_power(a: Matrix, k: int) -> float:
     """||A^k||_2^2 as the top eigenvalue of (A^k)^T A^k; 1 at k = 0."""
-    if k == 0:
-        return 1.0
     return _norm_sq(mat_pow(a, k).rows)
 
 
@@ -424,7 +420,6 @@ class LinearSystem:
         state = self._state
         return TermSource(
             eval=lambda k: _norm_sq(state(k)[1]) if k else 1.0,
-            description=f"||A^k||_2^2, d={self.a.dim}",
             upper=lambda k: _fold(state(k)[2]) if k else 1.0,
             lower=lambda k: max(state(k)[2]) if k else 1.0,
         )
@@ -478,7 +473,7 @@ def a_lambda_source(lam: float, d: int = 2, generic: bool = False) -> TermSource
     """Squared power norms of the benchmark matrix, random access with no bounds: the
     closed form, or with ``generic`` :func:`spectral_norm_sq_power`; scans use :func:`a_lambda_problem`."""
     if generic:
-        return TermSource(partial(spectral_norm_sq_power, a_lambda(lam, d)), f"||A^k||_2^2, d={d}")
+        return TermSource(partial(spectral_norm_sq_power, a_lambda(lam, d)))
     # lambda^2 and 4 lambda^2 formed once, in the order of the formula.
     lam_sq, lam_sq4, sqrt = lam * lam, 4.0 * lam * lam, math.sqrt
 
@@ -486,7 +481,7 @@ def a_lambda_source(lam: float, d: int = 2, generic: bool = False) -> TermSource
         if k == 0:
             return 1.0
         return lam ** (2 * k - 2) * (lam_sq + 0.5 * k * k + 0.5 * k * sqrt(lam_sq4 + k * k))
-    return TermSource(closed, f"||A_lambda^k||_2^2 closed form, lambda={lam}")
+    return TermSource(closed)
 
 
 def a_lambda_problem(lam: float, d: int = 2, q: float | None = None, generic: bool = False):

@@ -102,7 +102,7 @@ class FactorialRatioAdapter:
             )
         self.a = a
         self.beta = a / (a + 1)
-        self.source = TermSource(eval=_PowOverFactorial(a).term, description=f"a^n/n!, a={a}")
+        self.source = TermSource(eval=_PowOverFactorial(a).term)
         self._slope = _PowOverFactorial(a + 1).term
         self.seq_env = line_family(self._slope, self.beta, a)
 
@@ -153,13 +153,11 @@ class FibonacciRatioAdapter:
             raise PreconditionViolated("need u0 >= 0 and u1 >= 1")
         if u0 > 0 and not u1 / u0 > PHI:
             raise PreconditionViolated(f"need u1/u0 > phi, got {u1 / u0!r} <= {PHI!r}")
-        self.u0 = u0
-        self.u1 = u1
         # n -> (u_n, u_{n+1}) in exact integers.
         self.term_pair = _cursor((u0, u1), lambda p: (p[1], p[0] + p[1]))
         scale = u1 / u0 - PHI if u0 > 0 else PHI * PHI
         self.env = AffineParams(scale, PHI**-2, PHI).constant_envelope()
-        self.source = TermSource(eval=self.ratio, description=f"fibonacci ratio u0={u0} u1={u1}")
+        self.source = TermSource(eval=self.ratio)
 
     def ratio(self, n: int) -> float:
         a, b = self.term_pair(n)
@@ -200,10 +198,8 @@ class LogisticAdapter:
             raise PreconditionViolated("need r in (0, 1)")
         if not 0.0 < y0 < 1.0:
             raise PreconditionViolated("need y0 in (0, 1)")
-        self.r = r
-        self.y0 = y0
         self.term = _cursor(y0, lambda y: r * y * (1.0 - y))
-        self.source = TermSource(eval=self.term, description=f"logistic r={r} y0={y0}")
+        self.source = TermSource(eval=self.term)
         self.env = AffineParams(y0, r, 0.0).constant_envelope()
 
 
@@ -229,7 +225,7 @@ class SyracuseAdapter:
         self.n0 = n0
         # Looked up at every step, so a wrapper installed on `step` sees each one.
         self.term = _cursor(n0, lambda y: self.step(y))
-        self.source = TermSource(eval=self.term, description=f"syracuse N0={n0}")
+        self.source = TermSource(eval=self.term)
 
     @staticmethod
     def step(y: int) -> int:

@@ -141,6 +141,14 @@ class TestInvertNumeric:
     def test_clamps_within_slack(self):
         assert invert_numeric(lambda x: x, 1.0 + 1e-13) == 1.0
 
+    def test_nan_raises(self):
+        # NaN passes both range tests; bisection would end at 0.0, a bound
+        # that ends the scan at once.
+        with pytest.raises(OutOfRange):
+            invert_numeric(lambda x: x, math.nan)
+        with pytest.raises(OutOfRange):
+            envelope_fn_from_forward(lambda x: x**3 + x).inverse(math.nan)
+
     @given(
         c3=st.floats(min_value=0.1, max_value=5.0),
         c1=st.floats(min_value=0.1, max_value=5.0),

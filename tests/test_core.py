@@ -246,6 +246,21 @@ class TestSolve:
             "increase the scan limit only if the envelope is known useful"
         )
 
+    @pytest.mark.parametrize("limit", [-1, -3, 2.5, "10", None])
+    def test_scan_limit_must_be_a_non_negative_int(self, limit):
+        # A negative limit would otherwise end in NoUsefulIndex, naming the
+        # empty range [2, 1], after the prefix terms.
+        calls = []
+        env = Envelope(h=lambda k: affine_fn(1.0, 2.0), beta=lambda k: 0.5, mono=Monotonicity(2))
+        message = f"scan_limit must be an int >= 0, got {limit!r}"
+        with pytest.raises(PreconditionViolated, match=re.escape(message)):
+            solve(TermSource(eval=lambda k: calls.append(k) or 1.0), env, scan_limit=limit)
+        assert calls == []
+
+    def test_scan_limit_zero_scans_index_m(self):
+        sol = solve(TermSource(eval=lambda k: 0.5**k), constant_env(affine_fn(1.0, 0.0), 0.5), scan_limit=0)
+        assert (sol.sup_value, sol.argmax_min, sol.truncation_index) == (1.0, 0, 0)
+
     def test_violation_propagates(self):
         src = TermSource(eval=lambda k: 10.0, description="tens")
         env = constant_env(affine_fn(1.0, 0.0), 0.5)

@@ -1,9 +1,10 @@
 """Every name a library module imports is used in that module, every
 private top-level or class-body name is used somewhere in the package,
 every public re-export has a caller, only ``algebra`` builds an
-``Envelope``, no module reads the built-in ``sum``, the package imports
-nothing from outside the standard library, and its syntax parses at the
-oldest Python that pyproject.toml declares.
+``Envelope``, no module labels a ``TermSource``, no module reads the
+built-in ``sum``, the package imports nothing from outside the standard
+library, and its syntax parses at the oldest Python that pyproject.toml
+declares.
 
 No linter ships with the project, so these stdlib checks catch the imports
 and helpers a refactor leaves behind.  ``__init__.py`` is skipped by the
@@ -185,6 +186,32 @@ def test_only_algebra_builds_envelopes():
     # Every bundled family comes from algebra's constructors:
     # AffineParams.constant_envelope, line_family and the combinators.
     assert envelope_builders({p.stem: p.read_text() for p in MODULES}) == ["algebra"]
+
+
+def labelled_sources(sources: dict[str, str]) -> list[str]:
+    """``module:line`` of each ``TermSource(...)`` call, by bare name or as an
+    attribute, that passes a label: a ``description=`` keyword or a second
+    positional argument."""
+    return sorted(f"{module}:{node.lineno}" for module, text in sources.items()
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Call)
+                  and "TermSource" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                  and (len(node.args) > 1 or any(kw.arg == "description" for kw in node.keywords)))
+
+
+def test_detects_labelled_term_source():
+    sources = {
+        "a": 'from .core import TermSource\nSRC = TermSource(eval=f, description="label")\n',
+        "b": 'from . import core\n\ndef f():\n    return core.TermSource(g, "label")\n',
+        "c": "from .core import TermSource\nSRC = TermSource(f, upper=g, lower=h)\nENV = Envelope(h, b, m)\n",
+    }
+    assert labelled_sources(sources) == ["a:2", "b:4"]
+
+
+def test_no_module_labels_a_term_source():
+    # TermSource.description is a caller's label: the library neither sets
+    # nor reads one, so a label set here would be state that nothing reads.
+    assert labelled_sources({p.stem: p.read_text() for p in PACKAGE}) == []
 
 
 def builtin_sum_reads(sources: dict[str, str]) -> list[str]:

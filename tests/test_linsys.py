@@ -59,6 +59,13 @@ from peakseq.linsys import (
 )
 
 
+def seeded_floats(seed, n):
+    """n finite floats of either sign, their exponents spread over the float range."""
+    rng = random.Random(seed)
+    return [rng.choice((-1.0, 1.0)) * rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-307, 307)
+            for _ in range(n)]
+
+
 def analytic_2x2_sym_eigs(a, b, d):
     mean = 0.5 * (a + d)
     radius = math.hypot(0.5 * (a - d), b)
@@ -93,6 +100,14 @@ class TestSymEig:
         lo, hi = sym_eig_bounds(Matrix.from_rows([[2.0, 1.0], [1.0, 2.0]]))
         assert lo == pytest.approx(1.0, abs=1e-12)
         assert hi == pytest.approx(3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e200, -1e200, 1.7e308, -1.7e308]
+                             + seeded_floats(40, 12))
+    def test_1x1_is_its_entry(self, x):
+        # From 1e200 on x * x overflows and the stopping target is inf; the
+        # sweep loop still stops at once, with nothing off the diagonal.
+        lo, hi = sym_eig_bounds(Matrix.from_rows([[x]]))
+        assert (lo.hex(), hi.hex()) == (x.hex(), x.hex())
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
@@ -257,6 +272,19 @@ class TestOpNormSq:
 class TestSpectralNormPower:
     def test_k0(self):
         assert spectral_norm_sq_power(a_lambda(0.7), 0) == 1.0
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_k0_of_a_finite_matrix(self, d):
+        # A^0 is the identity, whose Gram's top eigenvalue is exactly 1.
+        rng = random.Random(d)
+        for scale in (1.0, 1e150, 1e300):
+            a = Matrix.from_rows([[rng.uniform(-scale, scale) for _ in range(d)] for _ in range(d)])
+            assert spectral_norm_sq_power(a, 0) == 1.0
+
+    @pytest.mark.parametrize("lam, d", [(0.3, 2), (-0.5, 3), (0.99995, 6)])
+    def test_k0_of_the_benchmark_matrix(self, lam, d):
+        assert spectral_norm_sq_power(a_lambda(lam, d), 0) == 1.0
+        assert a_lambda_source(lam, d, generic=True).eval(0) == 1.0
 
     def test_k1_closed(self):
         got = spectral_norm_sq_power(a_lambda(0.5), 1)
